@@ -2,7 +2,7 @@
 //! the O(N log N) binary configuration search, the O(N⁴) exhaustive
 //! sweep, and the frontier-pruned engine (exhaustive-equivalent results)
 //! at low and high LS load — each in cached and uncached flavours (the
-//! prediction memo cache), with warm-start / frontier-reuse variants, and
+//! prediction memo cache), with warm-start / bracket-memo variants, and
 //! for the exhaustive oracle serial vs parallel (the rayon C1 fan-out).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -59,8 +59,8 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| black_box(search.pruned(black_box(0.5 * peak))));
         predictor.set_caching(true);
     });
-    // Steady state: the frontier cache supplies the incumbent, so the
-    // bisection warm-up disappears and only the pruned sweep remains.
+    // Steady state: the load stays in one slab bracket, so the bracket
+    // memo answers and no sweep runs.
     group.bench_function("pruned_50pct_frontier_warm", |b| {
         let frontiers = FrontierCache::default();
         let search = ConfigSearch::new(&predictor, spec.clone(), budget, SearchParams::default())

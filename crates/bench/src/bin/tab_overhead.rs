@@ -14,9 +14,8 @@
 //! This binary measures the same quantities on our implementation: model
 //! calls consumed and wall-clock time for the heuristic binary search,
 //! the exhaustive oracle, and the latticed frontier-pruned engine — cold
-//! (no parked state), warm (verbatim memo reuse in the same QPS bucket)
-//! and incremental (one-bucket QPS walk, changed slices rescanned) —
-//! plus the per-prediction latency. Every engine is exercised once
+//! (no memo attached) and warm (answered from the bracket memo) — plus
+//! the per-prediction latency. Every engine is exercised once
 //! untimed before measurement so the rows report steady state rather
 //! than first-call lazy-initialization (table and slab builds), and each
 //! row runs a repetition loop whose p50/p95/p99 per-search latencies are
@@ -83,9 +82,6 @@ fn main() {
 
     let fracs = [0.2, 0.35, 0.5, 0.8];
     let params = SearchParams::default();
-    let quantum = predictor
-        .ls_slabs(setup.spec(), params.power_load_headroom)
-        .quantum();
 
     // Warm-up: drive every engine once at every measured load so the
     // lazy one-time builds (BE tables, QPS slabs, memo-cache fills) land
@@ -97,7 +93,6 @@ fn main() {
         let _ = warmup.best_config(qps);
         let _ = warmup.exhaustive(qps);
         let _ = warmup.pruned(qps);
-        let _ = warmup.pruned(qps + quantum);
     }
 
     let mut summaries = Vec::new();
@@ -106,24 +101,16 @@ fn main() {
         let search = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
         let (fast, fast_us) = timed_reps(100, || search.best_config(qps));
         let (full, full_us) = timed_reps(5, || search.exhaustive(qps));
-        // Cold: no frontier cache attached, so every repetition pays the
-        // full latticed sweep with neither seed nor parked slice state.
+        // Cold: no memo attached, so every repetition pays the full
+        // latticed sweep.
         let (pruned, pruned_us) = timed_reps(200, || search.pruned(qps));
         let latticed = search.exhaustive_latticed(qps);
-        // Warm: same QPS bucket every time — after the first pass the
-        // parked state answers verbatim.
+        // Warm: same slab bracket every time — after the first pass the
+        // bracket memo answers.
         let frontiers = FrontierCache::default();
-        let seeded = search.with_frontiers(&frontiers);
-        let _ = seeded.pruned(qps);
-        let (pruned_warm, warm_us) = timed_reps(200, || seeded.pruned(qps));
-        // Incremental: alternate between adjacent QPS buckets so every
-        // repetition crosses exactly one slab boundary and rescans only
-        // the slices whose envelope changed.
-        let mut flip = false;
-        let (pruned_inc, inc_us) = timed_reps(200, || {
-            flip = !flip;
-            seeded.pruned(if flip { qps + quantum } else { qps })
-        });
+        let memoized = search.with_frontiers(&frontiers);
+        let _ = memoized.pruned(qps);
+        let (pruned_warm, warm_us) = timed_reps(200, || memoized.pruned(qps));
         println!("\n-- load {:.0}% of peak --", frac * 100.0);
         let fast_row =
             OverheadSummary::from_stats(format!("binary@{:.0}%", frac * 100.0), &fast.stats)
@@ -139,11 +126,6 @@ fn main() {
             &pruned_warm.stats,
         )
         .with_percentiles(&warm_us);
-        let inc_row = OverheadSummary::from_stats(
-            format!("pruned-incremental@{:.0}%", frac * 100.0),
-            &pruned_inc.stats,
-        )
-        .with_percentiles(&inc_us);
         println!("{}  tput {:.3}", fast_row.row(), fast.predicted_throughput);
         println!("{}  tput {:.3}", full_row.row(), full.predicted_throughput);
         println!(
@@ -155,17 +137,10 @@ fn main() {
             pruned.best == latticed.best
         );
         println!(
-            "{}  tput {:.3}  (slices reused {})",
+            "{}  tput {:.3}  (memo hit: {})",
             warm_row.row(),
             pruned_warm.predicted_throughput,
-            pruned_warm.stats.incremental_slices_reused
-        );
-        println!(
-            "{}  tput {:.3}  (slices reused {}, rescanned {})",
-            inc_row.row(),
-            pruned_inc.predicted_throughput,
-            pruned_inc.stats.incremental_slices_reused,
-            pruned_inc.stats.incremental_slices_rescanned
+            pruned_warm.stats.frontier_reuses == 1
         );
         println!(
             "speedup: binary {:.0}× fewer queries; pruned evaluates {:.0}× fewer candidates than exhaustive",
@@ -181,7 +156,6 @@ fn main() {
         summaries.push(full_row);
         summaries.push(pruned_row);
         summaries.push(warm_row);
-        summaries.push(inc_row);
     }
 
     println!(
@@ -201,6 +175,6 @@ fn main() {
     println!("\n=> the O(N log N) search replaces the paper's 6.4 s exhaustive sweep with a");
     println!("   millisecond-scale search, exactly the §VII-E argument; the latticed pruned");
     println!("   engine answers from flat slab envelopes with zero model calls in the inner");
-    println!("   loop, and the incremental path rescans only the slices a one-bucket QPS");
-    println!("   move actually changed.");
+    println!("   loop, and a load revisiting a solved slab bracket is answered from the");
+    println!("   bracket memo.");
 }

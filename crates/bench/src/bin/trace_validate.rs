@@ -52,7 +52,6 @@ fn validate_body(kind: &str, body: &serde_json::Value) -> Result<(), String> {
             "pruned_subspaces",
             "frontier_reuses",
         ],
-        "SearchIncremental" => &["t_s", "slices_reused", "slices_rescanned"],
         "CacheSnapshot" => &["t_s", "entries", "hits", "misses"],
         other => return Err(format!("unknown event type {other}")),
     };

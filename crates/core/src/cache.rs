@@ -21,9 +21,15 @@
 //!
 //! The cache is `Send + Sync` (sharded `parking_lot::Mutex` maps, atomic
 //! counters) so the parallel sweeps of the search layer can share one
-//! instance across worker threads.
+//! instance across worker threads. Its atomic counters are totals over
+//! every thread; per-search accounting reads the per-thread
+//! `QueryMeter` instead, which no other thread can disturb.
+//!
+//! [`FrontierCache`] is the pruned search engine's cross-interval memo
+//! of whole search outcomes.
 
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,6 +59,62 @@ struct Key {
     freq_bits: u64,
     ways: u32,
     qps_bits: u64,
+}
+
+/// Per-thread query counters, advanced alongside the predictor-global
+/// atomics: `calls` by every counted prediction query, `hits`/`misses`
+/// by every memo-cache lookup. A search reads its own thread's meter
+/// before and after, so its `SearchStats` count exactly its own queries
+/// whatever other threads do with the same predictor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct QueryMeter {
+    pub(crate) calls: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+thread_local! {
+    static METER: Cell<QueryMeter> = const {
+        Cell::new(QueryMeter { calls: 0, hits: 0, misses: 0 })
+    };
+}
+
+impl QueryMeter {
+    /// This thread's running totals.
+    pub(crate) fn current() -> Self {
+        METER.with(Cell::get)
+    }
+
+    /// The queries this thread issued since `start` was read.
+    pub(crate) fn since(start: Self) -> Self {
+        let now = Self::current();
+        Self {
+            calls: now.calls - start.calls,
+            hits: now.hits - start.hits,
+            misses: now.misses - start.misses,
+        }
+    }
+
+    /// Advances this thread's meter.
+    pub(crate) fn bump(f: impl FnOnce(&mut Self)) {
+        METER.with(|m| {
+            let mut v = m.get();
+            f(&mut v);
+            m.set(v);
+        });
+    }
+}
+
+impl std::ops::Add for QueryMeter {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            calls: self.calls + rhs.calls,
+            hits: self.hits + rhs.hits,
+            misses: self.misses + rhs.misses,
+        }
+    }
 }
 
 /// Number of independently locked shards. Power of two so the shard index
@@ -168,6 +230,7 @@ impl PredictionCache {
         let shard = self.shard_of(&key);
         if let Some(&v) = shard.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
+            QueryMeter::bump(|m| m.hits += 1);
             return v;
         }
         // The lock is dropped during compute(): a concurrent worker may
@@ -177,6 +240,7 @@ impl PredictionCache {
         let v = compute();
         shard.lock().insert(key, v);
         self.misses.fetch_add(1, Ordering::Relaxed);
+        QueryMeter::bump(|m| m.misses += 1);
         v
     }
 
@@ -216,173 +280,86 @@ impl PredictionCache {
     }
 }
 
-/// Per-C1-slice snapshot of the latticed pruned sweep: the slab envelope
-/// the slice was scanned under (feasibility words and LS power rows, both
-/// flattened over `(F1, L1)`) and the exact slice outcome. The
-/// incremental re-search compares freshly computed envelopes against
-/// these buffers in place and rescans only slices whose bytes moved; the
-/// `Vec`s double as reusable scratch so steady-state searches allocate
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SliceSnapshot {
-    /// Envelope feasibility words, `n_levels × words_per_row`.
-    pub feas: Vec<u64>,
-    /// Envelope LS power rows (W), `n_levels × total_ways`.
-    pub power: Vec<f64>,
-    /// The slice's exact best candidate under the envelope, with its
-    /// predicted BE throughput.
-    pub best: Option<(PairConfig, f64)>,
+/// Everything the latticed pruned search's outcome depends on, for one
+/// predictor and node spec: `ConfigSearch::pruned` is bit-identical to the
+/// envelope oracle `ConfigSearch::exhaustive_latticed`, which reads the
+/// load only through its slab bracket, the budget only through the
+/// guarded budget, and the search space only through the `C1`/`L1`
+/// limits. Two searches with equal keys therefore return the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BracketKey {
+    /// Predictor training generation (bumped by every retrain).
+    pub(crate) generation: u64,
+    /// `(budget · (1 − power_guard)).to_bits()`.
+    pub(crate) guarded_budget_bits: u64,
+    /// `power_load_headroom.to_bits()`, baked into the slab power rows.
+    pub(crate) headroom_bits: u64,
+    /// Largest LS core count searched.
+    pub(crate) max_c1: u32,
+    /// Largest LS way count searched.
+    pub(crate) max_l1: u32,
+    /// The load's slab bracket `(k_lo, k_hi)`.
+    pub(crate) bracket: (u64, u64),
 }
 
-/// Bucket-delta state for the incremental re-search
-/// (`ConfigSearch::pruned`): the previous latticed sweep's per-slice
-/// envelopes and outcomes plus the identity — generation, budget, slab
-/// bracket, lattice shape — they were computed under. A new search whose
-/// identity matches and whose QPS bracket moved at most one bucket reuses
-/// every slice whose envelope is unchanged; anything else (drift,
-/// retrain, budget change, reshaped lattice) discards the state and runs
-/// the full sweep, which repopulates it.
-#[derive(Debug, Default)]
-pub struct IncrementalState {
-    /// Predictor training generation of the stored sweep.
-    pub generation: u64,
-    /// `budget_w.to_bits()` of the stored sweep.
-    pub budget_bits: u64,
-    /// `power_load_headroom.to_bits()` baked into the stored envelopes.
-    pub headroom_bits: u64,
-    /// Slab bracket of the stored sweep.
-    pub lo_bucket: u64,
-    /// Slab bracket of the stored sweep.
-    pub hi_bucket: u64,
-    /// Search-space shape of the stored sweep.
-    pub max_c1: u32,
-    /// Search-space shape of the stored sweep.
-    pub max_l1: u32,
-    /// One snapshot per C1 slice, index `c1 - 1`.
-    pub slices: Vec<SliceSnapshot>,
-    /// The stored sweep's folded outcome.
-    pub best: Option<(PairConfig, f64)>,
-}
+/// A stored search outcome: the best configuration and its predicted BE
+/// throughput, or `None` when nothing was feasible.
+type MemoOutcome = Option<(PairConfig, f64)>;
 
-/// Cross-interval frontier memory for the pruned search engine.
+/// Cross-interval memo for the pruned search engine: exact outcomes keyed
+/// by everything a latticed search reads — predictor generation, guarded
+/// budget, power-load headroom, `C1`/`L1` limits and the load's slab
+/// bracket.
 ///
 /// The steady-state control path re-searches at loads that drift a few
-/// per mille per interval, so the previous interval's winning
-/// configuration is almost always a high-value incumbent for the next
-/// search. This cache keys those seeds on *quantized QPS buckets* — the
-/// seed is only a starting bound, revalidated by the searcher against the
-/// live slab envelope before use, so bucketing can never change a result,
-/// only how much of the sweep the bound prunes.
-///
-/// Seeds are tagged with the predictor's training generation and dropped
-/// wholesale when it changes — the same invalidation rule as
-/// [`PredictionCache::clear`] on retrain.
-///
-/// The cache also parks the [`IncrementalState`] between intervals
-/// (take/store, so the searcher mutates it without holding the lock);
-/// see [`take_incremental`](Self::take_incremental).
-#[derive(Debug)]
+/// per mille per interval, so most searches land in a slab bracket they
+/// have already solved under the same budget. Because the key holds every
+/// input the outcome depends on, a hit is the search's answer — not a
+/// hint to revalidate — and a memo can never change a result, only its
+/// cost. A cache serves one predictor and node spec (the controller owns
+/// one per node); a retrain moves the generation, so old entries simply
+/// stop matching.
+#[derive(Debug, Default)]
 pub struct FrontierCache {
-    inner: Mutex<FrontierInner>,
+    outcomes: Mutex<HashMap<BracketKey, MemoOutcome>>,
     reuses: AtomicU64,
-    incremental: Mutex<Option<Box<IncrementalState>>>,
 }
 
-#[derive(Debug)]
-struct FrontierInner {
-    generation: u64,
-    qps_quantum: f64,
-    seeds: HashMap<u64, PairConfig>,
-}
-
-/// Bound on stored seeds; a control loop visits far fewer distinct load
-/// buckets, so hitting it means the quantum is misconfigured — wipe and
-/// restart rather than grow without limit.
+/// Bound on stored outcomes; a control loop visits far fewer distinct
+/// brackets and budgets, so hitting it means the budget churns every
+/// interval — wipe and restart rather than grow without limit.
 const FRONTIER_CAP: usize = 256;
 
-impl Default for FrontierCache {
-    fn default() -> Self {
-        Self::new(200.0)
-    }
-}
-
 impl FrontierCache {
-    /// An empty cache bucketing loads by `qps_quantum` QPS (clamped to a
-    /// strictly positive width).
-    pub fn new(qps_quantum: f64) -> Self {
-        Self {
-            inner: Mutex::new(FrontierInner {
-                generation: 0,
-                qps_quantum: qps_quantum.max(f64::MIN_POSITIVE),
-                seeds: HashMap::new(),
-            }),
-            reuses: AtomicU64::new(0),
-            incremental: Mutex::new(None),
-        }
-    }
-
-    /// Hands the parked incremental state to a searcher, leaving the slot
-    /// empty. The searcher validates/mutates it lock-free and puts it
-    /// back via [`store_incremental`](Self::store_incremental); a racing
-    /// searcher simply finds the slot empty and runs a full sweep.
-    pub fn take_incremental(&self) -> Option<Box<IncrementalState>> {
-        self.incremental.lock().take()
-    }
-
-    /// Parks the incremental state for the next interval's search.
-    pub fn store_incremental(&self, state: Box<IncrementalState>) {
-        *self.incremental.lock() = Some(state);
-    }
-
-    fn bucket(quantum: f64, qps: f64) -> u64 {
-        (qps.max(0.0) / quantum).round() as u64
-    }
-
-    /// The seed stored for `qps`'s bucket, if it was produced by the same
-    /// predictor generation. A generation change empties the cache first.
-    pub fn get(&self, generation: u64, qps: f64) -> Option<PairConfig> {
-        let mut inner = self.inner.lock();
-        if inner.generation != generation {
-            inner.seeds.clear();
-            inner.generation = generation;
-            return None;
-        }
-        let seed = inner
-            .seeds
-            .get(&Self::bucket(inner.qps_quantum, qps))
-            .copied();
-        if seed.is_some() {
+    /// The outcome stored under `key`, counting the hit as a reuse.
+    pub(crate) fn get(&self, key: &BracketKey) -> Option<MemoOutcome> {
+        let hit = self.outcomes.lock().get(key).copied();
+        if hit.is_some() {
             self.reuses.fetch_add(1, Ordering::Relaxed);
         }
-        seed
+        hit
     }
 
-    /// Stores the winning configuration of a search at `qps` as the
-    /// bucket's seed for subsequent intervals.
-    pub fn insert(&self, generation: u64, qps: f64, cfg: PairConfig) {
-        let mut inner = self.inner.lock();
-        if inner.generation != generation {
-            inner.seeds.clear();
-            inner.generation = generation;
+    /// Stores the outcome of a search under `key`.
+    pub(crate) fn insert(&self, key: BracketKey, outcome: MemoOutcome) {
+        let mut outcomes = self.outcomes.lock();
+        if outcomes.len() >= FRONTIER_CAP {
+            outcomes.clear();
         }
-        if inner.seeds.len() >= FRONTIER_CAP {
-            inner.seeds.clear();
-        }
-        let bucket = Self::bucket(inner.qps_quantum, qps);
-        inner.seeds.insert(bucket, cfg);
+        outcomes.insert(key, outcome);
     }
 
-    /// Stored seeds.
+    /// Stored outcomes.
     pub fn len(&self) -> usize {
-        self.inner.lock().seeds.len()
+        self.outcomes.lock().len()
     }
 
-    /// True when no seed is stored.
+    /// True when no outcome is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Seeds handed back to a searcher since construction.
+    /// Outcomes handed back to a searcher since construction.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
     }
@@ -505,56 +482,70 @@ mod tests {
         PairConfig::new(Allocation::new(c1, 9, 8), Allocation::new(20 - c1, 5, 12))
     }
 
+    fn key(generation: u64, bracket: (u64, u64)) -> BracketKey {
+        BracketKey {
+            generation,
+            guarded_budget_bits: 120.0f64.to_bits(),
+            headroom_bits: 0.08f64.to_bits(),
+            max_c1: 19,
+            max_l1: 19,
+            bracket,
+        }
+    }
+
     #[test]
     fn frontier_buckets_nearby_loads_and_counts_reuses() {
-        let fc = FrontierCache::new(100.0);
-        assert!(fc.get(1, 1_000.0).is_none());
-        fc.insert(1, 1_000.0, seed_cfg(6));
-        // 1 040 rounds into the same bucket; 1 060 into the next.
-        assert_eq!(fc.get(1, 1_040.0), Some(seed_cfg(6)));
-        assert!(fc.get(1, 1_060.0).is_none());
-        assert_eq!(fc.reuses(), 1);
-        assert_eq!(fc.len(), 1);
+        let fc = FrontierCache::default();
+        assert!(fc.get(&key(1, (10, 11))).is_none());
+        fc.insert(key(1, (10, 11)), Some((seed_cfg(6), 0.7)));
+        // Every load inside the bracket shares the key; the next bracket
+        // does not.
+        assert_eq!(fc.get(&key(1, (10, 11))), Some(Some((seed_cfg(6), 0.7))));
+        assert!(fc.get(&key(1, (11, 11))).is_none());
+        // "Nothing feasible" is an outcome too, and is memoized as such.
+        fc.insert(key(1, (63, 63)), None);
+        assert_eq!(fc.get(&key(1, (63, 63))), Some(None));
+        assert_eq!(fc.reuses(), 2);
+        assert_eq!(fc.len(), 2);
     }
 
     #[test]
     fn frontier_generation_change_invalidates_seeds() {
-        let fc = FrontierCache::new(100.0);
-        fc.insert(1, 500.0, seed_cfg(4));
-        assert!(fc.get(2, 500.0).is_none(), "stale generation must miss");
-        assert!(fc.is_empty());
-        // Inserting under the new generation works normally again.
-        fc.insert(2, 500.0, seed_cfg(5));
-        assert_eq!(fc.get(2, 500.0), Some(seed_cfg(5)));
-    }
-
-    #[test]
-    fn incremental_state_parks_and_returns() {
         let fc = FrontierCache::default();
-        assert!(fc.take_incremental().is_none());
-        let mut state = Box::<IncrementalState>::default();
-        state.generation = 3;
-        state.lo_bucket = 7;
-        state.slices.push(SliceSnapshot {
-            feas: vec![0b1011],
-            power: vec![1.0, 2.0],
-            best: Some((seed_cfg(5), 0.7)),
-        });
-        fc.store_incremental(state);
-        let back = fc.take_incremental().expect("state must be parked");
-        assert_eq!(back.generation, 3);
-        assert_eq!(back.lo_bucket, 7);
-        assert_eq!(back.slices[0].feas, vec![0b1011]);
-        // The slot is empty again after the take.
-        assert!(fc.take_incremental().is_none());
+        fc.insert(key(1, (5, 5)), Some((seed_cfg(4), 0.5)));
+        assert!(
+            fc.get(&key(2, (5, 5))).is_none(),
+            "stale generation must miss"
+        );
+        // Storing under the new generation works normally again.
+        fc.insert(key(2, (5, 5)), Some((seed_cfg(5), 0.6)));
+        assert_eq!(fc.get(&key(2, (5, 5))), Some(Some((seed_cfg(5), 0.6))));
     }
 
     #[test]
     fn frontier_cap_bounds_memory() {
-        let fc = FrontierCache::new(1.0);
+        let fc = FrontierCache::default();
         for i in 0..600 {
-            fc.insert(1, i as f64 * 10.0, seed_cfg(3));
+            fc.insert(key(1, (i, i + 1)), Some((seed_cfg(3), 0.1)));
         }
-        assert!(fc.len() <= 256 + 1);
+        assert!(fc.len() <= 256);
+    }
+
+    #[test]
+    fn query_meter_counts_only_this_thread() {
+        let cache = PredictionCache::new();
+        let start = QueryMeter::current();
+        cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..5 {
+                    cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
+                }
+            });
+        });
+        cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
+        let mine = QueryMeter::since(start);
+        assert_eq!((mine.hits, mine.misses), (1, 1));
+        assert_eq!(cache.hits() + cache.misses(), 7);
     }
 }

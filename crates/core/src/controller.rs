@@ -189,17 +189,15 @@ pub struct SturgeonController {
     /// `tracing` is on, so an untraced run never allocates here.
     tracing: bool,
     trace: Vec<TraceEvent>,
-    /// Cross-interval frontier seeds for the pruned engine: best configs
-    /// keyed by quantized QPS bucket, invalidated on predictor retrain via
-    /// the table generation. Unused under the heuristic strategy.
+    /// Cross-interval memo for the pruned engine: exact search outcomes
+    /// keyed by slab bracket, budget and predictor generation. Unused
+    /// under the heuristic strategy.
     frontiers: FrontierCache,
     /// Running totals across the run's pruned searches (zero under the
     /// heuristic strategy), exposed for fleet-level metrics aggregation.
     pruned_candidates_total: u64,
     pruned_subspaces_total: u64,
     frontier_reuses_total: u64,
-    incremental_reused_total: u64,
-    incremental_rescanned_total: u64,
     /// True while the placement layer has parked the BE side (no job
     /// assigned): the controller holds the power-feasible all-LS safe
     /// configuration instead of optimizing a throughput nobody counts.
@@ -258,8 +256,6 @@ impl SturgeonController {
             pruned_candidates_total: 0,
             pruned_subspaces_total: 0,
             frontier_reuses_total: 0,
-            incremental_reused_total: 0,
-            incremental_rescanned_total: 0,
             be_idle: false,
         }
     }
@@ -362,8 +358,9 @@ impl SturgeonController {
     }
 
     /// Running totals over the run's pruned-engine searches, as
-    /// `(pruned_candidates, pruned_subspaces, frontier_reuses)`. All zero
-    /// under the default heuristic strategy.
+    /// `(pruned_candidates, pruned_subspaces, frontier_reuses)`, the last
+    /// counting searches answered from the bracket memo. All zero under
+    /// the default heuristic strategy.
     pub fn pruned_totals(&self) -> (u64, u64, u64) {
         (
             self.pruned_candidates_total,
@@ -372,14 +369,12 @@ impl SturgeonController {
         )
     }
 
-    /// Running totals over the run's incremental re-searches, as
-    /// `(slices_reused, slices_rescanned)`. Both zero under the heuristic
-    /// strategy and whenever every search fell back to the full sweep.
+    /// Always `(0, 0)`: the pruned engine no longer re-searches slice by
+    /// slice (whole outcomes are memoized per slab bracket instead; see
+    /// [`pruned_totals`](Self::pruned_totals)). Kept only because the
+    /// `perfbench` ledger still calls it.
     pub fn incremental_totals(&self) -> (u64, u64) {
-        (
-            self.incremental_reused_total,
-            self.incremental_rescanned_total,
-        )
+        (0, 0)
     }
 
     /// The balancer (for effectiveness accounting).
@@ -459,8 +454,8 @@ impl SturgeonController {
                     search.best_config_warm(qps, previous)
                 }
                 // The table-driven branch-and-bound engine: exhaustive-
-                // equivalent results, with frontier seeds reused across
-                // intervals in the same QPS bucket.
+                // equivalent results, memoized across intervals per slab
+                // bracket and budget.
                 SearchStrategy::FrontierPruned => {
                     search.with_frontiers(&self.frontiers).pruned(qps)
                 }
@@ -469,8 +464,6 @@ impl SturgeonController {
         self.pruned_candidates_total += outcome.stats.pruned_candidates;
         self.pruned_subspaces_total += outcome.stats.pruned_subspaces;
         self.frontier_reuses_total += outcome.stats.frontier_reuses;
-        self.incremental_reused_total += outcome.stats.incremental_slices_reused;
-        self.incremental_rescanned_total += outcome.stats.incremental_slices_rescanned;
         self.warm_hint = outcome.best.map(|cfg| (cfg, qps));
         self.last_search_stats = Some(outcome.stats);
         self.last_search_qps = Some(qps);
@@ -527,11 +520,6 @@ impl SturgeonController {
                     pruned_candidates: outcome.stats.pruned_candidates,
                     pruned_subspaces: outcome.stats.pruned_subspaces,
                     frontier_reuses: outcome.stats.frontier_reuses,
-                });
-                self.trace.push(TraceEvent::SearchIncremental {
-                    t_s,
-                    slices_reused: outcome.stats.incremental_slices_reused,
-                    slices_rescanned: outcome.stats.incremental_slices_rescanned,
                 });
             }
             self.trace.push(TraceEvent::CacheSnapshot {

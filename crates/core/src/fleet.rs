@@ -1149,22 +1149,15 @@ impl Fleet {
         let mut pruned_cells = 0u64;
         let mut pruned_slices = 0u64;
         let mut frontier_reuses = 0u64;
-        let mut incremental_reused = 0u64;
-        let mut incremental_rescanned = 0u64;
         for shard in &self.shards {
             let (cells, slices, reuses) = shard.controller.pruned_totals();
             pruned_cells += cells;
             pruned_slices += slices;
             frontier_reuses += reuses;
-            let (reused, rescanned) = shard.controller.incremental_totals();
-            incremental_reused += reused;
-            incremental_rescanned += rescanned;
         }
         registry.add("search.pruned_candidates", pruned_cells);
         registry.add("search.pruned_subspaces", pruned_slices);
         registry.add("search.frontier_reuses", frontier_reuses);
-        registry.add("search.incremental_slices_reused", incremental_reused);
-        registry.add("search.incremental_slices_rescanned", incremental_rescanned);
         registry.add(
             "controller.stale_intervals",
             result.fault_counters.stale_intervals,

@@ -437,15 +437,6 @@ impl MetricsRegistry {
                 self.add("search.pruned_subspaces", *pruned_subspaces);
                 self.add("search.frontier_reuses", *frontier_reuses);
             }
-            TraceEvent::SearchIncremental {
-                slices_reused,
-                slices_rescanned,
-                ..
-            } => {
-                self.inc("search.incremental_runs");
-                self.add("search.incremental_slices_reused", *slices_reused);
-                self.add("search.incremental_slices_rescanned", *slices_rescanned);
-            }
             TraceEvent::CacheSnapshot {
                 entries,
                 hits,

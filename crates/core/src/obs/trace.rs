@@ -131,22 +131,9 @@ pub enum TraceEvent {
         pruned_candidates: u64,
         /// Whole C1 slices skipped outright.
         pruned_subspaces: u64,
-        /// 1 when the incumbent came from the cross-interval frontier
-        /// cache, 0 when the bisection warm-up supplied it.
+        /// 1 when the outcome came from the cross-interval bracket memo
+        /// (nothing evaluated or pruned), 0 when the search swept.
         frontier_reuses: u64,
-    },
-    /// The incremental re-search accounting for one pruned search: how
-    /// many C1 slices the cross-interval memo answered without a rescan.
-    /// Emitted right after `SearchPruned` when the pruned strategy is
-    /// active; both counters are zero when the search ran the full sweep
-    /// (cold start, retrain, budget change, or multi-bucket QPS drift).
-    SearchIncremental {
-        /// Interval timestamp (s).
-        t_s: f64,
-        /// C1 slices whose stored outcome was reused verbatim.
-        slices_reused: u64,
-        /// C1 slices rescanned because their slab envelope changed.
-        slices_rescanned: u64,
     },
     /// Prediction-cache occupancy after a search.
     CacheSnapshot {
@@ -225,7 +212,6 @@ impl TraceEvent {
             TraceEvent::ConfigApplied { .. } => "ConfigApplied",
             TraceEvent::FaultInjected { .. } => "FaultInjected",
             TraceEvent::SearchPruned { .. } => "SearchPruned",
-            TraceEvent::SearchIncremental { .. } => "SearchIncremental",
             TraceEvent::CacheSnapshot { .. } => "CacheSnapshot",
             TraceEvent::BudgetReclaimed { .. } => "BudgetReclaimed",
             TraceEvent::BeMigrated { .. } => "BeMigrated",
@@ -235,7 +221,7 @@ impl TraceEvent {
     }
 
     /// Every variant name, in a stable order (the validator's schema).
-    pub fn kinds() -> [&'static str; 15] {
+    pub fn kinds() -> [&'static str; 14] {
         [
             "TelemetrySample",
             "SearchRan",
@@ -246,7 +232,6 @@ impl TraceEvent {
             "ConfigApplied",
             "FaultInjected",
             "SearchPruned",
-            "SearchIncremental",
             "CacheSnapshot",
             "BudgetReclaimed",
             "BeMigrated",
@@ -267,7 +252,6 @@ impl TraceEvent {
             | TraceEvent::ConfigApplied { t_s, .. }
             | TraceEvent::FaultInjected { t_s, .. }
             | TraceEvent::SearchPruned { t_s, .. }
-            | TraceEvent::SearchIncremental { t_s, .. }
             | TraceEvent::CacheSnapshot { t_s, .. }
             | TraceEvent::BudgetReclaimed { t_s, .. }
             | TraceEvent::BeMigrated { t_s, .. }
@@ -488,6 +472,6 @@ mod tests {
     #[test]
     fn every_kind_is_listed() {
         assert!(TraceEvent::kinds().contains(&sample(0.0).kind()));
-        assert_eq!(TraceEvent::kinds().len(), 15);
+        assert_eq!(TraceEvent::kinds().len(), 14);
     }
 }

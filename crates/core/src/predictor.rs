@@ -18,7 +18,7 @@
 //! comparison (DT, KNN, SV, MLP, logistic/linear regression) and the
 //! Lasso feature-selection step of §V-A.
 
-use crate::cache::{Family, PredictionCache};
+use crate::cache::{Family, PredictionCache, QueryMeter};
 use crate::profiler::{features, ProfileDatasets, FEATURE_DIM};
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use parking_lot::Mutex;
@@ -266,12 +266,14 @@ impl PerfPowerPredictor {
 
     fn count(&self) {
         self.predictions.fetch_add(1, Ordering::Relaxed);
+        QueryMeter::bump(|m| m.calls += 1);
     }
 
-    /// Total prediction queries answered since construction or the last
-    /// reset. Counts every query whether it ran the models or was served
-    /// from the memo cache — the stable measure of search work; subtract
-    /// [`cache_hits`](Self::cache_hits) for actual model executions.
+    /// Total prediction queries answered, on every thread, since
+    /// construction or the last reset. Counts every query whether it ran
+    /// the models or was served from the memo cache — the stable measure
+    /// of search work; subtract [`cache_hits`](Self::cache_hits) for
+    /// actual model executions.
     pub fn prediction_count(&self) -> u64 {
         self.predictions.load(Ordering::Relaxed)
     }

@@ -21,7 +21,7 @@
 //!
 //! The heuristic above is fast but inexact: it only visits minimal-LS
 //! frontier points. The pruned engine runs a fully *latticed* sweep — the
-//! inner loop makes zero virtual predictor calls — via four layers:
+//! inner loop makes zero virtual predictor calls — via three layers:
 //!
 //! 1. **dense BE tables** ([`ModelTables`]): the QPS-independent BE
 //!    throughput and BE power models are flattened per (re)train into
@@ -44,30 +44,24 @@
 //!    skipping cells that provably cannot become the slice's earliest
 //!    argmax, and whole slices whose envelope has no feasible cell
 //!    ([`SearchStats::pruned_candidates`] /
-//!    [`SearchStats::pruned_subspaces`]);
-//! 4. **incremental re-search** ([`crate::cache::IncrementalState`],
-//!    parked in the [`FrontierCache`]): the sweep's per-slice envelopes
-//!    and outcomes are kept between intervals. When the load's slab
-//!    bracket is unchanged the previous outcome is returned verbatim;
-//!    when it moves by at most one bucket, envelopes are recomputed
-//!    in place and only slices whose bytes changed are rescanned
-//!    ([`SearchStats::incremental_slices_reused`] /
-//!    [`SearchStats::incremental_slices_rescanned`]). Drift beyond one
-//!    bucket, retrain, or a budget change falls back to the full sweep.
+//!    [`SearchStats::pruned_subspaces`]).
 //!
-//! Exactness argument (vs the envelope oracle): every per-slice scan is
-//! *self-contained* — a cell is skipped only when its admissible BE bound
-//! cannot beat the slice's own running best (strict-`>` first-wins order
-//! preserved), or, in the slice a revalidated [`FrontierCache`] seed
-//! belongs to, when the bound is strictly below the seed's value (the
-//! seed is a genuine candidate of that same slice, so its value lower-
-//! bounds the slice maximum). Slice outcomes therefore never depend on
-//! other slices, which is what makes reusing them across intervals sound;
-//! the C1-ordered fold reproduces the oracle's global tie-break exactly.
+//! Exactness argument (vs the envelope oracle): a cell is skipped only
+//! when its admissible BE bound cannot beat its slice's running best, so
+//! every slice returns its earliest argmax, and the C1-ordered fold with
+//! strict-`>` first-wins reproduces the oracle's global tie-break.
+//!
+//! On top sits one cross-interval **bracket memo** ([`FrontierCache`],
+//! attached with [`ConfigSearch::with_frontiers`]). The oracle reads the
+//! load only through its slab bracket `(k_lo, k_hi)`, so the outcome is a
+//! pure function of its key: predictor generation, guarded budget,
+//! power-load headroom, the `C1`/`L1` limits and the bracket. A
+//! hit returns the stored outcome ([`SearchStats::frontier_reuses`] = 1,
+//! zero candidates); a miss runs the sweep and stores its result.
 
-use crate::cache::{FrontierCache, IncrementalState, SliceSnapshot};
+use crate::cache::{BracketKey, FrontierCache, QueryMeter};
 use crate::predictor::PerfPowerPredictor;
-use crate::tables::{LsSlab, ModelTables};
+use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,8 +76,9 @@ pub enum SearchStrategy {
     #[default]
     Heuristic,
     /// The frontier-pruned branch-and-bound engine: oracle-exact result
-    /// (bit-identical to [`ConfigSearch::exhaustive_serial`]) with
-    /// table-driven pruning and cross-interval frontier reuse.
+    /// (bit-identical to [`ConfigSearch::exhaustive_latticed`], and to
+    /// [`ConfigSearch::exhaustive_serial`] at slab centers) with
+    /// table-driven pruning and a cross-interval bracket memo.
     FrontierPruned,
 }
 
@@ -153,16 +148,9 @@ pub struct SearchStats {
     pub pruned_candidates: u64,
     /// Pruned engine only: whole C1 slices skipped by their slice bound.
     pub pruned_subspaces: u64,
-    /// Pruned engine only: incumbents replayed from the
-    /// [`FrontierCache`] as pruning bounds for a full sweep.
+    /// Pruned engine only: 1 when the outcome came from the attached
+    /// [`FrontierCache`] memo instead of a sweep.
     pub frontier_reuses: u64,
-    /// Incremental re-search only: C1 slices whose slab envelope was
-    /// unchanged since the previous interval, so their stored outcome was
-    /// reused without rescanning.
-    pub incremental_slices_reused: u64,
-    /// Incremental re-search only: C1 slices rescanned because their
-    /// slab envelope changed across the one-bucket move.
-    pub incremental_slices_rescanned: u64,
 }
 
 /// The search result.
@@ -188,8 +176,6 @@ struct PruneTally {
     cells: u64,
     slices: u64,
     frontier_reuses: u64,
-    incremental_reused: u64,
-    incremental_rescanned: u64,
 }
 
 /// Binary-search the least `x` in `[lo, hi]` with `pred(x)` true, given
@@ -256,10 +242,10 @@ impl<'p> ConfigSearch<'p> {
         }
     }
 
-    /// Attaches a cross-interval frontier cache: [`pruned`](Self::pruned)
-    /// will seed its incumbent from the cache's quantized-QPS bucket (after
-    /// revalidating it at the live load) and store its winner back. Results
-    /// are unchanged with or without the cache — only the warm-up cost is.
+    /// Attaches a cross-interval bracket memo: [`pruned`](Self::pruned)
+    /// answers from it when the same slab bracket was solved before under
+    /// the same budget and models, and stores every fresh outcome in it. Results are unchanged
+    /// with or without the memo — only their cost is.
     pub fn with_frontiers(mut self, cache: &'p FrontierCache) -> Self {
         self.frontiers = Some(cache);
         self
@@ -357,57 +343,50 @@ impl<'p> ConfigSearch<'p> {
         best
     }
 
-    /// Snapshot of the predictor's counters taken when a search starts;
-    /// [`finish`](Self::finish) turns it into a [`SearchStats`] delta.
-    fn meter(&self) -> (Instant, u64, u64, u64) {
-        (
-            Instant::now(),
-            self.predictor.prediction_count(),
-            self.predictor.cache_hits(),
-            self.predictor.cache_misses(),
-        )
+    /// Start time and this thread's query meter, taken when a search
+    /// starts; [`finish`](Self::finish) turns it into a [`SearchStats`]
+    /// delta. The meter is per thread, so concurrent searches on the same
+    /// predictor never leak into each other's counts.
+    fn meter(&self) -> (Instant, QueryMeter) {
+        (Instant::now(), QueryMeter::current())
     }
 
     fn finish(
         &self,
-        meter: (Instant, u64, u64, u64),
-        best: Option<(PairConfig, f64)>,
-        candidates: usize,
-    ) -> SearchOutcome {
-        self.finish_pruned(meter, best, candidates, PruneTally::default())
-    }
-
-    fn finish_pruned(
-        &self,
-        meter: (Instant, u64, u64, u64),
+        meter: (Instant, QueryMeter),
         best: Option<(PairConfig, f64)>,
         candidates: usize,
         tally: PruneTally,
     ) -> SearchOutcome {
-        let (started, calls, hits, misses) = meter;
+        let (started, start) = meter;
+        Self::outcome(started, QueryMeter::since(start), best, candidates, tally)
+    }
+
+    fn outcome(
+        started: Instant,
+        queries: QueryMeter,
+        best: Option<(PairConfig, f64)>,
+        candidates: usize,
+        tally: PruneTally,
+    ) -> SearchOutcome {
         let stats = SearchStats {
-            model_calls: self.predictor.prediction_count() - calls,
+            model_calls: queries.calls,
             candidates,
             duration: started.elapsed(),
-            cache_hits: self.predictor.cache_hits() - hits,
-            cache_misses: self.predictor.cache_misses() - misses,
+            cache_hits: queries.hits,
+            cache_misses: queries.misses,
             pruned_candidates: tally.cells,
             pruned_subspaces: tally.slices,
             frontier_reuses: tally.frontier_reuses,
-            incremental_slices_reused: tally.incremental_reused,
-            incremental_slices_rescanned: tally.incremental_rescanned,
         };
-        match best {
-            Some((cfg, t)) => SearchOutcome {
-                best: Some(cfg),
-                predicted_throughput: t,
-                stats,
-            },
-            None => SearchOutcome {
-                best: None,
-                predicted_throughput: 0.0,
-                stats,
-            },
+        let (best, predicted_throughput) = match best {
+            Some((cfg, t)) => (Some(cfg), t),
+            None => (None, 0.0),
+        };
+        SearchOutcome {
+            best,
+            predicted_throughput,
+            stats,
         }
     }
 
@@ -476,7 +455,7 @@ impl<'p> ConfigSearch<'p> {
             None => (None, 0),
         };
 
-        self.finish(meter, best, candidates)
+        self.finish(meter, best, candidates, PruneTally::default())
     }
 
     /// Warm-started §V-B search: when the load has drifted less than
@@ -510,7 +489,7 @@ impl<'p> ConfigSearch<'p> {
             // point (e.g. load rose past what ± window cores can absorb).
             return self.best_config(qps);
         }
-        self.finish(meter, best, candidates)
+        self.finish(meter, best, candidates, PruneTally::default())
     }
 
     /// One C1 slice of the exhaustive sweep: every `<F1, L1, F2>` for the
@@ -572,25 +551,32 @@ impl<'p> ConfigSearch<'p> {
     }
 
     fn exhaustive_impl(&self, qps: f64, parallel: bool) -> SearchOutcome {
-        let meter = self.meter();
+        let started = Instant::now();
         // Same drifted-load power check as the fast path, so both searches
         // answer the same feasibility question.
         let qps_power = qps * (1.0 + self.params.power_load_headroom);
-        // The C1 range feeds the slice map directly — no per-call
-        // candidate-list allocation in the search hot path. The per-slice
-        // results come back in C1 order on both paths.
-        let (best, candidates) = if parallel {
-            let slices: Vec<(Option<(PairConfig, f64)>, usize)> = (1..self.max_c1() + 1)
-                .into_par_iter()
-                .map(|c1| self.exhaustive_slice(c1, qps, qps_power))
-                .collect();
-            Self::reduce_slices(slices)
-        } else {
-            Self::reduce_slices(
-                (1..=self.max_c1()).map(|c1| self.exhaustive_slice(c1, qps, qps_power)),
-            )
+        // Each slice reads the query meter of whichever thread runs it, so
+        // the summed deltas count this search's queries alone on both
+        // paths. The per-slice results come back in C1 order.
+        let metered = |c1: u32| {
+            let start = QueryMeter::current();
+            let (best, candidates) = self.exhaustive_slice(c1, qps, qps_power);
+            (best, candidates, QueryMeter::since(start))
         };
-        self.finish(meter, best, candidates)
+        let slices: Vec<_> = if parallel {
+            (1..self.max_c1() + 1)
+                .into_par_iter()
+                .map(metered)
+                .collect()
+        } else {
+            (1..=self.max_c1()).map(metered).collect()
+        };
+        let queries = slices
+            .iter()
+            .fold(QueryMeter::default(), |sum, slice| sum + slice.2);
+        let (best, candidates) =
+            Self::reduce_slices(slices.into_iter().map(|(best, n, _)| (best, n)));
+        Self::outcome(started, queries, best, candidates, PruneTally::default())
     }
 
     /// The O(N⁴) exhaustive oracle of §VII-E: sweep every
@@ -627,80 +613,17 @@ impl<'p> ConfigSearch<'p> {
             .find(|&f2| base + tables.be_power_w(c2, f2) <= budget)
     }
 
-    /// Recomputes one C1 slice's slab envelope into the snapshot's
-    /// buffers, comparing as it writes: feasibility words become the AND
-    /// of the bracketing slabs' rows, power cells the pointwise `max`.
-    /// Returns true when any word or power bit moved — the signal the
-    /// incremental path uses to decide whether the slice needs a rescan.
-    /// The buffers are reused across intervals, so the steady state
-    /// allocates nothing.
-    fn refresh_envelope(
-        &self,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        c1: u32,
-        snap: &mut SliceSnapshot,
-    ) -> bool {
-        let nf = self.spec.freq_level_count();
-        let nw = self.spec.total_llc_ways as usize;
-        let wpr = lo.words_per_row();
-        let mut changed = snap.feas.len() != nf * wpr || snap.power.len() != nf * nw;
-        if changed {
-            snap.feas.clear();
-            snap.feas.resize(nf * wpr, 0);
-            snap.power.clear();
-            snap.power.resize(nf * nw, 0.0);
-        }
-        for f1 in 0..nf {
-            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
-            let out = &mut snap.feas[f1 * wpr..(f1 + 1) * wpr];
-            for k in 0..wpr {
-                let w = lw[k] & hw[k];
-                changed |= out[k] != w;
-                out[k] = w;
-            }
-            let (lp, hp) = (lo.power_row(c1, f1), hi.power_row(c1, f1));
-            let out = &mut snap.power[f1 * nw..(f1 + 1) * nw];
-            for k in 0..nw {
-                let v = lp[k].max(hp[k]);
-                changed |= out[k].to_bits() != v.to_bits();
-                out[k] = v;
-            }
-        }
-        changed
-    }
-
-    /// Re-evaluates a frontier-cache seed under the live slab envelope.
-    /// The seed's LS side is re-checked against the envelope bitsets and
-    /// its BE frequency re-derived from the envelope power frontier, so
-    /// the returned pair is a genuine envelope candidate for *this*
-    /// interval (or `None`, and the full sweep runs unseeded).
-    fn revalidate_seed_latticed(
-        &self,
-        seed: PairConfig,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        tables: &ModelTables,
-    ) -> Option<(PairConfig, f64)> {
-        let (c1, f1, l1) = (seed.ls.cores, seed.ls.freq_level, seed.ls.llc_ways);
-        if !(1..=self.max_c1()).contains(&c1)
-            || !(1..=self.max_l1()).contains(&l1)
-            || f1 > self.spec.max_freq_level()
-        {
-            return None;
-        }
-        if !(lo.feasible(c1, f1, l1) && hi.feasible(c1, f1, l1)) {
-            return None;
-        }
-        let ls_w = lo.ls_power_w(c1, f1, l1).max(hi.ls_power_w(c1, f1, l1));
-        let c2 = self.spec.total_cores - c1;
-        let f2 = self.lattice_f2(c2, ls_w, tables)?;
-        let l2 = self.spec.total_llc_ways - l1;
-        let t = tables.be_throughput(c2, f2, l2);
-        Some((
-            PairConfig::new(Allocation::new(c1, f1, l1), Allocation::new(c2, f2, l2)),
-            t,
-        ))
+    /// The two slabs bracketing a load (the same `Arc` twice when the
+    /// bracket degenerates at a slab center).
+    fn bracket_slabs(&self, slabs: &LsSlabs, bracket: (u64, u64)) -> (Arc<LsSlab>, Arc<LsSlab>) {
+        let (k_lo, k_hi) = bracket;
+        let lo = self.predictor.ls_slab(&self.spec, slabs, k_lo);
+        let hi = if k_hi == k_lo {
+            Arc::clone(&lo)
+        } else {
+            self.predictor.ls_slab(&self.spec, slabs, k_hi)
+        };
+        (lo, hi)
     }
 
     /// The envelope oracle: an unpruned serial sweep of every
@@ -718,13 +641,7 @@ impl<'p> ConfigSearch<'p> {
         let slabs = self
             .predictor
             .ls_slabs(&self.spec, self.params.power_load_headroom);
-        let (k_lo, k_hi) = slabs.bracket(qps);
-        let lo = self.predictor.ls_slab(&self.spec, &slabs, k_lo);
-        let hi = if k_hi == k_lo {
-            Arc::clone(&lo)
-        } else {
-            self.predictor.ls_slab(&self.spec, &slabs, k_hi)
-        };
+        let (lo, hi) = self.bracket_slabs(&slabs, slabs.bracket(qps));
         let top = self.spec.max_freq_level();
         let mut best: Option<(PairConfig, f64)> = None;
         let mut candidates = 0usize;
@@ -754,32 +671,28 @@ impl<'p> ConfigSearch<'p> {
                 }
             }
         }
-        self.finish(meter, best, candidates)
+        self.finish(meter, best, candidates, PruneTally::default())
     }
 
     /// One C1 slice of the latticed sweep: the oracle's exact `(F1, L1)`
-    /// scan order over the slab envelope — feasible cells iterated
-    /// straight off the bitset words — with cells skipped when their
-    /// admissible BE bound proves they cannot become the slice's earliest
-    /// argmax: `bound < t0` (the revalidated seed value, passed only when
-    /// the seed lives in this very slice, so `t0` lower-bounds the slice
-    /// maximum) or `bound <= slice best so far` (an earlier in-order
-    /// survivor already ties or beats it, and the oracle breaks ties by
-    /// strict `>` first-wins). A slice whose masked envelope has no
-    /// feasible cell is skipped whole. Every rule is slice-local, so the
-    /// outcome never depends on other slices — the property that makes
-    /// reusing stored slice outcomes across intervals sound.
+    /// scan order over the slab envelope, read straight off the
+    /// bracketing slab rows — feasibility word `lo & hi`, LS power
+    /// `max(lo, hi)`, exactly as
+    /// [`exhaustive_latticed`](Self::exhaustive_latticed) reads each cell.
+    /// Feasible cells are iterated off the bitset words and skipped when
+    /// their admissible BE bound is `<=` the slice's best so far (an
+    /// earlier in-order survivor already ties or beats it, and the oracle
+    /// breaks ties by strict `>` first-wins). A slice whose envelope has
+    /// no feasible cell is skipped whole.
     fn latticed_slice(
         &self,
         c1: u32,
-        t0: f64,
-        feas: &[u64],
-        power: &[f64],
+        lo: &LsSlab,
+        hi: &LsSlab,
         tables: &ModelTables,
     ) -> SliceResult {
         let top = self.spec.max_freq_level();
-        let nw = self.spec.total_llc_ways as usize;
-        let wpr = feas.len() / (top + 1);
+        let wpr = lo.words_per_row();
         let c2 = self.spec.total_cores - c1;
         let max_l1 = self.max_l1() as usize;
         // Per-word mask keeping only the L1 <= max_l1 bits in play.
@@ -793,32 +706,33 @@ impl<'p> ConfigSearch<'p> {
                 (1u64 << (max_l1 - lo_bit)) - 1
             }
         };
-        if feas
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & word_mask(i % wpr) == 0)
-        {
+        let any_feasible = (0..=top).any(|f1| {
+            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
+            (0..wpr).any(|k| lw[k] & hw[k] & word_mask(k) != 0)
+        });
+        if !any_feasible {
             return (None, 0, 0, true);
         }
         let mut best: Option<(PairConfig, f64)> = None;
         let mut evaluated = 0usize;
         let mut pruned = 0u64;
         for f1 in 0..=top {
-            let row = &feas[f1 * wpr..(f1 + 1) * wpr];
-            let prow = &power[f1 * nw..(f1 + 1) * nw];
-            for (k, &row_word) in row.iter().enumerate() {
-                let mut word = row_word & word_mask(k);
+            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
+            let (lp, hp) = (lo.power_row(c1, f1), hi.power_row(c1, f1));
+            for k in 0..wpr {
+                let mut word = lw[k] & hw[k] & word_mask(k);
                 while word != 0 {
                     let bit = word.trailing_zeros() as usize;
                     word &= word - 1;
                     let l1 = (k * 64 + bit + 1) as u32;
                     let l2 = self.spec.total_llc_ways - l1;
                     let bound = tables.max_tput_any_freq(c2, l2);
-                    if bound < t0 || best.as_ref().is_some_and(|(_, bt)| bound <= *bt) {
+                    if best.as_ref().is_some_and(|(_, bt)| bound <= *bt) {
                         pruned += 1;
                         continue;
                     }
-                    let Some(f2) = self.lattice_f2(c2, prow[l1 as usize - 1], tables) else {
+                    let i = l1 as usize - 1;
+                    let Some(f2) = self.lattice_f2(c2, lp[i].max(hp[i]), tables) else {
                         continue;
                     };
                     evaluated += 1;
@@ -838,152 +752,50 @@ impl<'p> ConfigSearch<'p> {
         (best, evaluated, pruned, false)
     }
 
-    /// Stores the winner as the QPS bucket's frontier seed and parks the
-    /// incremental state for the next interval's search.
-    fn park(
-        &self,
-        qps: f64,
-        generation: u64,
-        best: Option<(PairConfig, f64)>,
-        state: Box<IncrementalState>,
-    ) {
-        if let Some(fc) = self.frontiers {
-            if let Some((cfg, _)) = best {
-                fc.insert(generation, qps, cfg);
-            }
-            fc.store_incremental(state);
-        }
-    }
-
-    fn pruned_impl(&self, qps: f64) -> SearchOutcome {
-        let meter = self.meter();
-        let tables = self.predictor.model_tables(&self.spec);
-        let slabs = self
-            .predictor
-            .ls_slabs(&self.spec, self.params.power_load_headroom);
-        let (k_lo, k_hi) = slabs.bracket(qps);
-        let lo = self.predictor.ls_slab(&self.spec, &slabs, k_lo);
-        let hi = if k_hi == k_lo {
-            Arc::clone(&lo)
-        } else {
-            self.predictor.ls_slab(&self.spec, &slabs, k_hi)
-        };
-        let generation = slabs.generation();
-        let max_c1 = self.max_c1();
-        let max_l1 = self.max_l1();
-        let n_slices = max_c1 as usize;
-        let mut tally = PruneTally::default();
-
-        // Reusable workspace: the previous interval's parked state when a
-        // frontier cache is attached, a fresh allocation otherwise (bare
-        // searches pay it; the steady-state controller path does not).
-        let mut state = self
-            .frontiers
-            .and_then(|fc| fc.take_incremental())
-            .unwrap_or_default();
-        let stale = state.generation != generation
-            || state.budget_bits != self.budget_w.to_bits()
-            || state.headroom_bits != self.params.power_load_headroom.to_bits()
-            || state.max_c1 != max_c1
-            || state.max_l1 != max_l1
-            || state.slices.len() != n_slices;
-        let delta = k_lo
-            .abs_diff(state.lo_bucket)
-            .max(k_hi.abs_diff(state.hi_bucket));
-
-        if !stale && delta == 0 {
-            // Same bracket, same identity: the envelope is unchanged cell
-            // for cell, so the stored outcome is this search's outcome.
-            tally.incremental_reused = n_slices as u64;
-            let best = state.best;
-            self.park(qps, generation, best, state);
-            return self.finish_pruned(meter, best, 0, tally);
-        }
-        let incremental = !stale && delta <= 1;
-
-        if stale {
-            state.generation = generation;
-            state.budget_bits = self.budget_w.to_bits();
-            state.headroom_bits = self.params.power_load_headroom.to_bits();
-            state.max_c1 = max_c1;
-            state.max_l1 = max_l1;
-            state.slices.clear();
-            state.slices.resize_with(n_slices, SliceSnapshot::default);
-        }
-        state.lo_bucket = k_lo;
-        state.hi_bucket = k_hi;
-
-        // A frontier seed only helps the full sweep (the incremental path
-        // reuses whole slice outcomes instead): revalidated under the
-        // envelope, its value is a genuine candidate value of its own C1
-        // slice, pruning that slice from the first cell.
-        let mut seed: Option<(PairConfig, f64)> = None;
-        if !incremental {
-            if let Some(fc) = self.frontiers {
-                if let Some(s) = fc.get(generation, qps) {
-                    if let Some(cand) = self.revalidate_seed_latticed(s, &lo, &hi, &tables) {
-                        tally.frontier_reuses = 1;
-                        seed = Some(cand);
-                    }
-                }
-            }
-        }
-
-        // The sweep: refresh each slice's envelope in place; rescan the
-        // slice unless the incremental path proves its bytes are
-        // unchanged; fold outcomes in C1 order with the oracle's
-        // strict-`>` first-wins tie-break. The seed only supplies t0 for
-        // its own slice — it is never folded in, so ties resolve to the
-        // oracle's earliest argmax.
-        let mut best: Option<(PairConfig, f64)> = None;
-        let mut candidates = 0usize;
-        for c1 in 1..=max_c1 {
-            let snap = &mut state.slices[(c1 - 1) as usize];
-            let changed = self.refresh_envelope(&lo, &hi, c1, snap);
-            if incremental && !changed {
-                tally.incremental_reused += 1;
-            } else {
-                if incremental {
-                    tally.incremental_rescanned += 1;
-                }
-                let t0 = match &seed {
-                    Some((cfg, t)) if cfg.ls.cores == c1 => *t,
-                    _ => f64::NEG_INFINITY,
-                };
-                let (slice_best, evaluated, cells, skipped) =
-                    self.latticed_slice(c1, t0, &snap.feas, &snap.power, &tables);
-                snap.best = slice_best;
-                candidates += evaluated;
-                tally.cells += cells;
-                tally.slices += u64::from(skipped);
-            }
-            if let Some((cfg, t)) = snap.best {
-                if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                    best = Some((cfg, t));
-                }
-            }
-        }
-        state.best = best;
-        self.park(qps, generation, best, state);
-        self.finish_pruned(meter, best, candidates, tally)
-    }
-
     /// The latticed, frontier-pruned engine: zero virtual model calls in
     /// the inner loop, bit-identical to
     /// [`exhaustive_latticed`](Self::exhaustive_latticed) at every load
     /// (and to [`exhaustive_serial`](Self::exhaustive_serial) at slab
-    /// centers), with per-cell/per-slice pruning and cross-interval
-    /// incremental reuse — see the module docs. The whole sweep is a few
+    /// centers), with per-cell/per-slice pruning and, when a
+    /// [`FrontierCache`] is attached, one exact memo entry per slab
+    /// bracket and budget — see the module docs. The whole sweep is a few
     /// thousand contiguous loads, far below the cost of fanning out to a
-    /// thread pool, so both entry points run the same serial impl.
+    /// thread pool, so it runs serially.
     pub fn pruned(&self, qps: f64) -> SearchOutcome {
-        self.pruned_impl(qps)
-    }
-
-    /// Alias of [`pruned`](Self::pruned), kept for the historical
-    /// serial/parallel split (the latticed engine is always serial).
-    pub fn pruned_serial(&self, qps: f64) -> SearchOutcome {
-        self.pruned_impl(qps)
+        let meter = self.meter();
+        let slabs = self
+            .predictor
+            .ls_slabs(&self.spec, self.params.power_load_headroom);
+        let bracket = slabs.bracket(qps);
+        let key = BracketKey {
+            generation: slabs.generation(),
+            guarded_budget_bits: self.guarded_budget().to_bits(),
+            headroom_bits: self.params.power_load_headroom.to_bits(),
+            max_c1: self.max_c1(),
+            max_l1: self.max_l1(),
+            bracket,
+        };
+        if let Some(best) = self.frontiers.and_then(|fc| fc.get(&key)) {
+            let tally = PruneTally {
+                frontier_reuses: 1,
+                ..PruneTally::default()
+            };
+            return self.finish(meter, best, 0, tally);
+        }
+        let tables = self.predictor.model_tables(&self.spec);
+        let (lo, hi) = self.bracket_slabs(&slabs, bracket);
+        let mut tally = PruneTally::default();
+        let (best, candidates) = Self::reduce_slices((1..=self.max_c1()).map(|c1| {
+            let (slice_best, evaluated, cells, skipped) =
+                self.latticed_slice(c1, &lo, &hi, &tables);
+            tally.cells += cells;
+            tally.slices += u64::from(skipped);
+            (slice_best, evaluated)
+        }));
+        if let Some(fc) = self.frontiers {
+            fc.insert(key, best);
+        }
+        self.finish(meter, best, candidates, tally)
     }
 }
 
@@ -1308,30 +1120,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_serial_matches_parallel() {
-        let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
-        for frac in [0.25, 0.6] {
-            let qps = frac * env.ls().params.peak_qps;
-            let par = search.pruned(qps);
-            let ser = search.pruned_serial(qps);
-            assert_eq!(par.best, ser.best);
-            assert_eq!(par.stats.candidates, ser.stats.candidates);
-            assert_eq!(par.stats.pruned_candidates, ser.stats.pruned_candidates);
-            assert_eq!(par.predicted_throughput, ser.predicted_throughput);
-        }
-    }
-
-    #[test]
     fn pruned_reuses_frontier_cache_across_intervals() {
         let (env, p) = setup();
         let frontiers = crate::cache::FrontierCache::default();
-        let first_search = ConfigSearch::new(
+        let search = ConfigSearch::new(
             &p,
             env.spec().clone(),
             env.budget_w(),
@@ -1339,12 +1131,15 @@ mod tests {
         )
         .with_frontiers(&frontiers);
         let qps = 0.4 * env.ls().params.peak_qps;
-        let first = first_search.pruned(qps);
+        let first = search.pruned(qps);
         assert_eq!(first.stats.frontier_reuses, 0);
         assert_eq!(frontiers.len(), 1);
-        // A budget change stales the incremental memo, so the next search
-        // runs the full sweep — warm-started from the cached frontier
-        // seed, and still returning exactly the envelope oracle's answer.
+        // The next interval at the same load is answered from the memo.
+        let second = search.pruned(qps);
+        assert_eq!(second.stats.frontier_reuses, 1);
+        assert_eq!(second.best, first.best);
+        // A budget change is a different key: the search sweeps again
+        // and still returns exactly the envelope oracle's answer.
         let relaxed = ConfigSearch::new(
             &p,
             env.spec().clone(),
@@ -1352,11 +1147,11 @@ mod tests {
             SearchParams::default(),
         )
         .with_frontiers(&frontiers);
-        let second = relaxed.pruned(qps);
-        assert_eq!(second.stats.frontier_reuses, 1);
-        assert_eq!(second.stats.incremental_slices_reused, 0);
+        let third = relaxed.pruned(qps);
+        assert_eq!(third.stats.frontier_reuses, 0);
         let oracle = relaxed.exhaustive_latticed(qps);
-        assert_eq!(second.best, oracle.best);
+        assert_eq!(third.best, oracle.best);
+        assert_eq!(frontiers.len(), 2);
         assert_eq!(frontiers.reuses(), 1);
     }
 
@@ -1377,10 +1172,9 @@ mod tests {
         let q = slabs.quantum();
         let qps = slabs.center(26) + 0.3 * q;
         let first = search.pruned(qps);
-        assert_eq!(first.stats.incremental_slices_reused, 0);
-        // A repeat in the same QPS bracket answers from the parked state:
-        // identical outcome, zero candidates evaluated, every slice
-        // reused verbatim.
+        assert_eq!(first.stats.frontier_reuses, 0);
+        // A different load in the same bracket answers from the memo:
+        // identical outcome, zero candidates evaluated, nothing pruned.
         let second = search.pruned(qps + 0.2 * q);
         assert_eq!(second.best, first.best);
         assert_eq!(
@@ -1388,11 +1182,8 @@ mod tests {
             first.predicted_throughput.to_bits()
         );
         assert_eq!(second.stats.candidates, 0);
-        assert_eq!(
-            second.stats.incremental_slices_reused,
-            u64::from(search.max_c1())
-        );
-        assert_eq!(second.stats.incremental_slices_rescanned, 0);
+        assert_eq!(second.stats.pruned_candidates, 0);
+        assert_eq!(second.stats.frontier_reuses, 1);
     }
 
     #[test]
@@ -1406,30 +1197,73 @@ mod tests {
         let slabs = p.ls_slabs(env.spec(), params.power_load_headroom);
         let q = slabs.quantum();
         // A QPS walk whose every step moves the bracket by at most one
-        // bucket: the stateful engine takes the incremental path, the
-        // stateless one re-sweeps — both must agree bit for bit.
+        // bucket and keeps coming back: the memoized engine answers the
+        // revisits, the stateless one re-sweeps — both must agree bit for
+        // bit, and with the envelope oracle.
         let mut qps = 12.3 * q;
-        let mut incremental_steps = 0u64;
+        let mut memo_hits = 0u64;
         for delta in [0.8, -0.5, 1.0, 0.9, -1.0, 0.4, -0.9, 0.7] {
             qps += delta * q;
-            let inc = warm.pruned(qps);
+            let memo = warm.pruned(qps);
             let full = cold.pruned(qps);
-            assert_eq!(inc.best, full.best, "config mismatch at qps {qps}");
+            assert_eq!(memo.best, full.best, "config mismatch at qps {qps}");
             assert_eq!(
-                inc.predicted_throughput.to_bits(),
+                memo.predicted_throughput.to_bits(),
                 full.predicted_throughput.to_bits(),
                 "throughput bits differ at qps {qps}"
             );
             let oracle = cold.exhaustive_latticed(qps);
-            assert_eq!(inc.best, oracle.best);
-            if inc.stats.incremental_slices_reused + inc.stats.incremental_slices_rescanned > 0 {
-                incremental_steps += 1;
-            }
+            assert_eq!(memo.best, oracle.best);
+            memo_hits += memo.stats.frontier_reuses;
         }
         assert!(
-            incremental_steps >= 7,
-            "walk should stay on the incremental path ({incremental_steps}/8)"
+            memo_hits >= 3,
+            "the walk revisits brackets, so the memo must answer ({memo_hits}/8)"
         );
+    }
+
+    #[test]
+    fn concurrent_searches_report_their_serial_stats() {
+        let (env, p) = setup();
+        let search = ConfigSearch::new(
+            &p,
+            env.spec().clone(),
+            env.budget_w(),
+            SearchParams::default(),
+        );
+        let peak = env.ls().params.peak_qps;
+        let (qa, qb) = (0.3 * peak, 0.55 * peak);
+        let counts = |s: SearchStats| (s.model_calls, s.cache_hits, s.cache_misses, s.candidates);
+        // Warm the memo cache first, so every later run is all hits and
+        // its serial counts are a fixed point.
+        let _ = (search.exhaustive(qa), search.best_config(qb));
+        let serial_a = counts(search.exhaustive(qa).stats);
+        let serial_b = counts(search.best_config(qb).stats);
+        assert!(serial_a.0 > 0 && serial_b.0 > 0);
+        // Two threads now query the same predictor at once (the parallel
+        // exhaustive sweep fans out further); each must still count
+        // exactly its own queries.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                start.wait();
+                (0..10)
+                    .map(|_| counts(search.exhaustive(qa).stats))
+                    .collect::<Vec<_>>()
+            });
+            let b = scope.spawn(|| {
+                start.wait();
+                (0..200)
+                    .map(|_| counts(search.best_config(qb).stats))
+                    .collect::<Vec<_>>()
+            });
+            for got in a.join().unwrap() {
+                assert_eq!(got, serial_a, "exhaustive stats leaked");
+            }
+            for got in b.join().unwrap() {
+                assert_eq!(got, serial_b, "heuristic stats leaked");
+            }
+        });
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! the live exhaustive serial oracle bit for bit. The property sweep
 //! additionally checks the slabs cell-by-cell against the live
 //! predictor, that the between-slab envelope is never optimistic, and
-//! that incremental re-search under one-bucket QPS walks is
-//! bit-identical to the full pruned sweep.
+//! that a memoized engine walking the load stays bit-identical to the
+//! stateless sweep. The bracket-memo test pins that a memo hit is exact
+//! and that no budget, guard band or retrain ever reads another key's
+//! outcome.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -84,33 +86,33 @@ fn pruned_matches_live_oracle_at_slab_centers() {
 #[test]
 fn frontier_seeded_search_stays_oracle_equal_across_load_drift() {
     let (predictor, setup) = shared_predictor();
+    let params = SearchParams::default();
     let frontiers = FrontierCache::default();
-    let search = ConfigSearch::new(
-        predictor,
-        setup.spec().clone(),
-        setup.budget_w(),
-        SearchParams::default(),
-    )
-    .with_frontiers(&frontiers);
+    let search = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params)
+        .with_frontiers(&frontiers);
+    let slabs = predictor.ls_slabs(setup.spec(), params.power_load_headroom);
     // Walk a small diurnal-style load path; every step must stay
-    // bit-identical to the envelope oracle, whether it ran the full
-    // sweep (seeded or not) or the incremental slice-reuse path.
+    // bit-identical to the envelope oracle, whether it swept or was
+    // answered from the bracket memo, and every return to a bracket
+    // already solved must be a memo hit.
+    let mut seen = std::collections::HashSet::new();
     let mut reuses = 0;
-    let mut incremental = 0;
+    let mut revisits = 0;
     for frac in [0.30, 0.31, 0.33, 0.40, 0.33, 0.31, 0.30] {
         let qps = frac * setup.peak_qps();
         let pruned = search.pruned(qps);
         let full = search.exhaustive_latticed(qps);
         assert_eq!(pruned.best, full.best, "mismatch at frac {frac}");
+        assert_eq!(
+            pruned.predicted_throughput.to_bits(),
+            full.predicted_throughput.to_bits(),
+            "throughput bits differ at frac {frac}"
+        );
         reuses += pruned.stats.frontier_reuses;
-        incremental +=
-            pruned.stats.incremental_slices_reused + pruned.stats.incremental_slices_rescanned;
+        revisits += u64::from(!seen.insert(slabs.bracket(qps)));
     }
-    assert!(reuses > 0, "revisited loads must reuse frontier seeds");
-    assert!(
-        incremental > 0,
-        "small drifts must take the incremental path"
-    );
+    assert!(reuses > 0, "revisited loads must reuse the memo");
+    assert_eq!(reuses, revisits, "exactly the revisited brackets must hit");
     assert!(frontiers.reuses() >= reuses);
 }
 
@@ -125,8 +127,9 @@ fn incremental_walk_is_bit_identical_to_full_pruned() {
     let slabs = predictor.ls_slabs(setup.spec(), params.power_load_headroom);
     let q = slabs.quantum();
     // An arbitrary one-bucket QPS walk (steps of at most one quantum):
-    // the stateful engine reuses parked slice outcomes, the stateless
-    // one re-sweeps, and they must agree bit for bit at every step.
+    // the memoized engine answers revisited brackets from the memo, the
+    // stateless one re-sweeps, and they must agree bit for bit at every
+    // step.
     let mut qps = 20.4 * q;
     for delta in [0.9, -0.3, 1.0, 0.6, -1.0, -0.8, 0.2, 1.0, -0.5, 0.95] {
         qps += delta * q;
@@ -139,6 +142,106 @@ fn incremental_walk_is_bit_identical_to_full_pruned() {
             "throughput bits differ at qps {qps}"
         );
     }
+}
+
+#[test]
+fn bracket_memo_is_exact_on_revisits_and_never_crosses_keys() {
+    let (predictor, setup) = shared_predictor();
+    let params = SearchParams::default();
+    let frontiers = FrontierCache::default();
+    let memo = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params)
+        .with_frontiers(&frontiers);
+    let oracle = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params);
+    let slabs = predictor.ls_slabs(setup.spec(), params.power_load_headroom);
+    let q = slabs.quantum();
+
+    // A load walk that keeps coming back to brackets it has solved: every
+    // step must match the envelope oracle bit for bit, and exactly the
+    // revisits must be answered from the memo.
+    let mut seen = std::collections::HashSet::new();
+    let mut revisits = 0;
+    let mut qps = 20.4 * q;
+    for delta in [
+        0.9, -0.3, 1.0, 0.6, -1.0, -0.8, 0.2, 1.0, -0.5, 0.95, 2.5, -2.4,
+    ] {
+        qps += delta * q;
+        let got = memo.pruned(qps);
+        let want = oracle.exhaustive_latticed(qps);
+        assert_eq!(got.best, want.best, "config mismatch at qps {qps}");
+        assert_eq!(
+            got.predicted_throughput.to_bits(),
+            want.predicted_throughput.to_bits(),
+            "throughput bits differ at qps {qps}"
+        );
+        let revisit = !seen.insert(slabs.bracket(qps));
+        assert_eq!(got.stats.frontier_reuses, u64::from(revisit), "qps {qps}");
+        revisits += u64::from(revisit);
+    }
+    assert!(revisits > 0, "the walk must revisit a bracket");
+    assert_eq!(frontiers.reuses(), revisits);
+
+    // One memo shared across two budgets, two guard bands and a retrain,
+    // all at one load (so one bracket): each key's first search must
+    // sweep and match its own oracle, and its repeat must hit.
+    let profiler = |seed| ProfilerConfig {
+        ls_samples_per_load: 60,
+        ls_load_fractions: vec![0.2, 0.4, 0.6, 0.8],
+        be_samples: 200,
+        seed,
+    };
+    let mut own = setup
+        .train_predictor(profiler(1), PredictorConfig::default())
+        .expect("training succeeds");
+    let qps = 0.5 * setup.peak_qps();
+    let budget = setup.budget_w();
+    let variants = [(budget, 0.02), (budget, 0.10), (0.9 * budget, 0.02)];
+    let shared = FrontierCache::default();
+    let visit = |p: &PerfPowerPredictor, expect_hit: bool| {
+        variants
+            .iter()
+            .map(|&(budget_w, power_guard)| {
+                let params = SearchParams {
+                    power_guard,
+                    ..SearchParams::default()
+                };
+                let want = ConfigSearch::new(p, setup.spec().clone(), budget_w, params)
+                    .exhaustive_latticed(qps);
+                let got = ConfigSearch::new(p, setup.spec().clone(), budget_w, params)
+                    .with_frontiers(&shared)
+                    .pruned(qps);
+                let tag = format!("budget {budget_w}, guard {power_guard}, hit {expect_hit}");
+                assert_eq!(got.best, want.best, "{tag}: config mismatch");
+                assert_eq!(
+                    got.predicted_throughput.to_bits(),
+                    want.predicted_throughput.to_bits(),
+                    "{tag}: throughput bits differ"
+                );
+                assert_eq!(got.stats.frontier_reuses, u64::from(expect_hit), "{tag}");
+                (want.best, want.predicted_throughput.to_bits())
+            })
+            .collect::<Vec<_>>()
+    };
+    let before = visit(&own, false);
+    visit(&own, true);
+    // The key only discriminates if the variants' answers differ.
+    assert_ne!(before[0], before[1], "guard band must change the outcome");
+    assert_ne!(before[0], before[2], "budget must change the outcome");
+
+    let quantum = own
+        .ls_slabs(setup.spec(), params.power_load_headroom)
+        .quantum();
+    own.retrain(&setup.profile(profiler(2)).expect("profiling succeeds"))
+        .expect("retraining succeeds");
+    assert_eq!(
+        own.ls_slabs(setup.spec(), params.power_load_headroom)
+            .quantum(),
+        quantum,
+        "same load domain, so only the generation tells the keys apart"
+    );
+    let after = visit(&own, false);
+    visit(&own, true);
+    assert_ne!(before, after, "retraining must change an outcome");
+    assert_eq!(shared.len(), 2 * variants.len());
 }
 
 /// Trains a small (but real) predictor on an arbitrary node geometry.
@@ -193,7 +296,7 @@ proptest! {
     ///    centers, and envelope power is never below either center's;
     /// 3. the pruned engine equals the envelope oracle at the probed
     ///    load and the live serial oracle at a slab center;
-    /// 4. a one-bucket QPS walk on a stateful engine stays bit-identical
+    /// 4. a one-bucket QPS walk on a memoized engine stays bit-identical
     ///    to the stateless full sweep.
     #[test]
     fn latticed_engine_equals_oracles_on_random_nodes_and_workloads(
@@ -282,7 +385,7 @@ proptest! {
             live.predicted_throughput.to_bits()
         );
 
-        // (4): one-bucket walk, stateful vs stateless.
+        // (4): one-bucket walk, memoized vs stateless.
         let frontiers = FrontierCache::default();
         let warm = ConfigSearch::new(&p, spec.clone(), env.budget_w(), params)
             .with_frontiers(&frontiers);
