@@ -408,6 +408,10 @@ pub struct FleetResult {
     /// distinct predictors (0 until a pruned search needs them; 1 for a
     /// shared-predictor fleet no matter how many shards search).
     pub table_builds: u64,
+    /// LS QPS-slab constructions actually run across the fleet's distinct
+    /// predictors' current slab families (0 unless a pruned search ran;
+    /// one per load bucket visited for a shared-predictor fleet).
+    pub slab_builds: u64,
     /// Configuration searches run across all shard controllers.
     pub searches: u64,
     /// Budget reclamation passes that changed at least one leaf cap.
@@ -1172,6 +1176,7 @@ impl Fleet {
         );
         registry.add("fleet.trainings", result.trainings);
         registry.add("fleet.table_builds", result.table_builds);
+        registry.add("fleet.slab_builds", result.slab_builds);
         registry.add("search.runs", result.searches);
         registry.add("budget.reclaims", result.budget_reclaims);
         registry.add("placement.migrations", result.migrations);
@@ -1257,6 +1262,7 @@ impl Fleet {
             fault_counters,
             trainings: self.trainings,
             table_builds: self.predictors.iter().map(|p| p.table_builds()).sum(),
+            slab_builds: self.predictors.iter().map(|p| p.slab_builds()).sum(),
             searches,
             budget_reclaims: self.budget_reclaims,
             migrations: self.placement.as_ref().map_or(0, |rt| rt.migrations),
@@ -1309,6 +1315,17 @@ mod tests {
         );
         assert!(r.searches >= 4, "every shard searches at least once");
         assert_eq!(r.nodes.len(), 16);
+        // Constant load keeps every shard in the same few buckets, and the
+        // shared family builds each bucket once.
+        assert!(r.slab_builds >= 1, "pruned searches build slabs");
+        assert!(
+            r.slab_builds <= 2,
+            "4 shards at one load share slab builds, got {}",
+            r.slab_builds
+        );
+        let registry = MetricsRegistry::new();
+        fleet.export_metrics(&r, &registry);
+        assert_eq!(registry.counter("fleet.slab_builds"), r.slab_builds);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::cache::{Family, PredictionCache, QueryMeter};
 use crate::profiler::{features, ProfileDatasets, FEATURE_DIM};
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sturgeon_mlkit::{
@@ -352,9 +353,9 @@ impl PerfPowerPredictor {
     /// [`be_throughput`](Self::be_throughput) / [`be_power_w`](Self::be_power_w)
     /// — same features, clamps and margins — so a table lookup is
     /// bit-identical to the model call it replaces. The build itself runs
-    /// the raw models directly: it neither advances the prediction counter
-    /// nor touches the memo cache, keeping §VII-E per-search accounting
-    /// clean.
+    /// the raw models directly, one [`Regressor::predict_grid`] sweep per
+    /// table: it neither advances the prediction counter nor touches the
+    /// memo cache, keeping §VII-E per-search accounting clean.
     pub fn model_tables(&self, spec: &NodeSpec) -> Arc<ModelTables> {
         let generation = self.generation();
         let mut slot = self.tables.lock();
@@ -363,21 +364,35 @@ impl PerfPowerPredictor {
                 return Arc::clone(tables);
             }
         }
+        let cores = cores_axis(1..spec.total_cores + 1);
+        let ways = ways_axis(spec);
+        let levels = &spec.freq_levels_ghz;
+        let mut tput = vec![0.0; cores.len() * levels.len() * ways.len()];
+        self.be_perf
+            .predict_grid(self.be_input_level, &cores, levels, &ways, None, &mut tput);
+        for t in &mut tput {
+            *t = t.max(0.0);
+        }
+        // The BE power model is trained ways-masked: its ways feature is 0.
+        let mut power = vec![0.0; cores.len() * levels.len()];
+        self.be_power.predict_grid(
+            self.be_input_level,
+            &cores,
+            levels,
+            &[0.0],
+            None,
+            &mut power,
+        );
+        let margin = 1.0 + self.config.power_margin;
+        for p in &mut power {
+            *p = p.max(0.0) * margin;
+        }
         let built = Arc::new(ModelTables::build(
             spec,
             generation,
             self.static_power_w,
-            |cores, freq_ghz, ways| {
-                self.be_perf
-                    .predict(&features(self.be_input_level, cores, freq_ghz, ways))
-                    .max(0.0)
-            },
-            |cores, freq_ghz| {
-                self.be_power
-                    .predict(&features(self.be_input_level, cores, freq_ghz, 0))
-                    .max(0.0)
-                    * (1.0 + self.config.power_margin)
-            },
+            tput,
+            power,
         ));
         *slot = Some(Arc::clone(&built));
         self.table_builds.fetch_add(1, Ordering::Relaxed);
@@ -390,27 +405,91 @@ impl PerfPowerPredictor {
         self.table_builds.load(Ordering::Relaxed)
     }
 
-    /// The raw (uncounted, unmemoized) compute path behind
-    /// [`ls_feasible`](Self::ls_feasible) — domain check, guarded load,
-    /// classifier + latency veto. Slab construction runs this directly so
-    /// lattice entries are bit-identical to live calls without disturbing
-    /// §VII-E per-search accounting.
-    fn raw_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
-        if qps > 1.1 * self.max_trained_qps {
-            return false;
+    /// One slab's `(feasible, power)` lattices over every `(C1, F1, L1)`
+    /// cell of `spec`, in row-major order: feasibility at `qps`, LS power
+    /// at `qps_power`. Each cell equals the compute path behind
+    /// [`ls_feasible`](Self::ls_feasible) / [`ls_power_w`](Self::ls_power_w)
+    /// bit for bit — domain check, guarded load, classifier + latency
+    /// veto, clamp and margin — without touching the prediction counter or
+    /// the memo cache.
+    ///
+    /// The C1 axis is split into `chunks` contiguous ranges swept on the
+    /// worker pool, and the parts are concatenated in C1 order, so the
+    /// result does not depend on `chunks`.
+    pub(crate) fn ls_lattice(
+        &self,
+        spec: &NodeSpec,
+        qps: f64,
+        qps_power: f64,
+        chunks: usize,
+    ) -> (Vec<bool>, Vec<f64>) {
+        let nc = spec.total_cores as usize;
+        let chunks = chunks.clamp(1, nc.max(1));
+        let parts = (0..chunks)
+            .map(|i| (i * nc / chunks) as u32 + 1..((i + 1) * nc / chunks) as u32 + 1)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|cores| self.ls_lattice_chunk(spec, cores, qps, qps_power))
+            .collect::<Vec<_>>();
+        let (mut feasible, mut power) = (Vec::new(), Vec::new());
+        for (f, p) in parts {
+            feasible.extend(f);
+            power.extend(p);
         }
-        let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
-        let x = features(guarded, cores, freq_ghz, ways);
-        self.ls_qos.predict_label(&x) && self.ls_latency.predict(&x) <= self.qos_target_ms
+        (feasible, power)
     }
 
-    /// The raw compute path behind [`ls_power_w`](Self::ls_power_w) —
-    /// same clamp and margin, no counter or memo side effects.
-    fn raw_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
+    /// [`ls_lattice`](Self::ls_lattice) for the C1 values in `cores`.
+    fn ls_lattice_chunk(
+        &self,
+        spec: &NodeSpec,
+        cores: std::ops::Range<u32>,
+        qps: f64,
+        qps_power: f64,
+    ) -> (Vec<bool>, Vec<f64>) {
+        let cores = cores_axis(cores);
+        let ways = ways_axis(spec);
+        let levels = &spec.freq_levels_ghz;
+        let cells = cores.len() * levels.len() * ways.len();
+        let mut power = vec![0.0; cells];
         self.ls_power
-            .predict(&features(qps, cores, freq_ghz, ways))
-            .max(0.0)
-            * (1.0 + self.config.power_margin)
+            .predict_grid(qps_power, &cores, levels, &ways, None, &mut power);
+        let margin = 1.0 + self.config.power_margin;
+        for p in &mut power {
+            *p = p.max(0.0) * margin;
+        }
+        let mut feasible = vec![false; cells];
+        if qps > 1.1 * self.max_trained_qps {
+            return (feasible, power);
+        }
+        let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
+        let mut x = [guarded, 0.0, 0.0, 0.0];
+        let mut label = feasible.iter_mut();
+        for &c in &cores {
+            x[1] = c;
+            for &f in levels {
+                x[2] = f;
+                for &w in &ways {
+                    x[3] = w;
+                    *label.next().expect("one label per cell") = self.ls_qos.predict_label(&x);
+                }
+            }
+        }
+        // The latency veto only runs where the classifier approved, like
+        // the `&&` of the point path.
+        let mut latency = vec![0.0; cells];
+        self.ls_latency.predict_grid(
+            guarded,
+            &cores,
+            levels,
+            &ways,
+            Some(&feasible),
+            &mut latency,
+        );
+        for (ok, &ms) in feasible.iter_mut().zip(&latency) {
+            *ok = *ok && ms <= self.qos_target_ms;
+        }
+        (feasible, power)
     }
 
     /// The QPS-slab family for `spec` with the given power-load headroom
@@ -448,17 +527,28 @@ impl PerfPowerPredictor {
         fresh
     }
 
-    /// The slab for one bucket of the family, built on first use by
-    /// sweeping the raw LS model paths over the full `(C1, F1, L1)`
-    /// lattice. Neither the build nor later lookups advance the
-    /// prediction counter or touch the memo cache.
+    /// The slab for one bucket of the family, built on first use by one
+    /// batched sweep of the LS models over the full `(C1, F1, L1)` lattice
+    /// (see [`ls_lattice`](Self::ls_lattice)), split across
+    /// `rayon::current_num_threads()` workers. Neither the build nor later
+    /// lookups advance the prediction counter or touch the memo cache.
+    ///
+    /// `slabs` must be this predictor's current family for `spec`, as
+    /// returned by [`ls_slabs`](Self::ls_slabs) since the last retrain:
+    /// the build runs the models as they are now, so a family kept across
+    /// [`retrain`](Self::retrain) would store new-model slabs under its old
+    /// generation, and a family for another spec would get wrong-sized
+    /// slabs. Debug builds assert both.
     pub fn ls_slab(&self, spec: &NodeSpec, slabs: &LsSlabs, bucket: u64) -> Arc<LsSlab> {
-        slabs.slab(
-            spec,
-            bucket,
-            |cores, freq_ghz, ways, qps| self.raw_ls_feasible(cores, freq_ghz, ways, qps),
-            |cores, freq_ghz, ways, qps| self.raw_ls_power_w(cores, freq_ghz, ways, qps),
-        )
+        debug_assert_eq!(
+            slabs.generation(),
+            self.generation(),
+            "slab family from another training generation"
+        );
+        debug_assert!(slabs.matches(spec), "slab family for another node spec");
+        slabs.slab(spec, bucket, |qps, qps_power| {
+            self.ls_lattice(spec, qps, qps_power, rayon::current_num_threads())
+        })
     }
 
     /// How many LS slab constructions actually ran across the current
@@ -563,6 +653,16 @@ impl PerfPowerPredictor {
             qps,
         ) && self.total_power_w(config, spec, qps) <= budget_w
     }
+}
+
+/// Core counts `cores` as a model feature axis.
+fn cores_axis(cores: std::ops::Range<u32>) -> Vec<f64> {
+    cores.map(f64::from).collect()
+}
+
+/// LLC way counts `1..=total_llc_ways` as a model feature axis.
+fn ways_axis(spec: &NodeSpec) -> Vec<f64> {
+    (1..=spec.total_llc_ways).map(f64::from).collect()
 }
 
 /// Fig. 6 / Fig. 7 reproduction: scores every model family on held-out
@@ -697,6 +797,98 @@ mod tests {
             e.ls().params.qos_target_ms,
         )
         .unwrap()
+    }
+
+    /// The per-point compute path behind `ls_feasible`, uncounted and
+    /// unmemoized: the reference a slab cell must equal.
+    fn raw_ls_feasible(p: &PerfPowerPredictor, cores: u32, ghz: f64, ways: u32, qps: f64) -> bool {
+        if qps > 1.1 * p.max_trained_qps {
+            return false;
+        }
+        let guarded = (qps * (1.0 + p.config.qos_load_margin)).min(p.max_trained_qps);
+        let x = features(guarded, cores, ghz, ways);
+        p.ls_qos.predict_label(&x) && p.ls_latency.predict(&x) <= p.qos_target_ms
+    }
+
+    /// The per-point compute path behind `ls_power_w`.
+    fn raw_ls_power_w(p: &PerfPowerPredictor, cores: u32, ghz: f64, ways: u32, qps: f64) -> f64 {
+        p.ls_power
+            .predict(&features(qps, cores, ghz, ways))
+            .max(0.0)
+            * (1.0 + p.config.power_margin)
+    }
+
+    #[test]
+    fn ls_slabs_equal_a_per_cell_sweep_for_every_bucket_and_split() {
+        // A small node keeps the per-cell reference sweep of every bucket
+        // affordable in debug builds; 8 cores still split unevenly into
+        // 3 and 7 chunks.
+        let spec = NodeSpec {
+            total_cores: 8,
+            freq_levels_ghz: vec![1.2, 1.5, 1.8, 2.1],
+            total_llc_ways: 6,
+            llc_mb: 7.5,
+        };
+        let e = CoLocationEnv::new(
+            spec.clone(),
+            PowerModel::default(),
+            ls_service(LsServiceId::Memcached),
+            be_app(BeAppId::Raytrace),
+            InterferenceParams::none(),
+            0,
+        );
+        let p = predictor(&e);
+        let spec = &spec;
+        let slabs = p.ls_slabs(spec, 0.08);
+        let mut feasible_cells = 0;
+        for bucket in 0..=slabs.max_bucket() {
+            let qps = slabs.center(bucket);
+            let qps_power = qps * (1.0 + slabs.headroom());
+            let mut want_feasible = Vec::new();
+            let mut want_power = Vec::new();
+            for c in 1..=spec.total_cores {
+                for &ghz in &spec.freq_levels_ghz {
+                    for w in 1..=spec.total_llc_ways {
+                        want_feasible.push(raw_ls_feasible(&p, c, ghz, w, qps));
+                        want_power.push(raw_ls_power_w(&p, c, ghz, w, qps_power).to_bits());
+                    }
+                }
+            }
+            feasible_cells += want_feasible.iter().filter(|&&ok| ok).count();
+            let want = LsSlab::build(
+                spec,
+                bucket,
+                qps,
+                qps_power,
+                &want_feasible,
+                want_power.iter().map(|&b| f64::from_bits(b)).collect(),
+            );
+            let served = p.ls_slab(spec, &slabs, bucket);
+            for chunks in [1, 2, 3, 7] {
+                let (feasible, power) = p.ls_lattice(spec, qps, qps_power, chunks);
+                assert_eq!(feasible, want_feasible, "bucket {bucket}, {chunks} chunks");
+                let bits: Vec<u64> = power.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, want_power, "bucket {bucket}, {chunks} chunks");
+            }
+            for c in 1..=spec.total_cores {
+                for level in 0..spec.freq_level_count() {
+                    assert_eq!(served.feas_row(c, level), want.feas_row(c, level));
+                    let got: Vec<u64> = served
+                        .power_row(c, level)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let exp: Vec<u64> = want
+                        .power_row(c, level)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(got, exp, "bucket {bucket}, C1 {c}, F1 {level}");
+                }
+            }
+        }
+        assert_eq!(p.slab_builds(), slabs.max_bucket() + 1);
+        assert!(feasible_cells > 0, "the sweep must cover feasible cells");
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! predictor's public methods (same feature vector, same `.max(0.0)`
 //! clamp, same power margin), so a lookup is bit-identical to the model
 //! call it replaces — the equivalence proofs in `search.rs` rely on this.
+//! The predictor computes whole lattices at once through
+//! `Regressor::predict_grid`, which is bit-identical to point queries;
+//! this module only packs them and derives the bounds.
 //!
 //! Tables carry the predictor's training `generation`; retraining bumps
 //! the generation, which invalidates cached tables the same way it clears
@@ -57,38 +60,37 @@ pub struct ModelTables {
 }
 
 impl ModelTables {
-    /// Builds the tables by sweeping the full BE lattice of `spec` through
-    /// the two evaluators. `tput(cores, freq_ghz, ways)` and
-    /// `power(cores, freq_ghz)` must be the predictor's exact compute
-    /// paths (clamps and margins included) for lookups to be bit-identical
-    /// to model calls.
+    /// Builds the tables from the full BE lattice of `spec`: `be_tput` in
+    /// `(C2, F2, L2)` row-major order and `be_power` in `(C2, F2)` order.
+    /// Both must come from the predictor's exact compute paths (clamps and
+    /// margins included) for lookups to be bit-identical to model calls.
+    ///
+    /// # Panics
+    /// If either lattice does not have one entry per cell of `spec`.
     pub fn build(
         spec: &NodeSpec,
         generation: u64,
         static_power_w: f64,
-        mut tput: impl FnMut(u32, f64, u32) -> f64,
-        mut power: impl FnMut(u32, f64) -> f64,
+        be_tput: Vec<f64>,
+        be_power: Vec<f64>,
     ) -> Self {
         let total_cores = spec.total_cores;
         let total_ways = spec.total_llc_ways;
         let n_levels = spec.freq_level_count();
         let nc = total_cores as usize;
         let nw = total_ways as usize;
-        let mut be_tput = vec![0.0; nc * n_levels * nw];
-        let mut be_power = vec![0.0; nc * n_levels];
+        assert_eq!(
+            be_tput.len(),
+            nc * n_levels * nw,
+            "one BE throughput per cell"
+        );
+        assert_eq!(be_power.len(), nc * n_levels, "one BE power per (C2, F2)");
         let mut tput_max_freq = vec![0.0; nc * nw];
         let mut slice_max_tput = vec![0.0; nc];
-        for c in 1..=total_cores {
-            let ci = (c - 1) as usize;
+        for (ci, slice) in be_tput.chunks(n_levels * nw).enumerate() {
             let mut slice_max = 0.0f64;
-            for f in 0..n_levels {
-                let ghz = spec.freq_ghz(f);
-                be_power[ci * n_levels + f] = power(c, ghz);
-                for w in 1..=total_ways {
-                    let wi = (w - 1) as usize;
-                    let t = tput(c, ghz, w);
-                    be_tput[(ci * n_levels + f) * nw + wi] = t;
-                    let cell = &mut tput_max_freq[ci * nw + wi];
+            for row in slice.chunks(nw) {
+                for (cell, &t) in tput_max_freq[ci * nw..(ci + 1) * nw].iter_mut().zip(row) {
                     if t > *cell {
                         *cell = t;
                     }
@@ -217,48 +219,46 @@ pub struct LsSlab {
 }
 
 impl LsSlab {
-    /// Builds the slab by sweeping the full `(C1, F1, L1)` lattice through
-    /// the two evaluators, which must be the predictor's exact compute
-    /// paths (domain check, guarded load, clamps and margins included) for
-    /// lookups to be bit-identical to live calls at the slab centers.
-    /// `feas` is queried at `qps`, `power` at `qps_power`.
+    /// Packs one sweep of the full `(C1, F1, L1)` lattice of `spec` into a
+    /// slab. `feasible` (taken at `qps`) and `power` (taken at
+    /// `qps_power`) are in `(C1, F1, L1)` row-major order and must come
+    /// from the predictor's exact compute paths (domain check, guarded
+    /// load, clamps and margins included) for lookups to be bit-identical
+    /// to live calls at the slab centers.
+    ///
+    /// # Panics
+    /// If either lattice does not have one entry per cell of `spec`.
     pub fn build(
         spec: &NodeSpec,
         bucket: u64,
         qps: f64,
         qps_power: f64,
-        mut feas: impl FnMut(u32, f64, u32, f64) -> bool,
-        mut power: impl FnMut(u32, f64, u32, f64) -> f64,
+        feasible: &[bool],
+        power: Vec<f64>,
     ) -> Self {
-        let nc = spec.total_cores as usize;
         let nw = spec.total_llc_ways as usize;
-        let nf = spec.freq_level_count();
+        let rows = spec.total_cores as usize * spec.freq_level_count();
+        assert_eq!(feasible.len(), rows * nw, "one feasibility bit per cell");
+        assert_eq!(power.len(), rows * nw, "one LS power per cell");
         let words_per_row = nw.div_ceil(64);
-        let mut feas_words = vec![0u64; nc * nf * words_per_row];
-        let mut pw = vec![0.0; nc * nf * nw];
-        for c in 1..=spec.total_cores {
-            let ci = (c - 1) as usize;
-            for f in 0..nf {
-                let ghz = spec.freq_ghz(f);
-                let row = (ci * nf + f) * words_per_row;
-                for w in 1..=spec.total_llc_ways {
-                    let wi = (w - 1) as usize;
-                    if feas(c, ghz, w, qps) {
-                        feas_words[row + wi / 64] |= 1u64 << (wi % 64);
-                    }
-                    pw[(ci * nf + f) * nw + wi] = power(c, ghz, w, qps_power);
-                }
+        let mut feas_words = vec![0u64; rows * words_per_row];
+        for (words, cells) in feas_words
+            .chunks_mut(words_per_row)
+            .zip(feasible.chunks(nw))
+        {
+            for (wi, _) in cells.iter().enumerate().filter(|(_, &ok)| ok) {
+                words[wi / 64] |= 1u64 << (wi % 64);
             }
         }
         Self {
             bucket,
             qps,
             qps_power,
-            n_levels: nf,
+            n_levels: spec.freq_level_count(),
             total_ways: spec.total_llc_ways,
             words_per_row,
             feas: feas_words,
-            power: pw,
+            power,
         }
     }
 
@@ -416,26 +416,38 @@ impl LsSlabs {
         (lo, hi)
     }
 
-    /// Returns the slab for `bucket`, building it on first use via the
-    /// two evaluators (see [`LsSlab::build`]; `feas` is handed the slab
-    /// center, `power` the headroom-inflated center).
+    /// The last bucket index: every bracket clamps to `0..=max_bucket()`.
+    pub fn max_bucket(&self) -> u64 {
+        self.max_bucket
+    }
+
+    /// Returns the slab for `bucket`, building it on first use from one
+    /// lattice sweep: `sweep(qps, qps_power)` is handed the slab center and
+    /// the headroom-inflated center and returns the `(feasible, power)`
+    /// lattices [`LsSlab::build`] packs.
     pub fn slab(
         &self,
         spec: &NodeSpec,
         bucket: u64,
-        feas: impl FnMut(u32, f64, u32, f64) -> bool,
-        power: impl FnMut(u32, f64, u32, f64) -> f64,
+        sweep: impl FnOnce(f64, f64) -> (Vec<bool>, Vec<f64>),
     ) -> Arc<LsSlab> {
-        // The map lock is held across the build: a slab sweep is thousands
-        // of model evaluations, so racing builders should wait for the one
-        // in flight rather than duplicate it.
+        // The map lock is held across the build, so racing builders wait
+        // for the one in flight instead of duplicating it. Under even
+        // dispatch every shard wants the same bucket at the same moment,
+        // so the waiting worker has nothing else to build. The build
+        // itself fans out across the worker pool instead: it is one
+        // batched lattice sweep, a few tens of ms for the paper's
+        // 20×10×20 node in release builds.
         let mut map = self.slabs.lock();
         if let Some(s) = map.get(&bucket) {
             return Arc::clone(s);
         }
         let qps = self.center(bucket);
         let qps_power = qps * (1.0 + self.headroom);
-        let built = Arc::new(LsSlab::build(spec, bucket, qps, qps_power, feas, power));
+        let (feasible, power) = sweep(qps, qps_power);
+        let built = Arc::new(LsSlab::build(
+            spec, bucket, qps, qps_power, &feasible, power,
+        ));
         self.builds.fetch_add(1, Ordering::Relaxed);
         map.insert(bucket, Arc::clone(&built));
         built
@@ -559,10 +571,39 @@ mod tests {
         }
     }
 
+    /// Sweeps `f(cores, ghz, ways)` over the `(C, F, L)` lattice of
+    /// `spec` in row-major order, `ways` running over `ways`.
+    fn sweep<T>(spec: &NodeSpec, ways: &[u32], f: impl Fn(u32, f64, u32) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        for c in 1..=spec.total_cores {
+            for &ghz in &spec.freq_levels_ghz {
+                out.extend(ways.iter().map(|&w| f(c, ghz, w)));
+            }
+        }
+        out
+    }
+
+    fn tables(
+        spec: &NodeSpec,
+        generation: u64,
+        static_power_w: f64,
+        tput: impl Fn(u32, f64, u32) -> f64,
+        power: impl Fn(u32, f64) -> f64,
+    ) -> ModelTables {
+        let ways: Vec<u32> = (1..=spec.total_llc_ways).collect();
+        ModelTables::build(
+            spec,
+            generation,
+            static_power_w,
+            sweep(spec, &ways, tput),
+            sweep(spec, &[0], |c, g, _| power(c, g)),
+        )
+    }
+
     #[test]
     fn model_tables_store_every_lattice_point() {
         let spec = small_spec();
-        let t = ModelTables::build(
+        let t = tables(
             &spec,
             7,
             12.5,
@@ -590,7 +631,7 @@ mod tests {
         let spec = small_spec();
         // An arbitrary non-monotone function: bounds must still dominate.
         let f = |c: u32, g: f64, w: u32| ((c * 31 + w * 17) as f64 * g).sin().abs() * 10.0;
-        let t = ModelTables::build(&spec, 0, 0.0, f, |_, _| 0.0);
+        let t = tables(&spec, 0, 0.0, f, |_, _| 0.0);
         for c in 1..=4u32 {
             let mut slice_max = 0.0f64;
             for level in 0..3usize {
@@ -614,7 +655,7 @@ mod tests {
     #[test]
     fn tables_reject_mismatched_spec() {
         let spec = small_spec();
-        let t = ModelTables::build(&spec, 0, 0.0, |_, _, _| 0.0, |_, _| 0.0);
+        let t = tables(&spec, 0, 0.0, |_, _, _| 0.0, |_, _| 0.0);
         let mut other = small_spec();
         other.total_llc_ways = 4;
         assert!(!t.matches(&other));
@@ -626,19 +667,14 @@ mod tests {
     #[test]
     fn ls_slab_stores_feasibility_bits_and_power_for_every_cell() {
         let spec = small_spec();
+        let ways = [1, 2, 3];
         let slab = LsSlab::build(
             &spec,
             3,
             30.0,
             32.4,
-            |c, _g, w, qps| {
-                assert_eq!(qps, 30.0);
-                (c + w) % 2 == 0
-            },
-            |c, g, w, qps| {
-                assert_eq!(qps, 32.4);
-                c as f64 * 10.0 + g + w as f64 * 0.1
-            },
+            &sweep(&spec, &ways, |c, _g, w| (c + w) % 2 == 0),
+            sweep(&spec, &ways, |c, g, w| c as f64 * 10.0 + g + w as f64 * 0.1),
         );
         assert_eq!(slab.bucket(), 3);
         assert_eq!(slab.words_per_row(), 1);
@@ -681,11 +717,19 @@ mod tests {
         let spec = small_spec();
         let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
         assert_eq!(slabs.builds(), 0);
-        let feas = |_c: u32, _g: f64, _w: u32, _q: f64| true;
-        let power = |_c: u32, _g: f64, _w: u32, q: f64| q;
-        let a = slabs.slab(&spec, 2, feas, power);
+        let ways = [1, 2, 3];
+        let build = |q: f64, q_power: f64| {
+            assert_eq!(q, q_power, "headroom 0 builds power at the center");
+            (
+                sweep(&spec, &ways, |_, _, _| true),
+                sweep(&spec, &ways, |_, _, _| q),
+            )
+        };
+        let a = slabs.slab(&spec, 2, build);
         assert_eq!(slabs.builds(), 1);
-        let b = slabs.slab(&spec, 2, feas, power);
+        let b = slabs.slab(&spec, 2, |_, _| {
+            unreachable!("second request must hit the map")
+        });
         assert_eq!(slabs.builds(), 1, "second request must hit the map");
         assert!(Arc::ptr_eq(&a, &b));
         // The power lattice was built at the slab center (headroom 0).
@@ -697,10 +741,15 @@ mod tests {
     fn lerp_power_interpolates_between_slab_centers() {
         let spec = small_spec();
         let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
-        let feas = |_c: u32, _g: f64, _w: u32, _q: f64| true;
-        let power = |_c: u32, _g: f64, _w: u32, q: f64| q * 2.0;
-        let lo = slabs.slab(&spec, 1, feas, power);
-        let hi = slabs.slab(&spec, 2, feas, power);
+        let ways = [1, 2, 3];
+        let build = |q: f64, _| {
+            (
+                sweep(&spec, &ways, |_, _, _| true),
+                sweep(&spec, &ways, |_, _, _| q * 2.0),
+            )
+        };
+        let lo = slabs.slab(&spec, 1, build);
+        let hi = slabs.slab(&spec, 2, build);
         // Halfway between centers 10 and 20 → halfway between 20 and 40.
         let mid = slabs.lerp_power_w(&lo, &hi, 15.0, 2, 1, 2);
         assert_eq!(mid, 30.0);

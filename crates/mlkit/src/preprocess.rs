@@ -55,6 +55,13 @@ impl Standardizer {
         }
     }
 
+    /// Standardizes one value of feature column `col` — bit-identical to
+    /// that column's entry after [`transform_row`](Self::transform_row).
+    #[inline]
+    pub(crate) fn scale(&self, col: usize, v: f64) -> f64 {
+        (v - self.means[col]) / self.stds[col]
+    }
+
     /// Returns a standardized copy of the row.
     pub fn transformed(&self, row: &[f64]) -> Vec<f64> {
         let mut out = row.to_vec();
