@@ -7,15 +7,13 @@
 //! `(cores, freq-step, ways)` spans only a few thousand points per
 //! partition, and within one control interval the load is a single value.
 //! Every query still pays `Box<dyn Regressor>` dispatch plus a full KNN /
-//! tree evaluation. This module memoizes the answers behind a quantized
+//! tree evaluation. This module memoizes the answers behind an exact
 //! key so repeated lattice points cost a hash lookup instead.
 //!
-//! Keys quantize exactly: `cores` and `ways` are integers, `freq_ghz`
-//! comes from the discrete [`NodeSpec`](sturgeon_simnode::NodeSpec)
-//! frequency table (bit-identical per level), and `qps` is either taken
-//! bit-exact (the default) or bucketed by a configurable quantum for
-//! callers that sweep continuously varying loads. With the default exact
-//! keys the cache can never change a result, only its cost — the
+//! Keys are exact: `cores` and `ways` are integers, `freq_ghz` comes
+//! from the discrete [`NodeSpec`](sturgeon_simnode::NodeSpec) frequency
+//! table (bit-identical per level), and `qps` is keyed bit for bit. The
+//! cache can therefore never change a result, only its cost — the
 //! oracle-equivalence test in `tests/integration_predictor.rs` locks that
 //! in.
 //!
@@ -48,10 +46,9 @@ pub enum Family {
     BePower,
 }
 
-/// Fully quantized cache key. `freq_bits`/`qps_bits` are `f64::to_bits`
-/// images (or bucket indices when a qps quantum is configured), so lookup
-/// equality is exact and `NaN` never reaches a key (query paths pass
-/// finite values only).
+/// Exact cache key. `freq_bits`/`qps_bits` are `f64::to_bits` images,
+/// so lookup equality is exact and `NaN` never reaches a key (query
+/// paths pass finite values only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     family: Family,
@@ -122,7 +119,7 @@ impl std::ops::Add for QueryMeter {
 /// worker counts the rayon sweeps use.
 const SHARDS: usize = 16;
 
-/// A sharded, thread-safe memo table from quantized query keys to
+/// A sharded, thread-safe memo table from exact query keys to
 /// predicted values, with hit/miss accounting for the §VII-E overhead
 /// tables.
 pub struct PredictionCache {
@@ -130,8 +127,6 @@ pub struct PredictionCache {
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: AtomicBool,
-    /// `qps` bucket width; `<= 0` means exact (bit-identical) keys.
-    qps_quantum: Mutex<f64>,
 }
 
 impl std::fmt::Debug for PredictionCache {
@@ -152,14 +147,13 @@ impl Default for PredictionCache {
 }
 
 impl PredictionCache {
-    /// An empty, enabled cache with exact qps keys.
+    /// An empty, enabled cache.
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            qps_quantum: Mutex::new(0.0),
         }
     }
 
@@ -175,37 +169,13 @@ impl PredictionCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Sets the qps bucket width. `0.0` (the default) keys loads
-    /// bit-exactly, which preserves result equivalence by construction;
-    /// a positive quantum trades a bounded load-rounding error for hits
-    /// across nearby loads. Changing the quantum invalidates the cache —
-    /// old keys were quantized differently.
-    pub fn set_qps_quantum(&self, quantum: f64) {
-        *self.qps_quantum.lock() = quantum.max(0.0);
-        self.clear();
-    }
-
-    /// Current qps bucket width (`0.0` = exact).
-    pub fn qps_quantum(&self) -> f64 {
-        *self.qps_quantum.lock()
-    }
-
-    fn quantize_qps(&self, qps: f64) -> u64 {
-        let quantum = *self.qps_quantum.lock();
-        if quantum > 0.0 {
-            (qps / quantum).round() as u64
-        } else {
-            qps.to_bits()
-        }
-    }
-
     fn shard_of(&self, key: &Key) -> &Mutex<HashMap<Key, f64>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
-    /// Returns the memoized value for the quantized query, computing and
+    /// Returns the memoized value for the query, computing and
     /// inserting it on a miss. With the cache disabled this is exactly
     /// `compute()`.
     pub fn get_or_compute(
@@ -225,7 +195,7 @@ impl PredictionCache {
             cores,
             freq_bits: freq_ghz.to_bits(),
             ways,
-            qps_bits: self.quantize_qps(qps),
+            qps_bits: qps.to_bits(),
         };
         let shard = self.shard_of(&key);
         if let Some(&v) = shard.lock().get(&key) {
@@ -432,20 +402,6 @@ mod tests {
         let v = cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 7.0);
         assert_eq!(v, 7.0);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn qps_quantum_buckets_nearby_loads() {
-        let cache = PredictionCache::new();
-        cache.set_qps_quantum(100.0);
-        let a = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_000.0, || 1.0);
-        // 1 040 rounds to the same bucket as 1 000 → served from cache.
-        let b = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_040.0, || 2.0);
-        assert_eq!(a, b);
-        assert_eq!(cache.hits(), 1);
-        // 1 060 rounds to the next bucket → fresh compute.
-        let c = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_060.0, || 3.0);
-        assert_eq!(c, 3.0);
     }
 
     #[test]

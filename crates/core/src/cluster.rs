@@ -2,27 +2,24 @@
 //! first dispatched to each server by the cluster-level scheduler;
 //! Sturgeon runs on each node and manages shared resources."
 //!
-//! This module provides that top half: a cluster of simulated nodes, each
-//! running its own Sturgeon controller against its own co-location
-//! environment, and a dispatcher that splits the cluster-wide query
-//! stream across them. It exists to demonstrate (and test) the paper's
-//! deployment model — per-node autonomy, no cross-node coordination —
-//! and to measure fleet-level effects (aggregate BE throughput, stranded
-//! power) that single-node runs cannot show.
+//! This module spells that loop out literally: a cluster of simulated
+//! nodes, each training its own predictor and running its own Sturgeon
+//! controller against its own co-location environment, and a dispatcher
+//! that splits the cluster-wide query stream across them. It is the
+//! reference implementation: `tests/fleet_equivalence.rs` pins
+//! [`crate::fleet::Fleet`] — the runtime for many nodes — to this loop bit
+//! for bit. Run multi-node experiments on `Fleet`.
 
 use crate::controller::{
     ControllerFaultCounters, ControllerParams, ResourceController, SturgeonController,
 };
-use crate::dispatch::Dispatcher;
+use crate::dispatch::{DispatchPolicy, Dispatcher};
 use crate::error::SturgeonError;
 use crate::experiment::{ColocationPair, ExperimentSetup};
-use crate::obs::MetricsRegistry;
 use rayon::prelude::*;
 use sturgeon_simnode::{IntervalSample, SimActuators, TelemetryLog};
 use sturgeon_workloads::env::CoLocationEnv;
 use sturgeon_workloads::loadgen::LoadProfile;
-
-pub use crate::dispatch::DispatchPolicy;
 
 /// One node of the cluster: environment + actuators + controller.
 struct NodeRuntime {
@@ -105,19 +102,6 @@ impl Cluster {
         policy: DispatchPolicy,
         seed: u64,
     ) -> Result<Self, SturgeonError> {
-        Self::try_new_with_params(pair, n, policy, seed, ControllerParams::default())
-    }
-
-    /// Like [`Cluster::try_new`] but with explicit controller parameters
-    /// for every node — e.g. to run the whole fleet on the frontier-pruned
-    /// search strategy.
-    pub fn try_new_with_params(
-        pair: ColocationPair,
-        n: usize,
-        policy: DispatchPolicy,
-        seed: u64,
-        params: ControllerParams,
-    ) -> Result<Self, SturgeonError> {
         if n == 0 {
             return Err(SturgeonError::setup("cluster needs at least one node"));
         }
@@ -141,7 +125,7 @@ impl Cluster {
                 setup.spec().clone(),
                 setup.budget_w(),
                 setup.qos_target_ms(),
-                params,
+                ControllerParams::default(),
             );
             let env = setup.env().clone();
             let actuators = SimActuators::new(env.spec().clone());
@@ -233,55 +217,6 @@ impl Cluster {
             self.nodes.par_iter_mut().for_each(Self::step_node);
         }
         self.result()
-    }
-
-    /// Like [`Cluster::run`], but aggregates the fleet's telemetry into
-    /// `registry` after the run: per-interval p95/power/BE-throughput
-    /// histograms across every node, summed robustness counters, and
-    /// cluster-level gauges. Aggregation happens post-run in node order,
-    /// so the registry contents are deterministic even though nodes step
-    /// in parallel.
-    pub fn run_with_metrics(
-        &mut self,
-        profile: LoadProfile,
-        duration_s: u32,
-        registry: &MetricsRegistry,
-    ) -> ClusterResult {
-        let result = self.run(profile, duration_s);
-        registry.set_gauge("cluster.nodes", self.nodes.len() as f64);
-        for node in &self.nodes {
-            for s in node.log.samples() {
-                registry.inc("run.intervals");
-                registry.observe("interval.p95_ms", s.p95_ms);
-                registry.observe("interval.power_w", s.power_w);
-                registry.observe_with(
-                    "interval.be_throughput",
-                    &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
-                    s.be_throughput_norm,
-                );
-            }
-        }
-        let c = &result.fault_counters;
-        registry.add("controller.stale_intervals", c.stale_intervals);
-        registry.add("controller.safe_mode_entries", c.safe_mode_entries);
-        registry.add("balancer.retry_rounds", c.balancer_retry_rounds);
-        let mut pruned_cells = 0u64;
-        let mut pruned_slices = 0u64;
-        let mut frontier_reuses = 0u64;
-        for node in &self.nodes {
-            let (cells, slices, reuses) = node.controller.pruned_totals();
-            pruned_cells += cells;
-            pruned_slices += slices;
-            frontier_reuses += reuses;
-        }
-        registry.add("search.pruned_candidates", pruned_cells);
-        registry.add("search.pruned_subspaces", pruned_slices);
-        registry.add("search.frontier_reuses", frontier_reuses);
-        registry.set_gauge("cluster.qos_rate", result.qos_rate);
-        registry.set_gauge("cluster.total_be_throughput", result.total_be_throughput);
-        registry.set_gauge("cluster.mean_power_w", result.mean_cluster_power_w);
-        registry.set_gauge("cluster.budget_w", result.cluster_budget_w);
-        result
     }
 
     fn result(&self) -> ClusterResult {
@@ -414,50 +349,6 @@ mod tests {
             .err()
             .unwrap();
         assert!(err.to_string().contains("non-negative"), "got {err}");
-    }
-
-    #[test]
-    fn run_with_metrics_fills_registry() {
-        let mut cluster = Cluster::new(pair(), 2, DispatchPolicy::Even, 42);
-        let registry = MetricsRegistry::new();
-        let r = cluster.run_with_metrics(LoadProfile::Constant { fraction: 0.3 }, 30, &registry);
-        // Two nodes × 30 intervals, all aggregated post-run.
-        assert_eq!(registry.counter("run.intervals"), 60);
-        assert_eq!(registry.gauge("cluster.nodes"), Some(2.0));
-        assert_eq!(registry.gauge("cluster.qos_rate"), Some(r.qos_rate));
-        let p95 = registry.histogram("interval.p95_ms").unwrap();
-        assert_eq!(p95.count, 60);
-    }
-
-    #[test]
-    fn pruned_strategy_fleet_steps_and_reports_prune_counters() {
-        use crate::search::{SearchParams, SearchStrategy};
-        let params = ControllerParams {
-            search: SearchParams {
-                strategy: SearchStrategy::FrontierPruned,
-                ..SearchParams::default()
-            },
-            ..ControllerParams::default()
-        };
-        let mut cluster =
-            Cluster::try_new_with_params(pair(), 2, DispatchPolicy::Even, 42, params).unwrap();
-        let registry = MetricsRegistry::new();
-        // A triangle wave revisits its load levels on the way back down,
-        // so later searches land in QPS buckets the frontier cache has
-        // already seen.
-        let r = cluster.run_with_metrics(LoadProfile::paper_fluctuating(80.0), 80, &registry);
-        // The exact engine optimizes over the whole space, so the fleet
-        // must still hold QoS (lenient: the exhaustive-equivalent pick can
-        // sit closer to the feasibility edge than the hardened heuristic).
-        assert!(r.qos_rate > 0.8, "pruned fleet QoS {}", r.qos_rate);
-        assert!(
-            registry.counter("search.pruned_candidates") > 0,
-            "table bounds must prune at fleet scale"
-        );
-        assert!(
-            registry.counter("search.frontier_reuses") > 0,
-            "revisited load levels must hit the frontier cache"
-        );
     }
 
     #[test]

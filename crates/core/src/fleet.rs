@@ -1,20 +1,19 @@
-//! Fleet-scale control plane: the datacenter-sized version of
-//! [`crate::cluster`].
+//! Fleet-scale control plane: the one runtime for many Sturgeon nodes.
 //!
 //! The paper's deployment model (Fig. 4) is per-node autonomy under a
-//! cluster-level dispatcher. [`crate::cluster::Cluster`] reproduces it
-//! faithfully at demonstration scale — every node owns a predictor, a
-//! controller and a full in-memory telemetry log — but a 100k-node sweep
-//! cannot afford 100k trainings or O(nodes × intervals) sample storage.
+//! cluster-level dispatcher. [`crate::cluster::Cluster`] spells that loop
+//! out literally — every node trains a predictor and keeps a full
+//! in-memory telemetry log — and is kept only as the reference the
+//! equivalence tests pin [`Fleet`] against. A 100k-node sweep cannot
+//! afford 100k trainings or O(nodes × intervals) sample storage, so
 //! [`Fleet`] restructures the same control loop around three ideas:
 //!
-//! * **Shared model artifacts** — a homogeneous fleet serves one
-//!   (pair, spec), so offline training and `ModelTables` construction
-//!   are paid once and shared through `Arc`
-//!   ([`TrainingMode::Shared`]). Per-shard control state (balancer,
-//!   warm hints, `FrontierCache`) stays private.
-//!   [`TrainingMode::PerNode`] reproduces today's per-node training for
-//!   the bit-exactness tests.
+//! * **One training** — the profiler runs interference-free with its own
+//!   seed, so the predictor a node trains does not depend on the node.
+//!   A homogeneous fleet serves one (pair, spec): offline training and
+//!   `ModelTables` construction are paid once and shared through `Arc`,
+//!   bit-identical to per-node training. Per-shard control state
+//!   (balancer, warm hints, `FrontierCache`) stays private.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
 //!   shards, each stepped as one rayon task over an SoA slab of node
 //!   state (qps/p95/power/config arrays) instead of a `Vec` of heap-fat
@@ -62,23 +61,10 @@ use sturgeon_workloads::env::CoLocationEnv;
 use sturgeon_workloads::env::Observation;
 use sturgeon_workloads::loadgen::LoadProfile;
 
-/// Bucket bounds shared by the cluster and fleet BE-throughput
-/// histograms (normalized throughput lives in `[0, 1]`).
+/// Bucket bounds of the fleet's BE-throughput histogram (normalized
+/// throughput lives in `[0, 1]`).
 pub(crate) const BE_THROUGHPUT_BUCKETS: [f64; 10] =
     [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
-/// Where the fleet's trained model artifacts come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainingMode {
-    /// Train once for the whole fleet and share the predictor (and its
-    /// lazily built `ModelTables`) through `Arc` — the homogeneous-fleet
-    /// fast path: offline cost is paid exactly once per (pair, spec).
-    Shared,
-    /// Train one predictor per shard from that shard's first node seed —
-    /// with one node per shard this is bit-identical to
-    /// [`crate::cluster::Cluster`]'s per-node training.
-    PerNode,
-}
 
 /// Hierarchical budget configuration for a fleet: the tree's leaves are
 /// the fleet's shards, its racks are the fleet's regions, `rows` groups
@@ -114,8 +100,6 @@ pub struct FleetParams {
     /// profiles (regional failover). Must not exceed the shard count;
     /// the [`DispatchPolicy::Weighted`] policy requires exactly one.
     pub regions: usize,
-    /// Shared or per-shard model training.
-    pub training: TrainingMode,
     /// How each region's dispatcher splits load across its shards.
     pub policy: DispatchPolicy,
     /// Controller tunables applied to every shard controller.
@@ -125,7 +109,7 @@ pub struct FleetParams {
     pub sampled_nodes: usize,
     /// Stream this shard's decision trace (telemetry samples plus its
     /// controller's events) through the sink passed to
-    /// [`Fleet::run_traced`].
+    /// [`Fleet::run_regional_traced`].
     pub traced_shard: Option<usize>,
     /// Hierarchical power budgets over the shard/region geometry.
     /// `None` keeps the flat per-node caps (bit-identical to earlier
@@ -137,9 +121,7 @@ pub struct FleetParams {
     pub placement: Option<PlacementParams>,
     /// Cold-start scoring: collaborative-filtering BE prediction for a
     /// masked (never-profiled) app and/or the learned co-runner set
-    /// scorer. Requires [`TrainingMode::Shared`] — the CF predictor is
-    /// a shared artifact by construction. `None` keeps the legacy
-    /// closed-form scoring bit for bit.
+    /// scorer. `None` keeps the legacy closed-form scoring bit for bit.
     pub scoring: Option<ScoringParams>,
 }
 
@@ -148,7 +130,6 @@ impl Default for FleetParams {
         Self {
             shards: 0,
             regions: 1,
-            training: TrainingMode::Shared,
             policy: DispatchPolicy::Even,
             controller: ControllerParams::default(),
             sampled_nodes: 0,
@@ -384,8 +365,8 @@ struct Region {
 }
 
 /// Fleet-wide results: the [`crate::cluster::ClusterResult`] aggregates
-/// plus the artifact-reuse counters that prove the shared-training path
-/// paid its offline costs once.
+/// plus the artifact-reuse counters that prove the fleet paid its offline
+/// costs once.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Per-node summaries, in node order.
@@ -400,17 +381,15 @@ pub struct FleetResult {
     pub fleet_budget_w: f64,
     /// Robustness counters summed across shard controllers.
     pub fault_counters: ControllerFaultCounters,
-    /// Offline predictor trainings paid during construction (1 in
-    /// [`TrainingMode::Shared`], one per shard in
-    /// [`TrainingMode::PerNode`]).
+    /// Offline predictor trainings paid during construction (always 1:
+    /// the fleet trains once).
     pub trainings: u64,
-    /// `ModelTables` constructions actually run across the fleet's
-    /// distinct predictors (0 until a pruned search needs them; 1 for a
-    /// shared-predictor fleet no matter how many shards search).
+    /// `ModelTables` constructions run on the shared predictor (0 until a
+    /// pruned search needs them; 1 no matter how many shards search).
     pub table_builds: u64,
-    /// LS QPS-slab constructions actually run across the fleet's distinct
-    /// predictors' current slab families (0 unless a pruned search ran;
-    /// one per load bucket visited for a shared-predictor fleet).
+    /// LS QPS-slab constructions run on the shared predictor's current
+    /// slab family (0 unless a pruned search ran; one per load bucket
+    /// visited).
     pub slab_builds: u64,
     /// Configuration searches run across all shard controllers.
     pub searches: u64,
@@ -448,13 +427,12 @@ struct PlacementRuntime {
 pub struct Fleet {
     shards: Vec<Shard>,
     regions: Vec<Region>,
-    /// The distinct predictor artifacts (1 or one per shard), kept for
-    /// the table-build accounting in [`FleetResult`].
-    predictors: Vec<Arc<PerfPowerPredictor>>,
+    /// The one predictor every shard controller shares, kept for the
+    /// table-build accounting in [`FleetResult`].
+    predictor: Arc<PerfPowerPredictor>,
     spec: NodeSpec,
     peak_qps_per_node: f64,
     node_count: usize,
-    trainings: u64,
     /// The BE application whose jobs the placement engine moves.
     be: BeAppId,
     /// The power-delivery tree (leaves = shards); `None` keeps flat
@@ -516,11 +494,6 @@ impl Fleet {
 
         if let Some(sp) = &params.scoring {
             sp.validate()?;
-            if params.training != TrainingMode::Shared {
-                return Err(SturgeonError::setup(
-                    "scoring requires shared training (the CF predictor is a shared artifact)",
-                ));
-            }
         }
 
         // The fleet is homogeneous: pair-level properties come from one
@@ -531,34 +504,27 @@ impl Fleet {
         let budget_w = first.budget_w();
         let spec = first.spec().clone();
 
+        // One training for the whole fleet: the profiler is
+        // interference-free with its own seed, so every node would train
+        // this same predictor.
         let mut cold_start: Option<(String, ColdStartReport)> = None;
-        let shared = match params.training {
-            TrainingMode::Shared => {
-                let predictor = match params.scoring.as_ref().filter(|sp| sp.cold_start) {
-                    Some(sp) => {
-                        let mut sp = sp.clone();
-                        if sp.masked_app.is_none() {
-                            sp.masked_app = Some(pair.be.name().to_string());
-                        }
-                        if sp.fallback {
-                            train_fallback_predictor(&first, &sp)?
-                        } else {
-                            let outcome = train_cold_start_predictor(&first, &sp)?;
-                            cold_start =
-                                Some((sp.masked_app.clone().expect("defaulted"), outcome.report));
-                            outcome.predictor
-                        }
-                    }
-                    None => first.train_default_predictor(),
-                };
-                Some(Arc::new(predictor))
+        let predictor = match params.scoring.as_ref().filter(|sp| sp.cold_start) {
+            Some(sp) => {
+                let mut sp = sp.clone();
+                if sp.masked_app.is_none() {
+                    sp.masked_app = Some(pair.be.name().to_string());
+                }
+                if sp.fallback {
+                    train_fallback_predictor(&first, &sp)?
+                } else {
+                    let outcome = train_cold_start_predictor(&first, &sp)?;
+                    cold_start = Some((sp.masked_app.clone().expect("defaulted"), outcome.report));
+                    outcome.predictor
+                }
             }
-            TrainingMode::PerNode => None,
+            None => first.train_default_predictor(),
         };
-        let mut predictors: Vec<Arc<PerfPowerPredictor>> = Vec::new();
-        if let Some(p) = &shared {
-            predictors.push(Arc::clone(p));
-        }
+        let predictor = Arc::new(predictor);
 
         let mut shards = Vec::with_capacity(shard_count);
         let base = nodes / shard_count;
@@ -566,18 +532,8 @@ impl Fleet {
         let mut first_node = 0usize;
         for s in 0..shard_count {
             let len = base + usize::from(s < extra);
-            let shard_seed = seed.wrapping_add(first_node as u64);
-            let predictor = match &shared {
-                Some(p) => Arc::clone(p),
-                None => {
-                    let p =
-                        Arc::new(ExperimentSetup::new(pair, shard_seed).train_default_predictor());
-                    predictors.push(Arc::clone(&p));
-                    p
-                }
-            };
             let controller = SturgeonController::with_shared_predictor(
-                predictor,
+                Arc::clone(&predictor),
                 spec.clone(),
                 budget_w,
                 qos_target,
@@ -644,11 +600,6 @@ impl Fleet {
             });
             lo = hi;
         }
-
-        let trainings = match params.training {
-            TrainingMode::Shared => 1,
-            TrainingMode::PerNode => shard_count as u64,
-        };
 
         // Budget tree: leaves are the shards (leaf cap = per-node budget
         // times the shard's node count), racks are the regions, rows
@@ -740,11 +691,10 @@ impl Fleet {
         Ok(Self {
             shards,
             regions,
-            predictors,
+            predictor,
             spec,
             peak_qps_per_node: peak,
             node_count: nodes,
-            trainings,
             be: pair.be,
             budget,
             budget_events,
@@ -825,23 +775,8 @@ impl Fleet {
         self.run_impl(profiles, duration_s, None)
     }
 
-    /// Like [`Fleet::run`], but streams the traced shard's decision
-    /// trace (see [`FleetParams::traced_shard`]) into `sink`.
-    pub fn run_traced(
-        &mut self,
-        profile: LoadProfile,
-        duration_s: u32,
-        sink: &mut dyn TraceSink,
-    ) -> FleetResult {
-        let profiles = vec![profile; self.regions.len()];
-        self.run_impl(&profiles, duration_s, Some(sink))
-            .expect("region count matches by construction")
-    }
-
     /// Like [`Fleet::run_regional`], but streams the traced shard's
-    /// decision trace into `sink` — the tracing twin of a per-region
-    /// run, so tracing a regional scenario does not collapse every
-    /// region onto one profile.
+    /// decision trace (see [`FleetParams::traced_shard`]) into `sink`.
     pub fn run_regional_traced(
         &mut self,
         profiles: &[LoadProfile],
@@ -1260,9 +1195,9 @@ impl Fleet {
             mean_fleet_power_w: total_power,
             fleet_budget_w: budget,
             fault_counters,
-            trainings: self.trainings,
-            table_builds: self.predictors.iter().map(|p| p.table_builds()).sum(),
-            slab_builds: self.predictors.iter().map(|p| p.slab_builds()).sum(),
+            trainings: 1,
+            table_builds: self.predictor.table_builds(),
+            slab_builds: self.predictor.slab_builds(),
             searches,
             budget_reclaims: self.budget_reclaims,
             migrations: self.placement.as_ref().map_or(0, |rt| rt.migrations),
@@ -1308,7 +1243,7 @@ mod tests {
         assert_eq!(fleet.shard_count(), 4);
         let r = fleet.run(LoadProfile::Constant { fraction: 0.3 }, 40);
         assert!(r.qos_rate > 0.9, "fleet QoS {}", r.qos_rate);
-        assert_eq!(r.trainings, 1, "shared fleet must train exactly once");
+        assert_eq!(r.trainings, 1, "the fleet must train exactly once");
         assert_eq!(
             r.table_builds, 1,
             "4 pruned shard searches must share one table build"
@@ -1329,22 +1264,29 @@ mod tests {
     }
 
     #[test]
-    fn per_node_training_pays_per_shard() {
+    fn pruned_fleet_exports_prune_counters() {
         let params = FleetParams {
-            shards: 3,
-            training: TrainingMode::PerNode,
+            shards: 2,
+            controller: pruned_params(),
             ..FleetParams::default()
         };
-        let mut fleet = Fleet::new(pair(), 3, params, 7);
-        let r = fleet.run(LoadProfile::Constant { fraction: 0.3 }, 10);
-        assert_eq!(r.trainings, 3);
-        // Every shard owns a private predictor, so any table work is
-        // paid per shard — never more than once per predictor, and
-        // never amortized the way the shared fleet amortizes it.
+        let mut fleet = Fleet::new(pair(), 2, params, 42);
+        let registry = MetricsRegistry::new();
+        // A triangle wave revisits its load levels on the way back down,
+        // so later searches land in QPS buckets the frontier cache has
+        // already seen.
+        let r = fleet.run_with_metrics(LoadProfile::paper_fluctuating(80.0), 80, &registry);
+        // The exact engine optimizes over the whole space, so the fleet
+        // must still hold QoS (lenient: the exhaustive-equivalent pick can
+        // sit closer to the feasibility edge than the hardened heuristic).
+        assert!(r.qos_rate > 0.8, "pruned fleet QoS {}", r.qos_rate);
         assert!(
-            r.table_builds <= 3,
-            "at most one build per private predictor, got {}",
-            r.table_builds
+            registry.counter("search.pruned_candidates") > 0,
+            "table bounds must prune at fleet scale"
+        );
+        assert!(
+            registry.counter("search.frontier_reuses") > 0,
+            "revisited load levels must hit the frontier cache"
         );
     }
 

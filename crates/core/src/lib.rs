@@ -64,7 +64,6 @@ pub mod prelude {
     pub use crate::baselines::{PartiesController, StaticReservationController};
     pub use crate::budget::{BudgetCap, BudgetEvent, BudgetLevel, BudgetTree};
     pub use crate::cache::{FrontierCache, PredictionCache};
-    pub use crate::cluster::{Cluster, ClusterResult};
     pub use crate::controller::{
         ControllerFaultCounters, ControllerParams, ResourceController, RobustnessParams,
         SturgeonController,
@@ -75,7 +74,7 @@ pub mod prelude {
         ActuationPolicy, ColocationPair, ConfiguredRun, ExperimentSetup, FaultReport, RunBuilder,
         RunResult,
     };
-    pub use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult, TrainingMode};
+    pub use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
     pub use crate::heracles::{HeraclesController, HeraclesParams};
     pub use crate::multi::{
         MultiProfiler, MultiProfilerConfig, MultiSearch, MultiSturgeonController,

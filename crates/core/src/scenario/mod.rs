@@ -48,7 +48,7 @@ use crate::controller::{ControllerParams, ResourceController, SturgeonController
 use crate::dispatch::DispatchPolicy;
 use crate::error::SturgeonError;
 use crate::experiment::{ActuationPolicy, ColocationPair, ExperimentSetup, RunResult};
-use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult, TrainingMode};
+use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
 use crate::heracles::{HeraclesController, HeraclesParams};
 use crate::obs::{MetricsRegistry, TraceSink};
 use crate::placement::PlacementParams;
@@ -190,7 +190,7 @@ impl FleetDispatch {
     }
 }
 
-/// The `[fleet]` section: geometry and training mode.
+/// The `[fleet]` section: geometry and dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Node count.
@@ -199,8 +199,6 @@ pub struct FleetSpec {
     pub shards: usize,
     /// Region count.
     pub regions: usize,
-    /// Shared or per-shard model training.
-    pub training: TrainingMode,
     /// Per-region dispatch policy.
     pub dispatch: FleetDispatch,
     /// Keep full telemetry logs for the first N nodes.
@@ -213,7 +211,6 @@ impl Default for FleetSpec {
             nodes: 1,
             shards: 0,
             regions: 1,
-            training: TrainingMode::Shared,
             dispatch: FleetDispatch::Even,
             sampled_nodes: 0,
         }
@@ -262,7 +259,7 @@ pub struct Scenario {
     /// Fleet-aware BE placement engine knobs (fleet only).
     pub placement: Option<PlacementParams>,
     /// Cold-start scoring: CF prediction for a masked app and/or the
-    /// learned co-runner set scorer (fleet only, shared training).
+    /// learned co-runner set scorer (fleet only).
     pub scoring: Option<ScoringParams>,
     /// Optional search-overhead probe (node Sturgeon kinds only).
     pub probe: Option<SearchProbe>,
@@ -483,23 +480,6 @@ pub fn search_strategy_name(s: SearchStrategy) -> &'static str {
     match s {
         SearchStrategy::Heuristic => "heuristic",
         SearchStrategy::FrontierPruned => "pruned",
-    }
-}
-
-/// Parses a fleet training mode (`shared` / `per-node`).
-pub fn parse_training(s: &str) -> Option<TrainingMode> {
-    Some(match s {
-        "shared" => TrainingMode::Shared,
-        "per-node" => TrainingMode::PerNode,
-        _ => return None,
-    })
-}
-
-/// Canonical name of a training mode.
-pub fn training_name(t: TrainingMode) -> &'static str {
-    match t {
-        TrainingMode::Shared => "shared",
-        TrainingMode::PerNode => "per-node",
     }
 }
 
@@ -1155,11 +1135,15 @@ impl Scenario {
                 let nodes = u64_key(f, "nodes", "fleet")?
                     .ok_or_else(|| bad("`[fleet]` needs a `nodes` count"))?
                     as usize;
-                let training = match str_key(f, "training", "fleet")? {
-                    None => TrainingMode::Shared,
-                    Some(t) => parse_training(t)
-                        .ok_or_else(|| bad(format!("unknown training mode `{t}`")))?,
-                };
+                // A fleet always trains once; the key survives only so
+                // manifests that spell out `training = "shared"` still parse.
+                if let Some(t) = str_key(f, "training", "fleet")? {
+                    if t != "shared" {
+                        return Err(bad(format!(
+                            "`fleet.training` must be \"shared\" (a fleet trains once), got `{t}`"
+                        )));
+                    }
+                }
                 let dispatch = match str_key(f, "dispatch", "fleet")? {
                     None => FleetDispatch::Even,
                     Some(d) => FleetDispatch::parse(d)
@@ -1169,7 +1153,6 @@ impl Scenario {
                     nodes,
                     shards: u64_key(f, "shards", "fleet")?.unwrap_or(0) as usize,
                     regions: u64_key(f, "regions", "fleet")?.unwrap_or(1) as usize,
-                    training,
                     dispatch,
                     sampled_nodes: u64_key(f, "sampled_nodes", "fleet")?.unwrap_or(0) as usize,
                 })
@@ -1370,12 +1353,6 @@ impl Scenario {
                         fleet.regions
                     )));
                 }
-                if self.scoring.is_some() && fleet.training != TrainingMode::Shared {
-                    return Err(bad(
-                        "`[scoring]` requires `fleet.training = \"shared\"` (the CF predictor \
-                         is a shared artifact)",
-                    ));
-                }
             }
         }
         if self.probe.is_some() && !self.controller.kind.is_sturgeon() {
@@ -1435,10 +1412,6 @@ impl Scenario {
                     ("nodes".into(), Value::Number(fleet.nodes as f64)),
                     ("shards".into(), Value::Number(fleet.shards as f64)),
                     ("regions".into(), Value::Number(fleet.regions as f64)),
-                    (
-                        "training".into(),
-                        Value::String(training_name(fleet.training).to_string()),
-                    ),
                     (
                         "dispatch".into(),
                         Value::String(fleet.dispatch.name().to_string()),
@@ -1557,7 +1530,6 @@ impl Scenario {
         Ok(FleetParams {
             shards: fleet.shards,
             regions: fleet.regions,
-            training: fleet.training,
             policy: fleet.dispatch.to_policy(),
             controller: self.controller_params(),
             sampled_nodes: fleet.sampled_nodes,
@@ -2012,6 +1984,10 @@ day_s = 100
         let text = "name = \"x\"\n[workload]\nls = \"memcached\"\nbe = \"raytrace\"\n\
                     [controller]\nkind = \"parties\"\n[fleet]\nnodes = 4\n";
         assert!(err(text).contains("Sturgeon"));
+        // A fleet trains once: only `training = "shared"` is accepted.
+        let text = "name = \"x\"\n[workload]\nls = \"memcached\"\nbe = \"raytrace\"\n\
+                    [fleet]\nnodes = 4\ntraining = \"per-node\"\n";
+        assert!(err(text).contains("training"));
     }
 
     #[test]

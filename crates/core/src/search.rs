@@ -82,6 +82,16 @@ pub enum SearchStrategy {
     FrontierPruned,
 }
 
+/// Maximum relative load drift under which
+/// [`ConfigSearch::best_config_warm`] trusts the previous interval's
+/// configuration as a seed; beyond it the warm path falls back to the full
+/// §V-B search.
+const WARM_START_DRIFT: f64 = 0.20;
+
+/// Half-width of the C1 window scanned around the previous configuration's
+/// LS core count on the warm path.
+const WARM_START_WINDOW: u32 = 2;
+
 /// Search-space limits and toggles.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchParams {
@@ -103,14 +113,6 @@ pub struct SearchParams {
     /// max-frequency edge of the trained domain), the same way RAPL
     /// deployments keep a guard band under the package limit.
     pub power_guard: f64,
-    /// Maximum relative load drift under which
-    /// [`ConfigSearch::best_config_warm`] trusts the previous interval's
-    /// configuration as a seed; beyond it the warm path falls back to the
-    /// full §V-B search.
-    pub warm_start_drift: f64,
-    /// Half-width of the C1 window scanned around the previous
-    /// configuration's LS core count on the warm path.
-    pub warm_start_window: u32,
     /// Which engine [`crate::controller::SturgeonController`] dispatches
     /// its per-interval searches to.
     pub strategy: SearchStrategy,
@@ -123,8 +125,6 @@ impl Default for SearchParams {
             min_be_ways: 1,
             power_load_headroom: 0.08,
             power_guard: 0.02,
-            warm_start_drift: 0.20,
-            warm_start_window: 2,
             strategy: SearchStrategy::default(),
         }
     }
@@ -459,9 +459,9 @@ impl<'p> ConfigSearch<'p> {
     }
 
     /// Warm-started §V-B search: when the load has drifted less than
-    /// [`SearchParams::warm_start_drift`] since `previous` was found, the
-    /// optimal LS core count can only have moved a step or two, so only a
-    /// `± warm_start_window` C1 window around the previous choice is
+    /// `WARM_START_DRIFT` since `previous` was found, the optimal LS
+    /// core count can only have moved a step or two, so only a
+    /// `± WARM_START_WINDOW` C1 window around the previous choice is
     /// rebuilt instead of re-running the full C1 scan. Any doubt — large
     /// drift, no feasible candidate in the window — falls back to
     /// [`best_config`](Self::best_config), so the warm path never returns
@@ -475,13 +475,12 @@ impl<'p> ConfigSearch<'p> {
             return self.best_config(qps);
         };
         let drift = (qps - prev_qps).abs() / prev_qps.max(1.0);
-        if drift > self.params.warm_start_drift {
+        if drift > WARM_START_DRIFT {
             return self.best_config(qps);
         }
         let meter = self.meter();
-        let w = self.params.warm_start_window;
-        let lo = prev.ls.cores.saturating_sub(w).max(1);
-        let hi = (prev.ls.cores + w).min(self.max_c1());
+        let lo = prev.ls.cores.saturating_sub(WARM_START_WINDOW).max(1);
+        let hi = (prev.ls.cores + WARM_START_WINDOW).min(self.max_c1());
 
         let (best, candidates) = self.scan_c1_window(lo, hi, qps, true);
         if best.is_none() {
@@ -987,7 +986,7 @@ mod tests {
         let peak = env.ls().params.peak_qps;
         let prev_qps = 0.2 * peak;
         let prev = search.best_config(prev_qps).best.unwrap();
-        // 250% drift: far past warm_start_drift → must behave exactly like
+        // 250% drift: far past WARM_START_DRIFT → must behave exactly like
         // the cold search.
         let qps = 0.7 * peak;
         let warm = search.best_config_warm(qps, Some((&prev, prev_qps)));

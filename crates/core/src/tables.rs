@@ -325,10 +325,9 @@ impl LsSlab {
 /// the two bitsets (never optimistic: a cell must meet QoS at *both*
 /// surrounding centers) and LS power the pointwise `max` of the two
 /// lattices. At a slab center the bracket degenerates to one slab and
-/// every envelope lookup is bit-identical to the live model call.
-/// [`lerp_power_w`](Self::lerp_power_w) exposes the plain linear
-/// interpolation for validation; the search itself never uses it, since a
-/// lerp can undershoot the live model between centers.
+/// every envelope lookup is bit-identical to the live model call. The
+/// envelope is a `max`, never a linear interpolation: a lerp can
+/// undershoot the live model between centers.
 #[derive(Debug)]
 pub struct LsSlabs {
     generation: u64,
@@ -456,27 +455,6 @@ impl LsSlabs {
     /// How many slab constructions actually ran (as opposed to map hits).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Plain linear interpolation of LS power between the bracketing
-    /// slabs — exposed for bit-closeness validation only; the search uses
-    /// the conservative `max` envelope instead.
-    pub fn lerp_power_w(
-        &self,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        qps: f64,
-        cores: u32,
-        level: usize,
-        ways: u32,
-    ) -> f64 {
-        let a = lo.ls_power_w(cores, level, ways);
-        if lo.bucket() == hi.bucket() {
-            return a;
-        }
-        let b = hi.ls_power_w(cores, level, ways);
-        let t = ((qps - lo.qps()) / (hi.qps() - lo.qps())).clamp(0.0, 1.0);
-        a + (b - a) * t
     }
 }
 
@@ -735,26 +713,6 @@ mod tests {
         // The power lattice was built at the slab center (headroom 0).
         assert_eq!(a.qps(), 20.0);
         assert_eq!(a.ls_power_w(1, 0, 1), 20.0);
-    }
-
-    #[test]
-    fn lerp_power_interpolates_between_slab_centers() {
-        let spec = small_spec();
-        let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
-        let ways = [1, 2, 3];
-        let build = |q: f64, _| {
-            (
-                sweep(&spec, &ways, |_, _, _| true),
-                sweep(&spec, &ways, |_, _, _| q * 2.0),
-            )
-        };
-        let lo = slabs.slab(&spec, 1, build);
-        let hi = slabs.slab(&spec, 2, build);
-        // Halfway between centers 10 and 20 → halfway between 20 and 40.
-        let mid = slabs.lerp_power_w(&lo, &hi, 15.0, 2, 1, 2);
-        assert_eq!(mid, 30.0);
-        // Degenerate bracket returns the slab value verbatim.
-        assert_eq!(slabs.lerp_power_w(&lo, &lo, 10.0, 2, 1, 2), 20.0);
     }
 
     #[test]

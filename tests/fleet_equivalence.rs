@@ -1,15 +1,15 @@
 //! Pinned-seed equivalence between the fleet-scale control plane and
 //! the reference [`Cluster`]: a [`Fleet`] built with one node per shard
-//! in [`TrainingMode::PerNode`] runs the same per-node training, the
-//! same dispatch arithmetic and the same controller trajectory as
-//! today's `Cluster`, so every aggregate must match **bit for bit** —
-//! not approximately. This is the contract that lets the sharded /
-//! shared-artifact fast paths be trusted: they are refactorings of a
-//! loop whose semantics are pinned here.
+//! runs the same dispatch arithmetic and the same controller trajectory
+//! as the `Cluster`, and its one shared training yields the predictor
+//! every `Cluster` node trains for itself, so every aggregate must match
+//! **bit for bit** — not approximately. This suite carries the whole
+//! `Fleet` contract: the sharded / shared-artifact fast paths are
+//! refactorings of a loop whose semantics are pinned here.
 
 use sturgeon::cluster::{Cluster, ClusterResult};
 use sturgeon::dispatch::DispatchPolicy;
-use sturgeon::fleet::{Fleet, FleetBudget, FleetParams, FleetResult, TrainingMode};
+use sturgeon::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
 use sturgeon_workloads::catalog::{BeAppId, LsServiceId};
 use sturgeon_workloads::loadgen::LoadProfile;
 
@@ -88,7 +88,6 @@ fn assert_bit_identical(cluster: &ClusterResult, fleet: &FleetResult) {
 fn fleet_params(n: usize, policy: DispatchPolicy) -> FleetParams {
     FleetParams {
         shards: n, // one node per shard: the Cluster control loop exactly
-        training: TrainingMode::PerNode,
         policy,
         ..FleetParams::default()
     }
@@ -108,7 +107,7 @@ fn per_node_fleet_matches_cluster_even_dispatch() {
         SEED,
     );
     let fr = fleet.run(profile, 50);
-    assert_eq!(fr.trainings, NODES as u64, "per-node mode trains per shard");
+    assert_eq!(fr.trainings, 1, "the fleet trains once");
     assert_bit_identical(&cr, &fr);
 }
 
@@ -145,7 +144,6 @@ fn shared_training_stays_on_the_same_trajectory() {
     let cr = cluster.run(profile.clone(), 40);
     let params = FleetParams {
         shards: NODES,
-        training: TrainingMode::Shared,
         ..FleetParams::default()
     };
     let mut fleet = Fleet::new(pair(), NODES, params, SEED);
