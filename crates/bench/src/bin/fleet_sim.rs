@@ -6,8 +6,7 @@
 //!           [--ls memcached] [--be raytrace]
 //!           [--profile diurnal|triangle|constant|flash|failover]
 //!           [--fraction 0.3] [--policy even|latency] [--search heuristic|pruned]
-//!           [--sampled 0] [--seed 42]
-//!           [--trace PATH.jsonl] [--json PATH.json]
+//!           [--seed 42] [--trace PATH.jsonl] [--json PATH.json]
 //! ```
 //!
 //! Both entry points lower onto the same [`sturgeon::scenario`] code:
@@ -44,7 +43,6 @@ struct Args {
     fraction: f64,
     policy: String,
     search: String,
-    sampled: usize,
     seed: u64,
     trace: Option<PathBuf>,
     json: Option<PathBuf>,
@@ -67,7 +65,6 @@ impl Default for Args {
             fraction: 0.3,
             policy: "even".into(),
             search: "heuristic".into(),
-            sampled: 0,
             seed: 42,
             trace: None,
             json: None,
@@ -133,10 +130,6 @@ fn parse_args() -> Result<Args, String> {
                 args.search = value.clone();
                 explicit("--search");
             }
-            "--sampled" => {
-                args.sampled = value.parse().map_err(|_| format!("bad sampled {value}"))?;
-                explicit("--sampled");
-            }
             "--seed" => {
                 args.seed = value.parse().map_err(|_| format!("bad seed {value}"))?;
                 explicit("--seed");
@@ -162,8 +155,7 @@ fn usage() {
                  [--nodes N] [--intervals N] [--shards N|0=auto] [--regions N] \\
                  [--ls memcached|xapian|img-dnn] [--be raytrace|...] \\
                  [--profile diurnal|triangle|constant|flash|failover] [--fraction F] \\
-                 [--policy even|latency] [--search heuristic|pruned] \\
-                 [--sampled N] [--seed N] \\
+                 [--policy even|latency] [--search heuristic|pruned] [--seed N] \\
                  [--trace PATH.jsonl] [--json PATH.json]"
     );
 }
@@ -214,7 +206,6 @@ fn scenario_from_flags(args: &Args) -> Result<Scenario, String> {
             shards: args.shards,
             regions: args.regions,
             dispatch,
-            sampled_nodes: args.sampled,
         }),
         budget: None,
         placement: None,

@@ -147,6 +147,7 @@ fn main() {
     println!("=> power safety and the PARTIES advantage generalize to every uncalibrated pair.");
     println!("   canneal/streamcluster generate more memory traffic than any paper app, so");
     println!("   their interference exceeds what the balancer was designed to absorb — these");
-    println!("   are the co-runners `sturgeon::placement::BePlacer` exists to steer away from");
-    println!("   latency-critical nodes in the first place.");
+    println!("   are the co-runners to keep off latency-critical nodes in the first place;");
+    println!("   their traffic also gives them the largest per-app contention sigma in");
+    println!("   `sturgeon::scoring::catalog_sigma`, which fleet placement values them by.");
 }

@@ -295,18 +295,26 @@ impl BudgetTree {
     /// Post-condition (the reclamation invariant): at every internal
     /// element, the children's effective caps sum to at most the
     /// element's effective cap, and every element's effective cap is at
-    /// most its set cap.
+    /// most its set cap. Reclamation never grants: a leaf's effective
+    /// cap is also at most its nominal cap, even when a node-level
+    /// relax set it higher.
     pub fn reclaim(&mut self, leaf_demands_w: Option<&[f64]>) {
         if let Some(d) = leaf_demands_w {
             assert_eq!(d.len(), self.levels[0].len(), "one demand per leaf");
         }
+        let leaf_caps: Vec<f64> = self.levels[0]
+            .cap_w
+            .iter()
+            .zip(&self.levels[0].nominal_w)
+            .map(|(&c, &n)| c.min(n))
+            .collect();
         // Aggregate demands bottom-up: an element's demand is the sum of
         // its leaves' demands, clamped into [0, set cap].
         let mut demands: [Vec<f64>; 4] = [
             match leaf_demands_w {
                 Some(d) => d
                     .iter()
-                    .zip(&self.levels[0].cap_w)
+                    .zip(&leaf_caps)
                     .map(|(&d, &c)| d.max(0.0).min(c))
                     .collect(),
                 None => vec![0.0; self.levels[0].len()],
@@ -338,9 +346,10 @@ impl BudgetTree {
             for i in 0..level.len() {
                 let lo = level.child_lo[i];
                 let hi = level.child_hi[i];
+                let caps = if ix == 1 { &leaf_caps } else { &below.cap_w };
                 apportion(
                     level.eff_w[i],
-                    &below.cap_w[lo..hi],
+                    &caps[lo..hi],
                     &demands[ix - 1][lo..hi],
                     &mut below.eff_w[lo..hi],
                 );
@@ -529,6 +538,22 @@ mod tests {
         t.reclaim(Some(&[80.0, 20.0, 50.0, 50.0]));
         assert_eq!(t.leaf_caps_w(), &[100.0; 4]);
         assert_eq!(t.reclaimed_w(), 0.0);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn node_relax_above_nominal_grants_nothing() {
+        let mut t = BudgetTree::uniform(2, 100.0, 1, 1).unwrap();
+        t.set_cap(BudgetLevel::Node, 0, BudgetCap::FractionOfNominal(1.4))
+            .unwrap();
+        t.reclaim(Some(&[130.0, 20.0]));
+        assert_eq!(t.leaf_caps_w(), &[100.0, 100.0]);
+        t.set_cap(BudgetLevel::Datacenter, 0, BudgetCap::Watts(150.0))
+            .unwrap();
+        t.reclaim(Some(&[130.0, 20.0]));
+        let caps = t.leaf_caps_w();
+        assert!(caps[0] <= 100.0 && caps[1] <= 100.0, "caps {caps:?}");
+        assert!((caps[0] + caps[1] - 150.0).abs() < 1e-9);
         t.check_invariants().unwrap();
     }
 

@@ -224,12 +224,6 @@ impl PredictionCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Resets hit/miss counters (entries are kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
     /// Drops every memoized entry. Must be called whenever the underlying
     /// models change (retraining); counters are kept so overhead
     /// accounting spans invalidations.

@@ -177,7 +177,6 @@ pub struct SturgeonController {
     /// live observations refit a latency model that vetoes search results
     /// the offline models mispredict under this node's real interference.
     adaptor: Option<OnlineAdaptor>,
-    adaptor_vetoes: u64,
     /// Bit-pattern signature of the previous observation's measured
     /// channels, used to detect frozen telemetry.
     last_obs_sig: Option<(u64, u64, u64)>,
@@ -244,7 +243,6 @@ impl SturgeonController {
             rejected: Vec::new(),
             searches: 0,
             adaptor: None,
-            adaptor_vetoes: 0,
             last_obs_sig: None,
             stale_streak: 0,
             stale_intervals: 0,
@@ -312,11 +310,6 @@ impl SturgeonController {
         self.rejected.clear();
     }
 
-    /// True while the BE side is parked by the placement layer.
-    pub fn is_be_idle(&self) -> bool {
-        self.be_idle
-    }
-
     /// True when the balancer has run out of harvest moves while QoS
     /// keeps violating — the placement layer's second migration trigger
     /// besides safe mode.
@@ -330,11 +323,6 @@ impl SturgeonController {
     pub fn with_adaptation(mut self, adaptor: OnlineAdaptor) -> Self {
         self.adaptor = Some(adaptor);
         self
-    }
-
-    /// Number of search results the online adaptor rejected and hardened.
-    pub fn adaptation_veto_count(&self) -> u64 {
-        self.adaptor_vetoes
     }
 
     /// The trained predictor (for inspection and the overhead benches).
@@ -491,10 +479,6 @@ impl SturgeonController {
                     config.ls.cores += 1;
                     config.be.cores -= 1;
                     hardened += 1;
-                }
-                if hardened > 0 {
-                    self.adaptor_vetoes += 1;
-                    self.last_search_config = Some(config);
                 }
             }
         }

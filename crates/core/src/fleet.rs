@@ -16,23 +16,29 @@
 //!   (balancer, warm hints, `FrontierCache`) stays private.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
 //!   shards, each stepped as one rayon task over an SoA slab of node
-//!   state (qps/p95/power/config arrays) instead of a `Vec` of heap-fat
-//!   per-node structs. One Sturgeon controller runs per shard, driven
-//!   by the shard-mean observation; per-node environments keep their
-//!   own interference processes, so node telemetry still diverges the
-//!   way real machines do. With one node per shard this degenerates to
-//!   exactly the `Cluster` control loop.
+//!   state (last-interval power/throughput plus running sums) instead
+//!   of a `Vec` of heap-fat per-node structs. One Sturgeon controller
+//!   runs per shard, driven by the shard-mean observation; per-node
+//!   environments keep their own interference processes, so node
+//!   telemetry still diverges the way real machines do. With one node
+//!   per shard this degenerates to exactly the `Cluster` control loop.
 //! * **Streaming aggregation** — shards fold telemetry into running
 //!   sums and fixed-bucket histograms as they step; nothing is replayed
 //!   after the run, so memory is O(nodes + shards), independent of the
-//!   interval count. An opt-in sampled-node full log remains for
-//!   debugging, and one shard can stream decision traces to a
+//!   interval count. One shard can stream decision traces to a
 //!   [`TraceSink`].
 //!
 //! Regions map to contiguous shard groups: each region has its own
 //! dispatcher and can follow its own [`LoadProfile`], which is how the
 //! regional-failover composition drives part of the fleet to zero while
 //! the survivors absorb the traffic.
+//!
+//! With [`FleetParams::placement`] set, the fleet holds one
+//! [`ScoredPlacementEngine`] and calls its `plan` directly every
+//! `interval_s` intervals. The engine owns the cadence, the slot count
+//! and the scoring tier; each shard's counted BE throughput is scaled by
+//! the engine's own [`ScoredPlacementEngine::score_jobs`], so what the
+//! fleet counts and what the plan values cannot drift apart.
 
 use crate::budget::{even_split, BudgetEvent, BudgetTree};
 use crate::cluster::NodeResult;
@@ -46,8 +52,7 @@ use crate::obs::{
     Histogram, MetricsRegistry, RunningStats, TraceEvent, TraceSink, DEFAULT_BUCKETS,
 };
 use crate::placement::{
-    co_runner_score, FleetView, PlacementAction, PlacementEngine, PlacementParams,
-    PlacementScoring, ScoredPlacementEngine, UnitView,
+    FleetView, PlacementAction, PlacementParams, PlacementScoring, ScoredPlacementEngine, UnitView,
 };
 use crate::predictor::PerfPowerPredictor;
 use crate::scoring::{
@@ -55,7 +60,7 @@ use crate::scoring::{
 };
 use rayon::prelude::*;
 use std::sync::Arc;
-use sturgeon_simnode::{IntervalSample, NodeSpec, PairConfig, TelemetryLog};
+use sturgeon_simnode::{NodeSpec, PairConfig};
 use sturgeon_workloads::catalog::BeAppId;
 use sturgeon_workloads::env::CoLocationEnv;
 use sturgeon_workloads::env::Observation;
@@ -104,9 +109,6 @@ pub struct FleetParams {
     pub policy: DispatchPolicy,
     /// Controller tunables applied to every shard controller.
     pub controller: ControllerParams,
-    /// Keep a full [`TelemetryLog`] for the first `sampled_nodes` nodes
-    /// of the fleet (debugging aid; 0 keeps streaming aggregates only).
-    pub sampled_nodes: usize,
     /// Stream this shard's decision trace (telemetry samples plus its
     /// controller's events) through the sink passed to
     /// [`Fleet::run_regional_traced`].
@@ -132,7 +134,6 @@ impl Default for FleetParams {
             regions: 1,
             policy: DispatchPolicy::Even,
             controller: ControllerParams::default(),
-            sampled_nodes: 0,
             traced_shard: None,
             budget: None,
             placement: None,
@@ -142,17 +143,15 @@ impl Default for FleetParams {
 }
 
 /// Per-node state kept as parallel arrays — the contiguous slab one
-/// shard steps over. Current-interval channels are overwritten each
-/// step; `sum_*` channels accumulate in time order so the end-of-run
-/// per-node aggregates reproduce [`TelemetryLog`]'s formulas exactly.
+/// shard steps over. The last-interval channels (`power_w`, `be_tput`)
+/// are overwritten each step and feed budget demand and placement;
+/// `sum_*` channels accumulate in time order so the end-of-run per-node
+/// aggregates reproduce [`sturgeon_simnode::TelemetryLog`]'s formulas
+/// exactly.
 #[derive(Debug, Default)]
 struct NodeSlab {
-    qps: Vec<f64>,
-    p95_ms: Vec<f64>,
-    in_target: Vec<f64>,
     power_w: Vec<f64>,
     be_tput: Vec<f64>,
-    config: Vec<PairConfig>,
     sum_qps: Vec<f64>,
     sum_in_target_qps: Vec<f64>,
     sum_be_tput: Vec<f64>,
@@ -161,14 +160,10 @@ struct NodeSlab {
 }
 
 impl NodeSlab {
-    fn new(n: usize, config: PairConfig) -> Self {
+    fn new(n: usize) -> Self {
         Self {
-            qps: vec![0.0; n],
-            p95_ms: vec![0.0; n],
-            in_target: vec![0.0; n],
             power_w: vec![0.0; n],
             be_tput: vec![0.0; n],
-            config: vec![config; n],
             sum_qps: vec![0.0; n],
             sum_in_target_qps: vec![0.0; n],
             sum_be_tput: vec![0.0; n],
@@ -244,8 +239,6 @@ struct Shard {
     last_mean_p95: f64,
     /// Per-node load share staged for the interval being stepped.
     next_qps_per_node: f64,
-    /// Sampled nodes (local index, full log) for debugging.
-    sampled: Vec<(usize, TelemetryLog)>,
     /// BE jobs multiplexed on this shard's BE partition (1 without a
     /// placement engine — the static assignment).
     be_jobs: u32,
@@ -277,7 +270,6 @@ impl Shard {
             power_hist,
             tput_hist,
             p95_run,
-            sampled,
             job_factor,
             traced,
             trace,
@@ -295,9 +287,6 @@ impl Shard {
             // With the default single pinned job the factor is exactly
             // 1.0 and the product is bit-identical to the raw value.
             let counted_tput = obs.be_throughput_norm * *job_factor;
-            slab.qps[i] = obs.qps;
-            slab.p95_ms[i] = obs.p95_ms;
-            slab.in_target[i] = obs.in_target_fraction;
             slab.power_w[i] = obs.power_w;
             slab.be_tput[i] = counted_tput;
             slab.sum_qps[i] += obs.qps;
@@ -314,18 +303,6 @@ impl Shard {
             sums.add(&obs);
         }
         self.intervals_stepped += 1;
-        for (local, log) in sampled.iter_mut() {
-            let i = *local;
-            log.push(IntervalSample {
-                t_s: self.intervals_stepped as f64,
-                qps: slab.qps[i],
-                p95_ms: slab.p95_ms[i],
-                in_target_fraction: slab.in_target[i],
-                power_w: slab.power_w[i],
-                be_throughput_norm: slab.be_tput[i],
-                config: slab.config[i],
-            });
-        }
         let mean = sums.mean(envs.len() as f64);
         self.last_mean_p95 = mean.p95_ms;
         if *traced {
@@ -344,7 +321,6 @@ impl Shard {
                 "controller returned invalid config"
             );
             *config = next;
-            slab.config.fill(next);
         }
         if *traced {
             trace.extend(controller.take_trace());
@@ -409,14 +385,11 @@ pub struct FleetResult {
     pub set_scores: u64,
 }
 
-/// BE-placement runtime state: the engine, its cadence, and the queue
-/// of evicted jobs awaiting reassignment.
+/// BE-placement runtime state: the engine (which owns the cadence, slot
+/// count and scoring tier) and the queue of evicted jobs awaiting
+/// reassignment.
 struct PlacementRuntime {
-    engine: Box<dyn PlacementEngine + Send>,
-    params: PlacementParams,
-    /// Scoring tier mirrored from the engine, used to refresh each
-    /// shard's counted-throughput factor (`None` = legacy global σ).
-    scoring: Option<PlacementScoring>,
+    engine: ScoredPlacementEngine,
     queued_jobs: u32,
     migrations: u64,
     evictions: u64,
@@ -550,10 +523,6 @@ impl Fleet {
                         .clone()
                 })
                 .collect();
-            let sampled = (0..len)
-                .filter(|i| first_node + i < params.sampled_nodes)
-                .map(|i| (i, TelemetryLog::new()))
-                .collect();
             let mut controller = controller;
             let traced = params.traced_shard == Some(s);
             if traced {
@@ -564,7 +533,7 @@ impl Fleet {
                 envs,
                 controller,
                 config,
-                slab: NodeSlab::new(len, config),
+                slab: NodeSlab::new(len),
                 budget_w,
                 intervals_stepped: 0,
                 p95_hist: Histogram::new(&DEFAULT_BUCKETS),
@@ -573,7 +542,6 @@ impl Fleet {
                 p95_run: RunningStats::new(),
                 last_mean_p95: 0.0,
                 next_qps_per_node: 0.0,
-                sampled,
                 be_jobs: 1,
                 job_factor: 1.0,
                 traced,
@@ -672,13 +640,11 @@ impl Fleet {
                     params.controller.search,
                     p,
                 );
-                if let Some(scoring) = placement_scoring.clone() {
+                if let Some(scoring) = placement_scoring {
                     engine = engine.with_scoring(scoring);
                 }
                 Some(PlacementRuntime {
-                    engine: Box::new(engine),
-                    params: p,
-                    scoring: placement_scoring,
+                    engine,
                     queued_jobs: 0,
                     migrations: 0,
                     evictions: 0,
@@ -741,19 +707,6 @@ impl Fleet {
     /// Aggregate peak capacity (QPS) of the fleet.
     pub fn peak_qps(&self) -> f64 {
         self.peak_qps_per_node * self.node_count as f64
-    }
-
-    /// Full telemetry logs of the sampled nodes, as
-    /// `(global node index, log)` in node order.
-    pub fn sampled_logs(&self) -> Vec<(usize, &TelemetryLog)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (local, log) in &shard.sampled {
-                out.push((shard.first_node + local, log));
-            }
-        }
-        out.sort_by_key(|(i, _)| *i);
-        out
     }
 
     /// Runs the fleet for `duration_s` intervals under one fleet-wide
@@ -849,7 +802,7 @@ impl Fleet {
             let due = self
                 .placement
                 .as_ref()
-                .is_some_and(|rt| (t + 1) % rt.params.interval_s == 0);
+                .is_some_and(|rt| (t + 1) % rt.engine.params().interval_s == 0);
             if due {
                 self.run_placement((t + 1) as f64, &mut sink);
             }
@@ -917,9 +870,10 @@ impl Fleet {
     /// factor / idle flag and re-apportion the budget so reclaimed watts
     /// follow the jobs.
     fn run_placement(&mut self, t_s: f64, sink: &mut Option<&mut dyn TraceSink>) {
-        let Some(mut rt) = self.placement.take() else {
+        let Some(rt) = self.placement.as_mut() else {
             return;
         };
+        let be_slots = rt.engine.params().be_slots;
         let view = FleetView {
             t_s,
             be: self.be,
@@ -936,7 +890,7 @@ impl Fleet {
                     safe_mode: s.controller.in_safe_mode(),
                     exhausted: s.controller.balancer_exhausted(),
                     be_jobs: s.be_jobs,
-                    be_slots: rt.params.be_slots,
+                    be_slots,
                     last_be_tput: s.slab.be_tput.iter().sum(),
                 })
                 .collect(),
@@ -949,7 +903,7 @@ impl Fleet {
                     let Some(shard) = self.shards.get_mut(unit) else {
                         continue;
                     };
-                    if rt.queued_jobs == 0 || shard.be_jobs >= rt.params.be_slots {
+                    if rt.queued_jobs == 0 || shard.be_jobs >= be_slots {
                         continue;
                     }
                     rt.queued_jobs -= 1;
@@ -969,9 +923,7 @@ impl Fleet {
                     if from == to || from >= self.shards.len() || to >= self.shards.len() {
                         continue;
                     }
-                    if self.shards[from].be_jobs == 0
-                        || self.shards[to].be_jobs >= rt.params.be_slots
-                    {
+                    if self.shards[from].be_jobs == 0 || self.shards[to].be_jobs >= be_slots {
                         continue;
                     }
                     self.shards[from].be_jobs -= 1;
@@ -1010,16 +962,13 @@ impl Fleet {
             }
         }
         // Refresh counted-throughput factors and park/unpark partitions.
-        // The factor follows the engine's scoring tier so counted
-        // throughput and placement valuation agree on what a multiplexed
-        // partition is worth.
+        // The factor is the engine's own valuation, so counted throughput
+        // and placement agree on what a multiplexed partition is worth.
+        let learned = matches!(rt.engine.scoring(), Some(PlacementScoring::Learned(_)));
         for (unit, shard) in self.shards.iter_mut().enumerate() {
-            shard.job_factor = match &rt.scoring {
-                None => co_runner_score(shard.be_jobs, rt.params.sigma),
-                Some(scoring) => scoring.factor(self.be, shard.be_jobs),
-            };
+            shard.job_factor = rt.engine.score_jobs(self.be, shard.be_jobs);
             shard.controller.set_be_idle(shard.be_jobs == 0);
-            if matches!(rt.scoring, Some(PlacementScoring::Learned(_))) && shard.be_jobs > 0 {
+            if learned && shard.be_jobs > 0 {
                 self.set_scores += 1;
                 if let Some(sink) = sink.as_deref_mut() {
                     sink.record(&TraceEvent::SetScored {
@@ -1031,7 +980,6 @@ impl Fleet {
                 }
             }
         }
-        self.placement = Some(rt);
         // Watts follow the jobs: parked partitions stop drawing BE power,
         // so a fresh demand-aware apportionment shifts their headroom to
         // job-holding shards (never above nominal per-node caps).
@@ -1294,16 +1242,10 @@ mod tests {
     fn streaming_memory_is_independent_of_duration() {
         let params = FleetParams {
             shards: 2,
-            sampled_nodes: 1,
             ..FleetParams::default()
         };
         let mut fleet = Fleet::new(pair(), 8, params, 11);
         let r = fleet.run(LoadProfile::paper_fluctuating(60.0), 120);
-        // One sampled node holds a full log; everything else streams.
-        let logs = fleet.sampled_logs();
-        assert_eq!(logs.len(), 1);
-        assert_eq!(logs[0].0, 0);
-        assert_eq!(logs[0].1.len(), 120);
         // The streamed aggregates saw every node-interval.
         let registry = MetricsRegistry::new();
         fleet.export_metrics(&r, &registry);

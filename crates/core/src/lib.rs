@@ -84,8 +84,8 @@ pub mod prelude {
     };
     pub use crate::online::{OnlineAdaptor, OnlineAdaptorConfig, OnlineSample};
     pub use crate::placement::{
-        co_runner_score, BePlacer, FleetView, PlacementAction, PlacementDecision, PlacementEngine,
-        PlacementParams, PlacementPlan, PlacementScoring, ScoredPlacementEngine, UnitView,
+        co_runner_score, FleetView, PlacementAction, PlacementParams, PlacementPlan,
+        PlacementScoring, ScoredPlacementEngine, UnitView,
     };
     pub use crate::predictor::{ModelKind, PerfPowerPredictor, PredictorConfig};
     pub use crate::profiler::{ProfileDatasets, Profiler, ProfilerConfig};

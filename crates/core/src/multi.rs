@@ -22,7 +22,7 @@
 use crate::predictor::{make_classifier, make_regressor, PredictorConfig};
 use crate::profiler::features;
 use crate::scoring::SetScorer;
-use crate::search::{greatest_satisfying, least_satisfying};
+use crate::search::least_satisfying;
 use crate::tables::BeLattice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -552,17 +552,6 @@ impl<'m> MultiSearch<'m> {
     fn marginal_way_gain(&self, idx: usize, a: &Allocation, f: f64) -> f64 {
         self.be[idx].throughput(a.cores, f, a.llc_ways + 1)
             - self.be[idx].throughput(a.cores, f, a.llc_ways)
-    }
-
-    /// Maximum feasible frequency for a single BE partition given a fixed
-    /// remainder of the budget (utility for the controller's harvest path).
-    pub fn max_be_level_within(&self, idx: usize, alloc: &Allocation, budget_w: f64) -> usize {
-        let top = self.spec.max_freq_level();
-        greatest_satisfying(0, top as u32, |f| {
-            self.be[idx].power_w(alloc.cores, self.spec.freq_ghz(f as usize), alloc.llc_ways)
-                <= budget_w
-        })
-        .map_or(0, |f| f as usize)
     }
 }
 

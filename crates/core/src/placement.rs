@@ -6,38 +6,33 @@
 //! *keep* deciding: a node that falls into safe mode or loses its cap
 //! produces no BE throughput, so its job should run somewhere else.
 //!
-//! The [`PlacementEngine`] trait is that fleet-level optimizer: it is
-//! handed a [`FleetView`] (one [`UnitView`] per serving unit — a fleet
-//! shard) and returns a [`PlacementPlan`] of assign/migrate/evict
-//! actions. Candidates are scored with the same machinery the per-node
-//! controller trusts — the §V-B search over the predictor (table-backed
-//! under [`SearchStrategy::FrontierPruned`], where the `ModelTables`
-//! lattices drive the pruning) — times a **co-runner interference
-//! score** ([`co_runner_score`]): jobs multiplexed onto one BE
-//! partition contribute diminishing throughput, the scoring-mechanism
+//! [`ScoredPlacementEngine`] is that fleet-level optimizer, and
+//! [`crate::fleet::Fleet`] calls it directly at shard-interval
+//! boundaries: it is handed a [`FleetView`] (one [`UnitView`] per
+//! serving unit — a fleet shard) and returns a [`PlacementPlan`] of
+//! assign/migrate/evict actions, greedy marginal-gain moves away from
+//! safe-mode/exhausted units that never target a unit in safe mode or
+//! without a free slot. Candidates are scored with the same machinery
+//! the per-node controller trusts — the §V-B search over the predictor
+//! (table-backed under [`SearchStrategy::FrontierPruned`], where the
+//! `ModelTables` lattices drive the pruning) — times a **co-runner
+//! interference score** ([`co_runner_score`]): jobs multiplexed onto one
+//! BE partition contribute diminishing throughput, the scoring-mechanism
 //! template from the large-cluster interference literature.
-//!
-//! Two implementations live here:
-//!
-//! * [`ScoredPlacementEngine`] — the fleet engine
-//!   [`crate::fleet::Fleet`] consults at shard-interval boundaries:
-//!   greedy marginal-gain moves away from safe-mode/exhausted units,
-//!   never targeting a unit in safe mode or without a free slot.
-//! * [`BePlacer`] — the original per-node candidate ranker, now an
-//!   adapter implementing the same trait over empty units.
 //!
 //! When the `[scoring]` subsystem is active, the closed-form
 //! [`co_runner_score`] gives way to per-app coefficients or the learned
 //! [`SetScorer`] (see [`PlacementScoring`]): a candidate *set* of jobs
-//! is valued by which applications it mixes, not just how many.
+//! is valued by which applications it mixes, not just how many. The
+//! fleet counts a multiplexed partition's throughput with the same
+//! [`ScoredPlacementEngine::score_jobs`] the plan values it with.
 
-use crate::experiment::{ColocationPair, ExperimentSetup};
 use crate::predictor::PerfPowerPredictor;
 use crate::scoring::{catalog_sigma, SetScorer};
 use crate::search::{ConfigSearch, SearchParams, SearchStrategy};
 use std::sync::Arc;
-use sturgeon_simnode::{NodeSpec, PairConfig};
-use sturgeon_workloads::catalog::{BeAppId, LsServiceId};
+use sturgeon_simnode::NodeSpec;
+use sturgeon_workloads::catalog::BeAppId;
 
 /// Everything the placement engine may know about one serving unit (a
 /// fleet shard: a contiguous node range under one controller).
@@ -67,7 +62,7 @@ pub struct UnitView {
     pub last_be_tput: f64,
 }
 
-/// The fleet snapshot handed to [`PlacementEngine::plan`].
+/// The fleet snapshot handed to [`ScoredPlacementEngine::plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetView {
     /// Interval timestamp (s).
@@ -122,16 +117,6 @@ impl PlacementPlan {
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
-}
-
-/// A fleet-aware placement policy: look at every serving unit, return
-/// the job moves worth making.
-pub trait PlacementEngine {
-    /// Display name used in reports and traces.
-    fn name(&self) -> &'static str;
-
-    /// Computes the actions to apply at this boundary.
-    fn plan(&mut self, view: &FleetView) -> PlacementPlan;
 }
 
 /// Normalized total throughput of `jobs` identical jobs multiplexed on
@@ -371,14 +356,10 @@ impl ScoredPlacementEngine {
         debug_assert!(jobs > 0);
         self.value(i, jobs) - self.value(i, jobs - 1)
     }
-}
 
-impl PlacementEngine for ScoredPlacementEngine {
-    fn name(&self) -> &'static str {
-        "scored"
-    }
-
-    fn plan(&mut self, view: &FleetView) -> PlacementPlan {
+    /// Computes the actions to apply at this boundary: look at every
+    /// serving unit, return the job moves worth making.
+    pub fn plan(&mut self, view: &FleetView) -> PlacementPlan {
         let n = view.units.len();
         self.health.resize(n, 1.0);
         self.base.clear();
@@ -393,7 +374,6 @@ impl PlacementEngine for ScoredPlacementEngine {
             .unwrap_or(0)
             + 1;
         self.score_k = (0..=max_k).map(|k| self.score_jobs(view.be, k)).collect();
-        let debug = std::env::var_os("STURGEON_PLACEMENT_DEBUG").is_some();
         for (i, u) in view.units.iter().enumerate() {
             let modeled = self.modeled_value(u);
             let (target, alpha) = self.health_target(u, modeled);
@@ -405,22 +385,6 @@ impl PlacementEngine for ScoredPlacementEngine {
             } else {
                 modeled * self.health[i]
             };
-            if debug {
-                eprintln!(
-                    "placement t={:>5.0} unit {i}: qps/node={:>7.0} cap={:>5.1}W safe={} exh={} \
-                     jobs={} tput={:.3} modeled={:.3} health={:.3} base={:.3}",
-                    view.t_s,
-                    u.qps_per_node,
-                    u.cap_w,
-                    u.safe_mode as u8,
-                    u.exhausted as u8,
-                    u.be_jobs,
-                    u.last_be_tput,
-                    modeled,
-                    self.health[i],
-                    base
-                );
-            }
             self.base.push(base);
         }
         self.jobs.extend(view.units.iter().map(|u| u.be_jobs));
@@ -513,225 +477,11 @@ impl PlacementEngine for ScoredPlacementEngine {
     }
 }
 
-/// The outcome of evaluating one candidate at one load.
-#[derive(Debug, Clone)]
-pub struct PlacementDecision {
-    /// The candidate BE application.
-    pub be: BeAppId,
-    /// Best feasible configuration found for it (`None` when the search
-    /// could not find any feasible co-location at this load).
-    pub config: Option<PairConfig>,
-    /// Predicted normalized throughput of that configuration.
-    pub predicted_throughput: f64,
-}
-
-/// A placement engine for one LS service over a fixed candidate set.
-///
-/// Construction runs the offline phase (profiling + training) once per
-/// candidate; [`BePlacer::evaluate`] and [`BePlacer::select`] are then
-/// cheap enough to run at scheduling time, and the [`PlacementEngine`]
-/// impl adapts the same ranking to the fleet API: each empty, healthy
-/// unit is assigned the best-scoring feasible candidate at that unit's
-/// own load and cap.
-pub struct BePlacer {
-    spec: NodeSpec,
-    budget_w: f64,
-    ls: LsServiceId,
-    candidates: Vec<(BeAppId, PerfPowerPredictor)>,
-}
-
-impl std::fmt::Debug for BePlacer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BePlacer")
-            .field("ls", &self.ls.name())
-            .field("budget_w", &self.budget_w)
-            .field("candidates", &self.candidates.len())
-            .finish()
-    }
-}
-
-impl BePlacer {
-    /// Trains a predictor per candidate pair (offline phase).
-    pub fn new(ls: LsServiceId, candidates: &[BeAppId], seed: u64) -> Self {
-        assert!(!candidates.is_empty(), "at least one candidate");
-        let mut trained = Vec::with_capacity(candidates.len());
-        let mut spec = NodeSpec::xeon_e5_2630_v4();
-        let mut budget = 0.0;
-        for &be in candidates {
-            let setup = ExperimentSetup::new(ColocationPair::new(ls, be), seed);
-            spec = setup.spec().clone();
-            budget = setup.budget_w();
-            trained.push((be, setup.train_default_predictor()));
-        }
-        Self {
-            spec,
-            budget_w: budget,
-            ls,
-            candidates: trained,
-        }
-    }
-
-    /// The LS service this placer serves.
-    pub fn ls(&self) -> LsServiceId {
-        self.ls
-    }
-
-    /// Candidate count.
-    pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// The per-node power budget the candidates were profiled under.
-    pub fn budget_w(&self) -> f64 {
-        self.budget_w
-    }
-
-    /// Evaluates every candidate at the given LS load under the given
-    /// per-node power cap, best first.
-    pub fn evaluate(&self, qps: f64, cap_w: f64) -> Vec<PlacementDecision> {
-        let mut out: Vec<PlacementDecision> = self
-            .candidates
-            .iter()
-            .map(|(be, predictor)| {
-                let search =
-                    ConfigSearch::new(predictor, self.spec.clone(), cap_w, SearchParams::default());
-                let outcome = search.best_config(qps);
-                PlacementDecision {
-                    be: *be,
-                    config: outcome.best,
-                    predicted_throughput: outcome.predicted_throughput,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| b.predicted_throughput.total_cmp(&a.predicted_throughput));
-        out
-    }
-
-    /// The single best candidate at the given load and cap (`None` when
-    /// no candidate has any feasible configuration).
-    pub fn select(&self, qps: f64, cap_w: f64) -> Option<PlacementDecision> {
-        self.evaluate(qps, cap_w)
-            .into_iter()
-            .find(|d| d.config.is_some())
-    }
-}
-
-impl PlacementEngine for BePlacer {
-    fn name(&self) -> &'static str {
-        "be-placer"
-    }
-
-    /// Assigns the best feasible candidate to every empty, healthy
-    /// unit, at that unit's own load and effective cap. Units already
-    /// hosting jobs, in safe mode, or without a free slot are left
-    /// alone — this adapter places, it does not migrate.
-    fn plan(&mut self, view: &FleetView) -> PlacementPlan {
-        let mut plan = PlacementPlan::default();
-        for unit in &view.units {
-            if unit.be_jobs > 0 || unit.safe_mode || unit.be_slots == 0 {
-                continue;
-            }
-            let cap = if unit.cap_w > 0.0 {
-                unit.cap_w
-            } else {
-                self.budget_w
-            };
-            if let Some(d) = self.select(unit.qps_per_node, cap) {
-                plan.actions.push(PlacementAction::Assign {
-                    unit: unit.unit,
-                    be: d.be,
-                });
-            }
-        }
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn placer() -> BePlacer {
-        BePlacer::new(
-            LsServiceId::Memcached,
-            &[
-                BeAppId::Ferret,
-                BeAppId::Fluidanimate,
-                BeAppId::Blackscholes,
-            ],
-            42,
-        )
-    }
-
-    fn unit(i: usize, jobs: u32, safe: bool) -> UnitView {
-        UnitView {
-            unit: i,
-            first_node: i * 4,
-            nodes: 4,
-            qps_per_node: 0.3 * 60_000.0,
-            cap_w: 0.0,
-            safe_mode: safe,
-            exhausted: false,
-            be_jobs: jobs,
-            be_slots: 2,
-            last_be_tput: 0.5,
-        }
-    }
-
-    #[test]
-    fn ranks_all_candidates_descending() {
-        let p = placer();
-        let ranked = p.evaluate(0.3 * 60_000.0, p.budget_w());
-        assert_eq!(ranked.len(), 3);
-        for w in ranked.windows(2) {
-            assert!(w[0].predicted_throughput >= w[1].predicted_throughput);
-        }
-    }
-
-    #[test]
-    fn chooses_a_feasible_candidate() {
-        let p = placer();
-        let d = p
-            .select(0.25 * 60_000.0, p.budget_w())
-            .expect("feasible at low load");
-        let cfg = d.config.expect("config present");
-        assert!(cfg.validate(&NodeSpec::xeon_e5_2630_v4()).is_ok());
-        assert!(d.predicted_throughput > 0.0);
-    }
-
-    #[test]
-    fn no_candidate_at_impossible_load() {
-        let p = placer();
-        assert!(p.select(10.0 * 60_000.0, p.budget_w()).is_none());
-    }
-
-    #[test]
-    fn ranking_shifts_with_load() {
-        // The winner at 20% load need not win at 70% — preference depends
-        // on what the LS service leaves behind. We only assert the
-        // evaluation runs and returns sane numbers at both points.
-        let p = placer();
-        let low = p.evaluate(0.2 * 60_000.0, p.budget_w());
-        let high = p.evaluate(0.7 * 60_000.0, p.budget_w());
-        assert!(low[0].predicted_throughput >= high[0].predicted_throughput);
-    }
-
-    #[test]
-    fn adapter_assigns_only_empty_healthy_units() {
-        let mut p = placer();
-        let view = FleetView {
-            t_s: 0.0,
-            be: BeAppId::Ferret,
-            units: vec![unit(0, 0, false), unit(1, 1, false), unit(2, 0, true)],
-            queued_jobs: 0,
-        };
-        let plan = p.plan(&view);
-        assert_eq!(plan.actions.len(), 1);
-        assert!(matches!(
-            plan.actions[0],
-            PlacementAction::Assign { unit: 0, .. }
-        ));
-    }
+    use crate::experiment::{ColocationPair, ExperimentSetup};
+    use sturgeon_workloads::catalog::LsServiceId;
 
     #[test]
     fn score_jobs_has_three_tiers() {

@@ -63,18 +63,6 @@ impl ModelKind {
         ]
     }
 
-    /// The paper's five families plus this crate's extensions.
-    pub fn all_extended() -> [ModelKind; 6] {
-        [
-            ModelKind::DecisionTree,
-            ModelKind::Knn,
-            ModelKind::Sv,
-            ModelKind::Mlp,
-            ModelKind::Lr,
-            ModelKind::RandomForest,
-        ]
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {

@@ -201,8 +201,6 @@ pub struct FleetSpec {
     pub regions: usize,
     /// Per-region dispatch policy.
     pub dispatch: FleetDispatch,
-    /// Keep full telemetry logs for the first N nodes.
-    pub sampled_nodes: usize,
 }
 
 impl Default for FleetSpec {
@@ -212,7 +210,6 @@ impl Default for FleetSpec {
             shards: 0,
             regions: 1,
             dispatch: FleetDispatch::Even,
-            sampled_nodes: 0,
         }
     }
 }
@@ -1122,14 +1119,7 @@ impl Scenario {
             Some(f) => {
                 check_keys(
                     f,
-                    &[
-                        "nodes",
-                        "shards",
-                        "regions",
-                        "training",
-                        "dispatch",
-                        "sampled_nodes",
-                    ],
+                    &["nodes", "shards", "regions", "training", "dispatch"],
                     "fleet",
                 )?;
                 let nodes = u64_key(f, "nodes", "fleet")?
@@ -1154,7 +1144,6 @@ impl Scenario {
                     shards: u64_key(f, "shards", "fleet")?.unwrap_or(0) as usize,
                     regions: u64_key(f, "regions", "fleet")?.unwrap_or(1) as usize,
                     dispatch,
-                    sampled_nodes: u64_key(f, "sampled_nodes", "fleet")?.unwrap_or(0) as usize,
                 })
             }
         };
@@ -1416,10 +1405,6 @@ impl Scenario {
                         "dispatch".into(),
                         Value::String(fleet.dispatch.name().to_string()),
                     ),
-                    (
-                        "sampled_nodes".into(),
-                        Value::Number(fleet.sampled_nodes as f64),
-                    ),
                 ]),
             ));
         }
@@ -1532,7 +1517,6 @@ impl Scenario {
             regions: fleet.regions,
             policy: fleet.dispatch.to_policy(),
             controller: self.controller_params(),
-            sampled_nodes: fleet.sampled_nodes,
             traced_shard: None,
             budget: self.budget.clone(),
             placement: self.placement,
@@ -1988,6 +1972,10 @@ day_s = 100
         let text = "name = \"x\"\n[workload]\nls = \"memcached\"\nbe = \"raytrace\"\n\
                     [fleet]\nnodes = 4\ntraining = \"per-node\"\n";
         assert!(err(text).contains("training"));
+        // `sampled_nodes` is not a fleet key: the unknown-key error names it.
+        let text = "name = \"x\"\n[workload]\nls = \"memcached\"\nbe = \"raytrace\"\n\
+                    [fleet]\nnodes = 4\nsampled_nodes = 1\n";
+        assert!(err(text).contains("sampled_nodes"));
     }
 
     #[test]

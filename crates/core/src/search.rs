@@ -393,24 +393,17 @@ impl<'p> ConfigSearch<'p> {
     /// One C1 window of the §V-B scan (steps 2–4): grow C1 across
     /// `[lo, hi]`, rebuilding each candidate, keeping the best.
     ///
-    /// With `early_break`, the scan stops once the BE partition has
-    /// reached maximum frequency *and* the table bound proves no
-    /// remaining (smaller-C2) slice can beat the running best. The
-    /// historical break condition stopped on max frequency alone, which
-    /// can miss the window optimum: a larger C1 lowers the LS partition's
-    /// minimal way count, so the BE side can gain LLC ways — and
-    /// throughput — even with its frequency already at the top. The
-    /// `warm_break_equivalence` property test in `tests/search_pruned.rs`
-    /// exhibits exactly that counterexample against the old rule; the
-    /// bound-gated rule is provably equivalent to scanning the window
-    /// exhaustively.
-    fn scan_c1_window(
-        &self,
-        lo: u32,
-        hi: u32,
-        qps: f64,
-        early_break: bool,
-    ) -> (Option<(PairConfig, f64)>, usize) {
+    /// The scan stops early once the BE partition has reached maximum
+    /// frequency *and* the table bound proves no remaining (smaller-C2)
+    /// slice can beat the running best. The historical break condition
+    /// stopped on max frequency alone, which can miss the window optimum:
+    /// a larger C1 lowers the LS partition's minimal way count, so the BE
+    /// side can gain LLC ways — and throughput — even with its frequency
+    /// already at the top. The `warm_break_equivalence` property test in
+    /// `tests/search_pruned.rs` exhibits exactly that counterexample
+    /// against the old rule; the bound-gated rule is provably equivalent
+    /// to scanning the window exhaustively.
+    fn scan_c1_window(&self, lo: u32, hi: u32, qps: f64) -> (Option<(PairConfig, f64)>, usize) {
         let top = self.spec.max_freq_level();
         let mut tables = None;
         let mut best: Option<(PairConfig, f64)> = None;
@@ -423,7 +416,7 @@ impl<'p> ConfigSearch<'p> {
             if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
                 best = Some((cfg, t));
             }
-            if early_break && cfg.be.freq_level == top && c1 < hi {
+            if cfg.be.freq_level == top && c1 < hi {
                 let bt = best.as_ref().map(|&(_, bt)| bt).unwrap_or(t);
                 let tables = tables.get_or_insert_with(|| self.predictor.model_tables(&self.spec));
                 // Candidates at larger C1 draw from slices of at most
@@ -451,7 +444,7 @@ impl<'p> ConfigSearch<'p> {
         // Steps 2–4: grow C1, rebuilding each candidate, until the BE
         // partition reaches maximum frequency and the table bound closes.
         let (best, candidates) = match c1_min {
-            Some(c1_min) => self.scan_c1_window(c1_min, self.max_c1(), qps, true),
+            Some(c1_min) => self.scan_c1_window(c1_min, self.max_c1(), qps),
             None => (None, 0),
         };
 
@@ -482,7 +475,7 @@ impl<'p> ConfigSearch<'p> {
         let lo = prev.ls.cores.saturating_sub(WARM_START_WINDOW).max(1);
         let hi = (prev.ls.cores + WARM_START_WINDOW).min(self.max_c1());
 
-        let (best, candidates) = self.scan_c1_window(lo, hi, qps, true);
+        let (best, candidates) = self.scan_c1_window(lo, hi, qps);
         if best.is_none() {
             // The previous neighbourhood no longer contains a feasible
             // point (e.g. load rose past what ± window cores can absorb).
@@ -1302,8 +1295,16 @@ mod tests {
         let peak = env.ls().params.peak_qps;
         for frac in [0.15, 0.25, 0.4, 0.55, 0.7, 0.85] {
             let qps = frac * peak;
-            let (with_break, _) = search.scan_c1_window(1, search.max_c1(), qps, true);
-            let (no_break, _) = search.scan_c1_window(1, search.max_c1(), qps, false);
+            let (with_break, _) = search.scan_c1_window(1, search.max_c1(), qps);
+            // Reference: the same window scanned to the end, no break.
+            let mut no_break: Option<(PairConfig, f64)> = None;
+            for c1 in 1..=search.max_c1() {
+                if let Some((cfg, t)) = search.candidate_for_c1(c1, qps) {
+                    if no_break.as_ref().is_none_or(|(_, bt)| t > *bt) {
+                        no_break = Some((cfg, t));
+                    }
+                }
+            }
             assert_eq!(
                 with_break.map(|(c, t)| (c, t.to_bits())),
                 no_break.map(|(c, t)| (c, t.to_bits())),

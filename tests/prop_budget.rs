@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use sturgeon::budget::{BudgetCap, BudgetLevel, BudgetTree};
 use sturgeon::placement::{
-    FleetView, PlacementAction, PlacementEngine, PlacementParams, ScoredPlacementEngine, UnitView,
+    FleetView, PlacementAction, PlacementParams, ScoredPlacementEngine, UnitView,
 };
 use sturgeon::predictor::PerfPowerPredictor;
 use sturgeon::prelude::*;
@@ -22,32 +22,29 @@ use sturgeon_simnode::NodeSpec;
 /// A random but valid tree geometry: `leaves` leaves split into `racks`
 /// contiguous racks, racks split into `rows` rows.
 fn geometry() -> impl Strategy<Value = (Vec<f64>, Vec<usize>, Vec<usize>)> {
-    (1usize..10, 1usize..4, 1usize..3).prop_flat_map(|(leaves, racks, rows)| {
-        let racks = racks.min(leaves);
-        let rows = rows.min(racks);
-        let caps = prop::collection::vec(50.0f64..400.0, leaves);
-        caps.prop_map(move |caps| {
+    (
+        prop::collection::vec(50.0f64..400.0, 1..10),
+        1usize..4,
+        1usize..3,
+    )
+        .prop_map(|(caps, racks, rows)| {
+            let racks = racks.min(caps.len());
+            let rows = rows.min(racks);
             let split = |n: usize, groups: usize| -> Vec<usize> {
                 let base = n / groups;
                 let extra = n % groups;
-                (0..groups)
-                    .map(|i| base + usize::from(i < extra))
-                    .collect()
+                (0..groups).map(|i| base + usize::from(i < extra)).collect()
             };
             let rack_sizes = split(caps.len(), racks);
             let row_sizes = split(racks, rows);
             (caps, rack_sizes, row_sizes)
         })
-    })
 }
 
 /// A random cap event: some level, some index (wrapped into range), a
 /// tighten or relax expressed either in watts or as a nominal fraction.
 fn cap_events() -> impl Strategy<Value = Vec<(u8, usize, bool, f64)>> {
-    prop::collection::vec(
-        (0u8..4, 0usize..16, any::<bool>(), 0.1f64..1.5),
-        1..12,
-    )
+    prop::collection::vec((0u8..4, 0usize..16, any::<bool>(), 0.1f64..1.5), 1..12)
 }
 
 proptest! {
@@ -55,10 +52,11 @@ proptest! {
 
     #[test]
     fn reclamation_holds_tree_invariants(
-        (caps, rack_sizes, row_sizes) in geometry(),
+        geometry in geometry(),
         events in cap_events(),
         demand_frac in prop::collection::vec(0.0f64..1.2, 1..10),
     ) {
+        let (caps, rack_sizes, row_sizes) = geometry;
         let mut tree = BudgetTree::new(&caps, &rack_sizes, &row_sizes).expect("valid geometry");
         let levels = [
             BudgetLevel::Node,
@@ -152,18 +150,20 @@ fn fleet_view() -> impl Strategy<Value = FleetView> {
             units: units
                 .into_iter()
                 .enumerate()
-                .map(|(i, (safe_mode, exhausted, be_jobs, frac, cap_w))| UnitView {
-                    unit: i,
-                    first_node: i,
-                    nodes: 1,
-                    qps_per_node: frac * peak,
-                    cap_w,
-                    safe_mode,
-                    exhausted,
-                    be_jobs,
-                    be_slots: 2,
-                    last_be_tput: 0.5,
-                })
+                .map(
+                    |(i, (safe_mode, exhausted, be_jobs, frac, cap_w))| UnitView {
+                        unit: i,
+                        first_node: i,
+                        nodes: 1,
+                        qps_per_node: frac * peak,
+                        cap_w,
+                        safe_mode,
+                        exhausted,
+                        be_jobs,
+                        be_slots: 2,
+                        last_be_tput: 0.5,
+                    },
+                )
                 .collect(),
             queued_jobs: queued,
         }

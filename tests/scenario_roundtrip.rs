@@ -353,7 +353,6 @@ dispatch = "{dispatch}"
             },
             ..ControllerParams::default()
         },
-        sampled_nodes: 0,
         traced_shard: None,
         budget: None,
         placement: None,
