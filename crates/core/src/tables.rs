@@ -15,9 +15,10 @@
 //! predictor's public methods (same feature vector, same `.max(0.0)`
 //! clamp, same power margin), so a lookup is bit-identical to the model
 //! call it replaces — the equivalence proofs in `search.rs` rely on this.
-//! The predictor computes whole lattices at once through
-//! `Regressor::predict_grid`, which is bit-identical to point queries;
-//! this module only packs them and derives the bounds.
+//! The predictor fills whole lattices through `Regressor::predict_grid`,
+//! which makes one point query per cell (each a KD-tree walk for the KNN
+//! models), so every entry is bit-identical to the point query; this
+//! module only packs them and derives the bounds.
 //!
 //! Tables carry the predictor's training `generation`; retraining bumps
 //! the generation, which invalidates cached tables the same way it clears

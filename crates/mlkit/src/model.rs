@@ -123,9 +123,6 @@ pub trait Regressor {
     /// whose `mask` entry is `false` are not evaluated and keep their
     /// value in `out`.
     ///
-    /// The default body loops over [`predict`](Self::predict); families
-    /// with a cheaper lattice evaluation override it.
-    ///
     /// # Panics
     /// If `out` (or `mask`) does not hold exactly one entry per cell.
     fn predict_grid(
@@ -137,42 +134,24 @@ pub trait Regressor {
         mask: Option<&[bool]>,
         out: &mut [f64],
     ) {
-        predict_grid_pointwise(self, x0, x1, x2, x3, mask, out);
-    }
-}
-
-/// Checks that `out` and `mask` cover the `x1 × x2 × x3` lattice.
-pub(crate) fn check_grid(x1: &[f64], x2: &[f64], x3: &[f64], mask: Option<&[bool]>, out: &[f64]) {
-    let cells = x1.len() * x2.len() * x3.len();
-    assert_eq!(out.len(), cells, "predict_grid: one output per cell");
-    if let Some(m) = mask {
-        assert_eq!(m.len(), cells, "predict_grid: one mask entry per cell");
-    }
-}
-
-/// The point-by-point body of [`Regressor::predict_grid`].
-pub(crate) fn predict_grid_pointwise<R: Regressor + ?Sized>(
-    model: &R,
-    x0: f64,
-    x1: &[f64],
-    x2: &[f64],
-    x3: &[f64],
-    mask: Option<&[bool]>,
-    out: &mut [f64],
-) {
-    check_grid(x1, x2, x3, mask, out);
-    let mut row = [x0, 0.0, 0.0, 0.0];
-    let mut cell = 0;
-    for &a in x1 {
-        row[1] = a;
-        for &b in x2 {
-            row[2] = b;
-            for &c in x3 {
-                row[3] = c;
-                if mask.is_none_or(|m| m[cell]) {
-                    out[cell] = model.predict(&row);
+        let cells = x1.len() * x2.len() * x3.len();
+        assert_eq!(out.len(), cells, "predict_grid: one output per cell");
+        if let Some(m) = mask {
+            assert_eq!(m.len(), cells, "predict_grid: one mask entry per cell");
+        }
+        let mut row = [x0, 0.0, 0.0, 0.0];
+        let mut cell = 0;
+        for &a in x1 {
+            row[1] = a;
+            for &b in x2 {
+                row[2] = b;
+                for &c in x3 {
+                    row[3] = c;
+                    if mask.is_none_or(|m| m[cell]) {
+                        out[cell] = self.predict(&row);
+                    }
+                    cell += 1;
                 }
-                cell += 1;
             }
         }
     }
