@@ -1,25 +1,20 @@
 //! `fleet_sim` — the fleet-scale control-plane benchmark driver.
 //!
 //! ```text
-//! fleet_sim [--manifest scenario.toml]
-//!           [--nodes 10000] [--intervals 1000] [--shards 0] [--regions 1]
-//!           [--ls memcached] [--be raytrace]
-//!           [--profile diurnal|triangle|constant|flash|failover]
-//!           [--fraction 0.3] [--policy even|latency] [--search heuristic|pruned]
-//!           [--seed 42] [--trace PATH.jsonl] [--json PATH.json]
+//! fleet_sim --manifest scenario.toml [--trace PATH.jsonl] [--json PATH.json]
 //! ```
 //!
-//! Both entry points lower onto the same [`sturgeon::scenario`] code:
-//! `--manifest` loads a TOML fleet scenario, while the ad-hoc flags
-//! build the equivalent [`Scenario`] in memory — so the two paths
-//! cannot drift. Runs one fleet sweep and prints the paper's
+//! The manifest (see `scenarios/` and [`sturgeon::scenario`]) describes
+//! the whole fleet run: geometry, pair, load, search strategy, budget,
+//! placement and seed. Runs one fleet sweep and prints the paper's
 //! QoS/throughput metrics together with the control-plane accounting
 //! this benchmark exists to demonstrate: wall-clock, peak RSS (from
 //! `/proc/self/status`, so the streaming-aggregation memory claim is
 //! checkable), and how many predictor trainings (always one: a fleet
 //! trains once) / `ModelTables` builds the whole fleet paid. `--json` writes the measurements as one
-//! machine-readable row — `BENCH_fleet.json` is an array of such rows;
-//! CI replays the 1k-node smoke row and gates it with `stats`.
+//! machine-readable row — `BENCH_fleet.json` is an array of such rows,
+//! each measured from a committed manifest under `scenarios/`; CI
+//! replays the 1k-node smoke row and gates it with `stats`.
 //! `--trace` streams shard 0's decision trace as JSON Lines (validated
 //! by `trace_validate`).
 
@@ -32,49 +27,15 @@ use sturgeon::scenario;
 
 #[derive(Debug)]
 struct Args {
-    manifest: Option<PathBuf>,
-    nodes: usize,
-    intervals: u32,
-    shards: usize,
-    regions: usize,
-    ls: LsServiceId,
-    be: BeAppId,
-    profile: String,
-    fraction: f64,
-    policy: String,
-    search: String,
-    seed: u64,
+    manifest: PathBuf,
     trace: Option<PathBuf>,
     json: Option<PathBuf>,
-    /// Ad-hoc configuration flags the user passed explicitly (they
-    /// conflict with `--manifest`, which owns the configuration).
-    explicit: Vec<&'static str>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            manifest: None,
-            nodes: 10_000,
-            intervals: 1000,
-            shards: 0,
-            regions: 1,
-            ls: LsServiceId::Memcached,
-            be: BeAppId::Raytrace,
-            profile: "diurnal".into(),
-            fraction: 0.3,
-            policy: "even".into(),
-            search: "heuristic".into(),
-            seed: 42,
-            trace: None,
-            json: None,
-            explicit: Vec::new(),
-        }
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut manifest = None;
+    let mut trace = None;
+    let mut json = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -82,82 +43,27 @@ fn parse_args() -> Result<Args, String> {
         if flag == "--help" || flag == "-h" {
             return Err(String::new());
         }
+        let slot = match flag {
+            "--manifest" => &mut manifest,
+            "--trace" => &mut trace,
+            "--json" => &mut json,
+            other => return Err(format!("unknown flag {other}")),
+        };
         let value = argv
             .get(i + 1)
             .ok_or_else(|| format!("missing value for {flag}"))?;
-        let mut explicit = |name: &'static str| args.explicit.push(name);
-        match flag {
-            "--manifest" => args.manifest = Some(PathBuf::from(value)),
-            "--nodes" => {
-                args.nodes = value.parse().map_err(|_| format!("bad nodes {value}"))?;
-                explicit("--nodes");
-            }
-            "--intervals" => {
-                args.intervals = value
-                    .parse()
-                    .map_err(|_| format!("bad intervals {value}"))?;
-                explicit("--intervals");
-            }
-            "--shards" => {
-                args.shards = value.parse().map_err(|_| format!("bad shards {value}"))?;
-                explicit("--shards");
-            }
-            "--regions" => {
-                args.regions = value.parse().map_err(|_| format!("bad regions {value}"))?;
-                explicit("--regions");
-            }
-            "--ls" => {
-                args.ls = scenario::parse_ls(value).ok_or(format!("unknown LS service {value}"))?;
-                explicit("--ls");
-            }
-            "--be" => {
-                args.be = scenario::parse_be(value).ok_or(format!("unknown BE app {value}"))?;
-                explicit("--be");
-            }
-            "--profile" => {
-                args.profile = value.clone();
-                explicit("--profile");
-            }
-            "--fraction" => {
-                args.fraction = value.parse().map_err(|_| format!("bad fraction {value}"))?;
-                explicit("--fraction");
-            }
-            "--policy" => {
-                args.policy = value.clone();
-                explicit("--policy");
-            }
-            "--search" => {
-                args.search = value.clone();
-                explicit("--search");
-            }
-            "--seed" => {
-                args.seed = value.parse().map_err(|_| format!("bad seed {value}"))?;
-                explicit("--seed");
-            }
-            "--trace" => args.trace = Some(PathBuf::from(value)),
-            "--json" => args.json = Some(PathBuf::from(value)),
-            other => return Err(format!("unknown flag {other}")),
-        }
+        *slot = Some(PathBuf::from(value));
         i += 2;
     }
-    if args.manifest.is_some() && !args.explicit.is_empty() {
-        return Err(format!(
-            "--manifest owns the run configuration; drop {}",
-            args.explicit.join(", ")
-        ));
-    }
-    Ok(args)
+    Ok(Args {
+        manifest: manifest.ok_or("--manifest is required")?,
+        trace,
+        json,
+    })
 }
 
 fn usage() {
-    eprintln!(
-        "usage: fleet_sim [--manifest scenario.toml] \\
-                 [--nodes N] [--intervals N] [--shards N|0=auto] [--regions N] \\
-                 [--ls memcached|xapian|img-dnn] [--be raytrace|...] \\
-                 [--profile diurnal|triangle|constant|flash|failover] [--fraction F] \\
-                 [--policy even|latency] [--search heuristic|pruned] [--seed N] \\
-                 [--trace PATH.jsonl] [--json PATH.json]"
-    );
+    eprintln!("usage: fleet_sim --manifest scenario.toml [--trace PATH.jsonl] [--json PATH.json]");
 }
 
 /// Peak resident set size (MiB) from `/proc/self/status` (`VmHWM`);
@@ -167,53 +73,6 @@ fn peak_rss_mib() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024.0)
-}
-
-/// Builds the fleet scenario the legacy ad-hoc flags describe — the
-/// same profile algebra and controller composition the CLI has always
-/// used, now expressed through the shared lowering code.
-fn scenario_from_flags(args: &Args) -> Result<Scenario, String> {
-    let strategy = scenario::parse_search_strategy(&args.search)
-        .ok_or_else(|| format!("unknown search strategy {}", args.search))?;
-    let dispatch = FleetDispatch::parse(&args.policy)
-        .ok_or_else(|| format!("unknown policy {}", args.policy))?;
-    let region_loads =
-        scenario::regional_profiles(&args.profile, args.fraction, args.intervals, args.regions)
-            .ok_or_else(|| {
-                format!(
-                    "unknown profile {} (failover needs --regions >= 2)",
-                    args.profile
-                )
-            })?;
-    let load = region_loads[0].clone();
-    let s = Scenario {
-        name: "cli".into(),
-        kind: ScenarioKind::Fleet,
-        seed: args.seed,
-        intervals: args.intervals,
-        pair: ColocationPair::new(args.ls, args.be),
-        controller: ControllerSpec {
-            kind: scenario::ControllerKind::Sturgeon,
-            strategy,
-            hardened: false,
-        },
-        load,
-        region_loads,
-        faults: FaultPlan::none(args.seed),
-        policy: ActuationPolicy::hardened(),
-        fleet: Some(FleetSpec {
-            nodes: args.nodes,
-            shards: args.shards,
-            regions: args.regions,
-            dispatch,
-        }),
-        budget: None,
-        placement: None,
-        scoring: None,
-        probe: None,
-    };
-    s.validate().map_err(|e| e.to_string())?;
-    Ok(s)
 }
 
 fn main() -> ExitCode {
@@ -228,22 +87,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let scenario = match &args.manifest {
-        Some(path) => match Scenario::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match scenario_from_flags(&args) {
-            Ok(s) => s,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-        },
+    let scenario = match Scenario::load(&args.manifest) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     if scenario.kind != ScenarioKind::Fleet {
         eprintln!("error: node scenarios run under `sturgeon_sim --manifest`");

@@ -1,19 +1,12 @@
-//! `sturgeon_sim` — the command-line driver for ad-hoc co-location
-//! experiments.
+//! `sturgeon_sim` — runs one node scenario manifest.
 //!
 //! ```text
-//! sturgeon_sim [--manifest scenario.toml]
-//!              [--ls memcached] [--be raytrace] [--controller sturgeon]
-//!              [--load triangle|constant|ramp|diurnal] [--fraction 0.3]
-//!              [--duration 600] [--seed 42] [--export PATH_STEM]
+//! sturgeon_sim --manifest scenario.toml [--export PATH_STEM]
 //!              [--trace PATH.jsonl] [--metrics PATH.json]
-//!              [--faults none|telemetry|actuation|shocks|everything]
-//!              [--search heuristic|pruned]
 //! ```
 //!
-//! Both entry points lower onto the same [`sturgeon::scenario`] code:
-//! `--manifest` loads a TOML scenario, while the ad-hoc flags build the
-//! equivalent [`Scenario`] in memory — so the two paths cannot drift.
+//! The manifest (see `scenarios/` and [`sturgeon::scenario`]) describes
+//! the whole run: pair, controller, load, faults, duration and seed.
 //! Runs one experiment and prints the paper's three metrics; `--export`
 //! additionally writes `<stem>.json` (summary) and `<stem>.csv`
 //! (per-interval telemetry) via `sturgeon::report`. `--trace` streams
@@ -25,51 +18,20 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use sturgeon::prelude::*;
 use sturgeon::report;
-use sturgeon::scenario;
 
 #[derive(Debug)]
 struct Args {
-    manifest: Option<PathBuf>,
-    ls: LsServiceId,
-    be: BeAppId,
-    controller: String,
-    load: String,
-    fraction: f64,
-    duration: u32,
-    seed: u64,
+    manifest: PathBuf,
     export: Option<PathBuf>,
     trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    faults: String,
-    search: String,
-    /// Ad-hoc configuration flags the user passed explicitly (they
-    /// conflict with `--manifest`, which owns the configuration).
-    explicit: Vec<&'static str>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            manifest: None,
-            ls: LsServiceId::Memcached,
-            be: BeAppId::Raytrace,
-            controller: "sturgeon".into(),
-            load: "triangle".into(),
-            fraction: 0.3,
-            duration: 600,
-            seed: 42,
-            export: None,
-            trace: None,
-            metrics: None,
-            faults: "none".into(),
-            search: "heuristic".into(),
-            explicit: Vec::new(),
-        }
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut manifest = None;
+    let mut export = None;
+    let mut trace = None;
+    let mut metrics = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -77,110 +39,32 @@ fn parse_args() -> Result<Args, String> {
         if flag == "--help" || flag == "-h" {
             return Err(String::new()); // triggers usage
         }
+        let slot = match flag {
+            "--manifest" => &mut manifest,
+            "--export" => &mut export,
+            "--trace" => &mut trace,
+            "--metrics" => &mut metrics,
+            other => return Err(format!("unknown flag {other}")),
+        };
         let value = argv
             .get(i + 1)
             .ok_or_else(|| format!("missing value for {flag}"))?;
-        match flag {
-            "--manifest" => args.manifest = Some(PathBuf::from(value)),
-            "--ls" => {
-                args.ls = scenario::parse_ls(value).ok_or(format!("unknown LS service {value}"))?;
-                args.explicit.push("--ls");
-            }
-            "--be" => {
-                args.be = scenario::parse_be(value).ok_or(format!("unknown BE app {value}"))?;
-                args.explicit.push("--be");
-            }
-            "--controller" => {
-                args.controller = value.clone();
-                args.explicit.push("--controller");
-            }
-            "--load" => {
-                args.load = value.clone();
-                args.explicit.push("--load");
-            }
-            "--fraction" => {
-                args.fraction = value.parse().map_err(|_| format!("bad fraction {value}"))?;
-                args.explicit.push("--fraction");
-            }
-            "--duration" => {
-                args.duration = value.parse().map_err(|_| format!("bad duration {value}"))?;
-                args.explicit.push("--duration");
-            }
-            "--seed" => {
-                args.seed = value.parse().map_err(|_| format!("bad seed {value}"))?;
-                args.explicit.push("--seed");
-            }
-            "--export" => args.export = Some(PathBuf::from(value)),
-            "--trace" => args.trace = Some(PathBuf::from(value)),
-            "--metrics" => args.metrics = Some(PathBuf::from(value)),
-            "--faults" => {
-                args.faults = value.clone();
-                args.explicit.push("--faults");
-            }
-            "--search" => {
-                args.search = value.clone();
-                args.explicit.push("--search");
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
+        *slot = Some(PathBuf::from(value));
         i += 2;
     }
-    if args.manifest.is_some() && !args.explicit.is_empty() {
-        return Err(format!(
-            "--manifest owns the run configuration; drop {}",
-            args.explicit.join(", ")
-        ));
-    }
-    Ok(args)
+    Ok(Args {
+        manifest: manifest.ok_or("--manifest is required")?,
+        export,
+        trace,
+        metrics,
+    })
 }
 
 fn usage() {
     eprintln!(
-        "usage: sturgeon_sim [--manifest scenario.toml] \\
-                    [--ls memcached|xapian|img-dnn] \\
-                    [--be blackscholes|facesim|ferret|raytrace|swaptions|fluidanimate] \\
-                    [--controller sturgeon|sturgeon-nob|parties|parties-orig|heracles|reserved] \\
-                    [--load triangle|constant|ramp|diurnal] [--fraction F] \\
-                    [--duration SECONDS] [--seed N] [--export PATH_STEM] \\
-                    [--trace PATH.jsonl] [--metrics PATH.json] \\
-                    [--faults none|telemetry|actuation|shocks|everything] \\
-                    [--search heuristic|pruned]"
+        "usage: sturgeon_sim --manifest scenario.toml [--export PATH_STEM] \\
+                    [--trace PATH.jsonl] [--metrics PATH.json]"
     );
-}
-
-/// Builds the scenario the legacy ad-hoc flags describe — the same
-/// profiles, fault presets and controller composition the CLI has
-/// always used, now expressed through the shared lowering code.
-fn scenario_from_flags(args: &Args) -> Result<Scenario, String> {
-    let kind = scenario::ControllerKind::parse(&args.controller)
-        .ok_or_else(|| format!("unknown controller {}", args.controller))?;
-    let strategy = scenario::parse_search_strategy(&args.search)
-        .ok_or_else(|| format!("unknown search strategy {}", args.search))?;
-    let load = scenario::cli_load_profile(&args.load, args.fraction, args.duration)
-        .ok_or_else(|| format!("unknown load profile {}", args.load))?;
-    let faults = scenario::cli_fault_plan(&args.faults, args.seed)
-        .ok_or_else(|| format!("unknown fault plan {}", args.faults))?;
-    Ok(Scenario {
-        name: "cli".into(),
-        kind: ScenarioKind::Node,
-        seed: args.seed,
-        intervals: args.duration,
-        pair: ColocationPair::new(args.ls, args.be),
-        controller: ControllerSpec {
-            kind,
-            strategy,
-            hardened: false,
-        },
-        load,
-        region_loads: Vec::new(),
-        faults,
-        policy: ActuationPolicy::hardened(),
-        fleet: None,
-        budget: None,
-        placement: None,
-        scoring: None,
-        probe: None,
-    })
 }
 
 fn main() -> ExitCode {
@@ -195,22 +79,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let scenario = match &args.manifest {
-        Some(path) => match Scenario::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match scenario_from_flags(&args) {
-            Ok(s) => s,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-        },
+    let scenario = match Scenario::load(&args.manifest) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     if scenario.kind != ScenarioKind::Node {
         eprintln!("error: fleet scenarios run under `fleet_sim --manifest`");

@@ -87,13 +87,7 @@ fn main() {
             &format!("alpha={alpha:.2}, beta={beta:.2}"),
             PredictorConfig::default(),
             ControllerParams {
-                alpha,
-                beta,
-                balancer: BalancerParams {
-                    alpha,
-                    beta,
-                    ..BalancerParams::default()
-                },
+                balancer: BalancerParams { alpha, beta },
                 ..ControllerParams::default()
             },
             duration,

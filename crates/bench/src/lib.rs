@@ -23,6 +23,7 @@
 //! duration in seconds (default 600) and prints the seed it used, so all
 //! numbers are bit-for-bit reproducible.
 
+use std::sync::Arc;
 use sturgeon::baselines::{PartiesController, PartiesParams};
 use sturgeon::prelude::*;
 
@@ -62,8 +63,17 @@ pub struct PairEval {
 /// Builds a Sturgeon controller for a setup (offline profiling + training
 /// included).
 pub fn sturgeon_controller(setup: &ExperimentSetup, balancer: bool) -> SturgeonController {
-    let predictor = setup.train_default_predictor();
-    SturgeonController::new(
+    sturgeon_controller_with(setup, Arc::new(setup.train_default_predictor()), balancer)
+}
+
+/// Builds a Sturgeon controller around an already-trained predictor, so
+/// several arms of one pair can share a single training.
+fn sturgeon_controller_with(
+    setup: &ExperimentSetup,
+    predictor: Arc<PerfPowerPredictor>,
+    balancer: bool,
+) -> SturgeonController {
+    SturgeonController::with_shared_predictor(
         predictor,
         setup.spec().clone(),
         setup.budget_w(),
@@ -104,20 +114,26 @@ pub fn parties_controller(setup: &ExperimentSetup) -> PartiesController {
 }
 
 /// Runs one pair under Sturgeon, PARTIES and Sturgeon-NoB with the paper's
-/// fluctuating load (20% → 80% → 20% of peak).
+/// fluctuating load (20% → 80% → 20% of peak). Training is deterministic,
+/// so the two Sturgeon arms share one trained predictor.
 pub fn evaluate_pair(pair: ColocationPair, seed: u64, duration_s: u32) -> PairEval {
     let setup = ExperimentSetup::new(pair, seed);
     let load = LoadProfile::paper_fluctuating(duration_s as f64);
+    let predictor = Arc::new(setup.train_default_predictor());
     let sturgeon = setup
         .runner()
-        .controller(sturgeon_controller(&setup, true))
+        .controller(sturgeon_controller_with(
+            &setup,
+            Arc::clone(&predictor),
+            true,
+        ))
         .load(load.clone())
         .intervals(duration_s)
         .go()
         .expect("sturgeon run");
     let nob = setup
         .runner()
-        .controller(sturgeon_controller(&setup, false))
+        .controller(sturgeon_controller_with(&setup, predictor, false))
         .load(load.clone())
         .intervals(duration_s)
         .go()

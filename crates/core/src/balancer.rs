@@ -21,9 +21,6 @@ pub struct BalancerParams {
     pub alpha: f64,
     /// Upper slack bound: above this resources were over-harvested.
     pub beta: f64,
-    /// Relative guard band subtracted from the budget before power
-    /// checks, mirroring [`crate::search::SearchParams::power_guard`].
-    pub power_guard: f64,
 }
 
 impl Default for BalancerParams {
@@ -31,7 +28,6 @@ impl Default for BalancerParams {
         Self {
             alpha: 0.10,
             beta: 0.20,
-            power_guard: 0.02,
         }
     }
 }
@@ -274,12 +270,14 @@ impl ResourceBalancer {
 
     /// One Algorithm 2 step. Returns `Some(new_config)` when the balancer
     /// acts, `None` when the slack is healthy (in `[α, β]`) and nothing
-    /// needs fine-tuning.
+    /// needs fine-tuning. Every move must keep the predicted power within
+    /// `guarded_budget_w` — the controller passes the budget less the
+    /// search's guard band, so both agree on the headroom.
     pub fn adjust(
         &mut self,
         predictor: &PerfPowerPredictor,
         spec: &NodeSpec,
-        budget_w: f64,
+        guarded_budget_w: f64,
         obs: &Observation,
         qos_target_ms: f64,
         current: PairConfig,
@@ -305,9 +303,7 @@ impl ResourceBalancer {
             // Power check at a drifted load against the guarded budget,
             // mirroring the search's headroom: the load can keep rising
             // before the next decision.
-            if predictor.total_power_w(&next, spec, obs.qps * 1.08)
-                > budget_w * (1.0 - self.params.power_guard)
-            {
+            if predictor.total_power_w(&next, spec, obs.qps * 1.08) > guarded_budget_w {
                 return None;
             }
             self.granularity = (self.granularity * 0.5).max(0.05);
@@ -346,9 +342,7 @@ impl ResourceBalancer {
             let Some(next) = Self::harvested(spec, &current, target, amount) else {
                 continue;
             };
-            if predictor.total_power_w(&next, spec, obs.qps * 1.08)
-                > budget_w * (1.0 - self.params.power_guard)
-            {
+            if predictor.total_power_w(&next, spec, obs.qps * 1.08) > guarded_budget_w {
                 continue;
             }
             let throughput = predictor.be_throughput(

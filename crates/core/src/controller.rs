@@ -70,52 +70,40 @@ pub trait ResourceController {
     }
 }
 
-/// Graceful-degradation tunables (extension; DESIGN.md "Fault model and
+/// Consecutive stale (bit-identical) observations tolerated before a
+/// hardened controller stops trusting the feed and enters safe mode.
+pub const STALENESS_WINDOW: u32 = 3;
+
+/// Relative load change that forces a fresh search even while the
+/// balancer is still converging (Algorithm 1 line 6).
+pub const RESEARCH_LOAD_DELTA: f64 = 0.04;
+
+/// Graceful-degradation switch (extension; DESIGN.md "Fault model and
 /// degradation policy"). Disabled by default because a noiseless
 /// simulation legitimately repeats observations bit-for-bit, which the
 /// staleness detector would misread as a frozen sensor; the robustness
 /// harness and `tab_robustness` enable it explicitly.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RobustnessParams {
-    /// Detect stale telemetry and fall back to safe mode.
+    /// Detect stale telemetry (see [`STALENESS_WINDOW`]) and fall back
+    /// to safe mode.
     pub enabled: bool,
-    /// Consecutive stale (bit-identical) observations tolerated before
-    /// the controller stops trusting the feed and enters safe mode.
-    pub staleness_window: u32,
-}
-
-impl Default for RobustnessParams {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            staleness_window: 3,
-        }
-    }
 }
 
 impl RobustnessParams {
     /// The hardened profile used by the robustness experiments.
     pub fn hardened() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        Self { enabled: true }
     }
 }
 
 /// Algorithm 1 tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerParams {
-    /// Lower slack bound α (paper default 10%).
-    pub alpha: f64,
-    /// Upper slack bound β (paper default 20%).
-    pub beta: f64,
-    /// Relative load change that forces a fresh search even while the
-    /// balancer is still converging.
-    pub research_load_delta: f64,
-    /// Search-space limits.
+    /// Search-space limits and the power guard band.
     pub search: SearchParams,
-    /// Balancer slack band (usually mirrors α/β).
+    /// The slack band `[α, β]` (paper defaults 10% / 20%), read by both
+    /// Algorithm 1 and the balancer.
     pub balancer: BalancerParams,
     /// Disable to obtain the paper's *Sturgeon-NoB* ablation (§VII-C).
     pub balancer_enabled: bool,
@@ -126,9 +114,6 @@ pub struct ControllerParams {
 impl Default for ControllerParams {
     fn default() -> Self {
         Self {
-            alpha: 0.10,
-            beta: 0.20,
-            research_load_delta: 0.04,
             search: SearchParams::default(),
             balancer: BalancerParams::default(),
             balancer_enabled: true,
@@ -406,6 +391,13 @@ impl SturgeonController {
         )
     }
 
+    /// The node budget less the search's relative guard band
+    /// ([`SearchParams::power_guard`]): the ceiling for safe-mode and
+    /// balancer power checks.
+    fn guarded_budget_w(&self) -> f64 {
+        self.budget_w * (1.0 - self.params.search.power_guard)
+    }
+
     /// The safe-mode configuration: everything-to-LS (the one allocation
     /// that needs no model to justify — it is Algorithm 1's own
     /// initialization), with the LS frequency lowered until the predictor
@@ -415,7 +407,7 @@ impl SturgeonController {
     /// service and the power budget instead.
     pub fn safe_config(&self, qps: f64) -> PairConfig {
         let mut cfg = self.fallback();
-        let guarded = self.budget_w * (1.0 - self.params.search.power_guard);
+        let guarded = self.guarded_budget_w();
         while cfg.ls.freq_level > 0 && self.predictor.total_power_w(&cfg, &self.spec, qps) > guarded
         {
             cfg.ls.freq_level -= 1;
@@ -535,7 +527,7 @@ impl SturgeonController {
             None => true,
             Some(prev) => {
                 let base = prev.max(1.0);
-                ((qps - prev) / base).abs() > self.params.research_load_delta
+                ((qps - prev) / base).abs() > RESEARCH_LOAD_DELTA
             }
         }
     }
@@ -594,7 +586,7 @@ impl ResourceController for SturgeonController {
             if stale {
                 self.stale_streak += 1;
                 self.stale_intervals += 1;
-                if self.stale_streak >= self.params.robust.staleness_window {
+                if self.stale_streak >= STALENESS_WINDOW {
                     if !self.safe_mode {
                         self.safe_mode = true;
                         self.safe_mode_entries += 1;
@@ -655,7 +647,7 @@ impl ResourceController for SturgeonController {
             return self.run_search(obs.qps, obs.t_s, reason);
         }
 
-        if slack < self.params.alpha {
+        if slack < self.params.balancer.alpha {
             // If this configuration came straight from the search, the
             // model was wrong about it: remember that and do not let a
             // later β-branch re-search reinstall it at this load.
@@ -668,10 +660,11 @@ impl ResourceController for SturgeonController {
             // where re-running the search would just return the same,
             // already-wrong configuration).
             if self.params.balancer_enabled {
+                let guarded = self.guarded_budget_w();
                 if let Some(next) = self.balancer.adjust(
                     &self.predictor,
                     &self.spec,
-                    self.budget_w,
+                    guarded,
                     obs,
                     self.qos_target_ms,
                     current,
@@ -701,17 +694,18 @@ impl ResourceController for SturgeonController {
             return current;
         }
 
-        if slack > self.params.beta {
+        if slack > self.params.balancer.beta {
             // Plenty of slack: release resources back to the BE
             // application (Algorithm 1's β branch). If the current
             // configuration already is the search optimum there is
             // nothing to release — tail latency simply sits far below
             // target at the throughput-optimal allocation.
             if self.params.balancer_enabled {
+                let guarded = self.guarded_budget_w();
                 if let Some(next) = self.balancer.adjust(
                     &self.predictor,
                     &self.spec,
-                    self.budget_w,
+                    guarded,
                     obs,
                     self.qos_target_ms,
                     current,

@@ -832,26 +832,8 @@ impl Fleet {
         if applied.is_empty() {
             return;
         }
-        // Demand: last-interval measured power per shard (zero before the
-        // first step, which degrades to pro-rata on nominal caps).
-        let demands: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|s| s.slab.power_w.iter().sum())
-            .collect();
-        tree.reclaim(Some(&demands));
-        let mut changed = false;
-        for (shard, leaf_eff) in self.shards.iter_mut().zip(tree.leaf_caps_w()) {
-            let per_node = leaf_eff / shard.len() as f64;
-            if shard.controller.set_budget_w(per_node) {
-                shard.budget_w = per_node;
-                changed = true;
-            }
-        }
-        if changed {
-            self.budget_reclaims += 1;
-        }
-        if let Some(sink) = sink.as_deref_mut() {
+        self.reapportion_budget();
+        if let (Some(sink), Some(tree)) = (sink.as_deref_mut(), self.budget.as_ref()) {
             let reclaimed_w = tree.reclaimed_w();
             for (level, index, cap_w) in applied {
                 sink.record(&TraceEvent::BudgetReclaimed {
@@ -983,44 +965,41 @@ impl Fleet {
         // Watts follow the jobs: parked partitions stop drawing BE power,
         // so a fresh demand-aware apportionment shifts their headroom to
         // job-holding shards (never above nominal per-node caps).
-        if let Some(tree) = self.budget.as_mut() {
-            let demands: Vec<f64> = self
-                .shards
-                .iter()
-                .map(|s| s.slab.power_w.iter().sum())
-                .collect();
-            tree.reclaim(Some(&demands));
-            let mut changed = false;
-            for (shard, leaf_eff) in self.shards.iter_mut().zip(tree.leaf_caps_w()) {
-                let per_node = leaf_eff / shard.len() as f64;
-                if shard.controller.set_budget_w(per_node) {
-                    shard.budget_w = per_node;
-                    changed = true;
-                }
+        self.reapportion_budget();
+    }
+
+    /// Re-apportions the budget tree against each shard's last-interval
+    /// measured power (zero before the first step, which degrades to
+    /// pro-rata on nominal caps), pushes the resulting per-node caps into
+    /// the shard controllers, and counts the round as a reclaim when any
+    /// cap moved. A no-op without a budget tree.
+    fn reapportion_budget(&mut self) {
+        let Some(tree) = self.budget.as_mut() else {
+            return;
+        };
+        let demands: Vec<f64> = self
+            .shards
+            .iter()
+            .map(|s| s.slab.power_w.iter().sum())
+            .collect();
+        tree.reclaim(Some(&demands));
+        let mut changed = false;
+        for (shard, leaf_eff) in self.shards.iter_mut().zip(tree.leaf_caps_w()) {
+            let per_node = leaf_eff / shard.len() as f64;
+            if shard.controller.set_budget_w(per_node) {
+                shard.budget_w = per_node;
+                changed = true;
             }
-            if changed {
-                self.budget_reclaims += 1;
-            }
+        }
+        if changed {
+            self.budget_reclaims += 1;
         }
     }
 
-    /// Like [`Fleet::run`], but folds the fleet's streaming aggregates
-    /// into `registry` after the run: the per-shard histogram buckets
-    /// are merged in shard order, so the registry contents are
-    /// deterministic even though shards step in parallel.
-    pub fn run_with_metrics(
-        &mut self,
-        profile: LoadProfile,
-        duration_s: u32,
-        registry: &MetricsRegistry,
-    ) -> FleetResult {
-        let result = self.run(profile, duration_s);
-        self.export_metrics(&result, registry);
-        result
-    }
-
     /// Folds the current streaming aggregates and the run summary into
-    /// `registry` (see [`Fleet::run_with_metrics`]).
+    /// `registry` after a run: the per-shard histogram buckets are merged
+    /// in shard order, so the registry contents are deterministic even
+    /// though shards step in parallel.
     pub fn export_metrics(&self, result: &FleetResult, registry: &MetricsRegistry) {
         registry.set_gauge("fleet.nodes", self.node_count as f64);
         registry.set_gauge("fleet.shards", self.shards.len() as f64);
@@ -1223,7 +1202,8 @@ mod tests {
         // A triangle wave revisits its load levels on the way back down,
         // so later searches land in QPS buckets the frontier cache has
         // already seen.
-        let r = fleet.run_with_metrics(LoadProfile::paper_fluctuating(80.0), 80, &registry);
+        let r = fleet.run(LoadProfile::paper_fluctuating(80.0), 80);
+        fleet.export_metrics(&r, &registry);
         // The exact engine optimizes over the whole space, so the fleet
         // must still hold QoS (lenient: the exhaustive-equivalent pick can
         // sit closer to the feasibility edge than the hardened heuristic).

@@ -19,7 +19,7 @@
 //!   vector of slacks, with a lightweight harvest step when any service
 //!   violates at unchanged load.
 
-use crate::predictor::{make_classifier, make_regressor, PredictorConfig};
+use crate::predictor::{make_classifier, make_regressor, PredictorConfig, QOS_LOAD_MARGIN};
 use crate::profiler::features;
 use crate::scoring::SetScorer;
 use crate::search::least_satisfying;
@@ -38,7 +38,6 @@ pub struct LsModelSet {
     latency: Box<dyn Regressor + Send + Sync>,
     power: Box<dyn Regressor + Send + Sync>,
     qos_target_ms: f64,
-    qos_load_margin: f64,
     max_trained_qps: f64,
 }
 
@@ -57,7 +56,7 @@ impl LsModelSet {
         if qps > 1.1 * self.max_trained_qps {
             return false;
         }
-        let guarded = (qps * (1.0 + self.qos_load_margin)).min(self.max_trained_qps);
+        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
         let x = features(guarded, cores, freq_ghz, ways);
         self.qos.predict_label(&x) && self.latency.predict(&x) <= self.qos_target_ms
     }
@@ -204,7 +203,6 @@ impl<'e> MultiProfiler<'e> {
                 latency,
                 power,
                 qos_target_ms: target,
-                qos_load_margin: predictor.qos_load_margin,
                 max_trained_qps,
             });
         }

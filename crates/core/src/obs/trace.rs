@@ -13,7 +13,7 @@ use sturgeon_simnode::{ActuationOutcome, PairConfig};
 pub enum SearchReason {
     /// First observation of the run: no prior load to compare against.
     Initial,
-    /// The offered load moved past `research_load_delta` (Algorithm 1
+    /// The offered load moved past `RESEARCH_LOAD_DELTA` (Algorithm 1
     /// line 6).
     LoadChanged,
     /// Slack above β with a balancer-modified configuration installed:

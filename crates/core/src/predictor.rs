@@ -140,11 +140,12 @@ pub struct PredictorConfig {
     /// conservative peak-power training ("to resolve \[spikes\], Sturgeon
     /// builds power models based on their peak powers conservatively").
     pub power_margin: f64,
-    /// Relative load headroom applied when classifying QoS feasibility:
-    /// the classifier is queried at `qps · (1 + qos_load_margin)` so the
-    /// chosen configuration does not sit exactly on the latency cliff.
-    pub qos_load_margin: f64,
 }
+
+/// Relative load headroom applied when classifying QoS feasibility: the
+/// classifier is queried at `qps · (1 + QOS_LOAD_MARGIN)` so the chosen
+/// configuration does not sit exactly on the latency cliff.
+pub const QOS_LOAD_MARGIN: f64 = 0.10;
 
 impl Default for PredictorConfig {
     fn default() -> Self {
@@ -155,7 +156,6 @@ impl Default for PredictorConfig {
             be_perf: ModelKind::Knn,
             be_power: ModelKind::Knn,
             power_margin: 0.04,
-            qos_load_margin: 0.10,
         }
     }
 }
@@ -450,7 +450,7 @@ impl PerfPowerPredictor {
         if qps > 1.1 * self.max_trained_qps {
             return (feasible, power);
         }
-        let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
+        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
         let mut x = [guarded, 0.0, 0.0, 0.0];
         let mut label = feasible.iter_mut();
         for &c in &cores {
@@ -560,7 +560,7 @@ impl PerfPowerPredictor {
         self.count();
         self.cache
             .get_or_compute(Family::LsFeasible, cores, freq_ghz, ways, qps, || {
-                let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
+                let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
                 let x = features(guarded, cores, freq_ghz, ways);
                 // Dual check: the classifier answers the paper's yes/no
                 // question, and the instance-based latency regressor vetoes
@@ -793,7 +793,7 @@ mod tests {
         if qps > 1.1 * p.max_trained_qps {
             return false;
         }
-        let guarded = (qps * (1.0 + p.config.qos_load_margin)).min(p.max_trained_qps);
+        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(p.max_trained_qps);
         let x = features(guarded, cores, ghz, ways);
         p.ls_qos.predict_label(&x) && p.ls_latency.predict(&x) <= p.qos_target_ms
     }

@@ -3,8 +3,9 @@
 //! calls the hand-written bins make.
 //!
 //! The experiment surface (controllers, load-profile algebra, fault
-//! plans, search strategies, fleet geometries) outgrew ad-hoc CLI flags;
-//! a [`Scenario`] pins all of it in one reviewable file. The contract
+//! plans, search strategies, fleet geometries) is described by one
+//! reviewable file: a [`Scenario`] is the only way to configure a
+//! `sturgeon_sim` or `fleet_sim` run. The contract
 //! that makes manifests trustworthy is **bit-identity**: lowering a
 //! manifest produces the same controller construction and the same
 //! builder chain as the equivalent hand-built run, so the two paths
@@ -99,8 +100,7 @@ pub enum ControllerKind {
 }
 
 impl ControllerKind {
-    /// Canonical manifest spelling (matches the `sturgeon_sim`
-    /// `--controller` values).
+    /// Canonical manifest spelling (`[controller] kind`).
     pub fn name(self) -> &'static str {
         match self {
             ControllerKind::Sturgeon => "sturgeon",
@@ -164,7 +164,7 @@ pub enum FleetDispatch {
 }
 
 impl FleetDispatch {
-    /// Canonical manifest spelling (matches `fleet_sim --policy`).
+    /// Canonical manifest spelling (`[fleet] dispatch`).
     pub fn name(self) -> &'static str {
         match self {
             FleetDispatch::Even => "even",
@@ -448,7 +448,7 @@ pub fn metrics_json(rows: &[ScenarioMetrics]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Shared CLI-name parsing (also used by sturgeon_sim / fleet_sim).
+// Manifest name parsing.
 // ---------------------------------------------------------------------
 
 /// Parses an LS service by its canonical name.
@@ -480,42 +480,11 @@ pub fn search_strategy_name(s: SearchStrategy) -> &'static str {
     }
 }
 
-/// The `sturgeon_sim --load` profiles, exactly as the CLI has always
-/// built them.
-pub fn cli_load_profile(name: &str, fraction: f64, duration_s: u32) -> Option<LoadProfile> {
-    Some(match name {
-        "triangle" => LoadProfile::paper_fluctuating(duration_s as f64),
-        "constant" => LoadProfile::Constant { fraction },
-        "ramp" => LoadProfile::Ramp {
-            from: 0.2,
-            to: fraction.max(0.2),
-            duration_s: duration_s as f64,
-        },
-        "diurnal" => LoadProfile::Diurnal {
-            low: 0.15,
-            high: fraction.max(0.2),
-            day_s: duration_s as f64,
-        },
-        _ => return None,
-    })
-}
-
-/// The `sturgeon_sim --faults` presets, exactly as the CLI has always
-/// built them.
-pub fn cli_fault_plan(name: &str, seed: u64) -> Option<FaultPlan> {
-    Some(match name {
-        "none" => FaultPlan::none(seed),
-        "telemetry" => FaultPlan::telemetry_dropout(seed, 0.1),
-        "actuation" => FaultPlan::actuation_faults(seed, 0.2),
-        "shocks" => FaultPlan::shocks(seed, 0.1),
-        "everything" => FaultPlan::everything(seed),
-        _ => return None,
-    })
-}
-
-/// The per-region load profiles for a named `fleet_sim` scenario,
-/// exactly as the CLI has always built them. `failover` needs at least
-/// two regions (region 0 fails, the rest absorb its traffic).
+/// The per-region load profiles of a named fleet scenario (`constant`,
+/// `triangle`, `diurnal`, `flash`, `failover`) over `intervals` seconds,
+/// as the committed `BENCH_fleet.json` rows and the benchmark harness
+/// build them. `failover` needs at least two regions (region 0 fails,
+/// the rest absorb its traffic).
 pub fn regional_profiles(
     name: &str,
     fraction: f64,
@@ -1979,36 +1948,7 @@ day_s = 100
     }
 
     #[test]
-    fn cli_helpers_match_legacy_semantics() {
-        assert_eq!(
-            cli_load_profile("triangle", 0.3, 600).unwrap(),
-            LoadProfile::paper_fluctuating(600.0)
-        );
-        assert_eq!(
-            cli_load_profile("ramp", 0.1, 100).unwrap(),
-            LoadProfile::Ramp {
-                from: 0.2,
-                to: 0.2,
-                duration_s: 100.0
-            }
-        );
-        assert_eq!(
-            cli_load_profile("diurnal", 0.5, 200).unwrap(),
-            LoadProfile::Diurnal {
-                low: 0.15,
-                high: 0.5,
-                day_s: 200.0
-            }
-        );
-        assert!(cli_load_profile("nope", 0.3, 600).is_none());
-        assert_eq!(
-            cli_fault_plan("telemetry", 9).unwrap(),
-            FaultPlan::telemetry_dropout(9, 0.1)
-        );
-        assert_eq!(
-            cli_fault_plan("actuation", 9).unwrap(),
-            FaultPlan::actuation_faults(9, 0.2)
-        );
+    fn regional_profiles_match_legacy_semantics() {
         // Failover needs two regions and splits takeover across survivors.
         assert!(regional_profiles("failover", 0.3, 100, 1).is_none());
         let profiles = regional_profiles("failover", 0.3, 100, 3).unwrap();

@@ -37,12 +37,9 @@ fn main() {
         };
         let mut cluster =
             Fleet::try_new(pair, nodes, params, 42).expect("valid cluster configuration");
+        let result = cluster.run(LoadProfile::paper_fluctuating(duration as f64), duration);
         let registry = MetricsRegistry::new();
-        let result = cluster.run_with_metrics(
-            LoadProfile::paper_fluctuating(duration as f64),
-            duration,
-            &registry,
-        );
+        cluster.export_metrics(&result, &registry);
         for n in &result.nodes {
             println!(
                 "  node {}: QoS {:.2}%  BE tput {:.3}  mean power {:.1} W  overload {:.1}%",
@@ -62,7 +59,7 @@ fn main() {
         );
         let p95 = registry
             .histogram("interval.p95_ms")
-            .expect("run_with_metrics fills interval.p95_ms");
+            .expect("export_metrics fills interval.p95_ms");
         println!(
             "  fleet latency histogram: p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms over {} intervals\n",
             p95.p50, p95.p95, p95.p99, p95.count

@@ -8,7 +8,7 @@
 use serde_json::Value;
 use sturgeon::prelude::*;
 use sturgeon::scenario::gate::{compare, default_rules};
-use sturgeon::scenario::metrics_json;
+use sturgeon::scenario::{self, metrics_json};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -41,7 +41,7 @@ fn every_committed_manifest_parses_validates_and_roundtrips() {
         seen += 1;
     }
     assert!(
-        seen >= 6,
+        seen >= 13,
         "expected the committed smoke + golden manifests, found {seen}"
     );
 }
@@ -57,6 +57,94 @@ fn smoke_manifests_cover_node_robustness_and_fleet() {
     let fleet = load_scenario("scenarios/smoke_fleet.toml");
     assert_eq!(fleet.kind, ScenarioKind::Fleet);
     assert_eq!(fleet.fleet.as_ref().map(|f| f.nodes), Some(1000));
+}
+
+/// A memcached+raytrace scenario as the removed `sturgeon_sim` /
+/// `fleet_sim` flag front-ends built it at their defaults (seed 42, the
+/// Sturgeon controller, unhardened, hardened actuation policy).
+fn flagship(kind: ScenarioKind, intervals: u32, strategy: SearchStrategy) -> Scenario {
+    Scenario {
+        name: "cli".into(),
+        kind,
+        seed: 42,
+        intervals,
+        pair: ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace),
+        controller: ControllerSpec {
+            kind: ControllerKind::Sturgeon,
+            strategy,
+            hardened: false,
+        },
+        load: LoadProfile::paper_fluctuating(intervals as f64),
+        region_loads: Vec::new(),
+        faults: FaultPlan::none(42),
+        policy: ActuationPolicy::hardened(),
+        fleet: None,
+        budget: None,
+        placement: None,
+        scoring: None,
+        probe: None,
+    }
+}
+
+/// `fleet_sim --nodes N --intervals I --search pruned`: one region under
+/// the `diurnal` profile, auto shards, even dispatch.
+fn flag_fleet(nodes: usize, intervals: u32) -> Scenario {
+    let region_loads = scenario::regional_profiles("diurnal", 0.3, intervals, 1)
+        .expect("diurnal is a named profile");
+    Scenario {
+        load: region_loads[0].clone(),
+        region_loads,
+        fleet: Some(FleetSpec {
+            nodes,
+            shards: 0,
+            regions: 1,
+            dispatch: FleetDispatch::Even,
+        }),
+        ..flagship(
+            ScenarioKind::Fleet,
+            intervals,
+            SearchStrategy::FrontierPruned,
+        )
+    }
+}
+
+/// Every committed manifest that stands in for a former flag command
+/// line (a `BENCH_fleet.json` row or a CI run) describes exactly the
+/// scenario that command built, so the committed numbers keep a
+/// committed input.
+#[test]
+fn manifests_equal_the_flag_commands_they_replace() {
+    let cases = [
+        ("scenarios/smoke_fleet.toml", flag_fleet(1000, 100)),
+        ("scenarios/fleet_1k.toml", flag_fleet(1000, 1000)),
+        ("scenarios/fleet_10k.toml", flag_fleet(10_000, 1000)),
+        ("scenarios/fleet_100k.toml", flag_fleet(100_000, 1000)),
+        // sturgeon_sim --duration 180 --faults everything
+        (
+            "scenarios/node_faults_traced.toml",
+            Scenario {
+                faults: FaultPlan::everything(42),
+                ..flagship(ScenarioKind::Node, 180, SearchStrategy::Heuristic)
+            },
+        ),
+        // sturgeon_sim --duration 120 --search pruned
+        (
+            "scenarios/node_pruned_traced.toml",
+            flagship(ScenarioKind::Node, 120, SearchStrategy::FrontierPruned),
+        ),
+    ];
+    for (path, flags) in cases {
+        let manifest = load_scenario(path);
+        // The fleet front-end also spelled a one-region fleet's profile
+        // out in `region_loads`; a manifest's `[load]` implies it.
+        assert_eq!(manifest.fleet_profiles(), flags.fleet_profiles(), "{path}");
+        let flags = Scenario {
+            name: manifest.name.clone(),
+            region_loads: Vec::new(),
+            ..flags
+        };
+        assert_eq!(manifest, flags, "{path}");
+    }
 }
 
 /// Parse a percentage like `98.58%` out of a whitespace-split report

@@ -2,7 +2,7 @@
 //! controller stack: determinism, zero-fault fidelity, staleness handling,
 //! safe-mode feasibility, and the headline actuator-fault resilience claim.
 
-use sturgeon::controller::ResourceController;
+use sturgeon::controller::{ResourceController, STALENESS_WINDOW};
 use sturgeon::prelude::*;
 use sturgeon::profiler::ProfilerConfig;
 use sturgeon::report::{run_summary_json, telemetry_csv};
@@ -156,7 +156,7 @@ fn stale_config_never_held_beyond_staleness_window() {
         42,
     );
     let mut c = sturgeon_for(&setup, ControllerParams::hardened());
-    let window = c.params().robust.staleness_window;
+    let window = STALENESS_WINDOW;
     let mut cfg = c.initial_config(setup.spec());
     cfg = c.decide(&obs_at(1.0, 12_000.0), cfg);
     let held = cfg;

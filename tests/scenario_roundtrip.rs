@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use sturgeon::prelude::*;
-use sturgeon::scenario::{self, ControllerKind, SearchProbe};
+use sturgeon::scenario::{ControllerKind, SearchProbe};
 use sturgeon_workloads::loadgen::FailoverRole;
 
 const KINDS: [ControllerKind; 6] = [
@@ -383,59 +383,4 @@ fn fleet_manifest_matches_hand_built_run_even_dispatch() {
 #[cfg_attr(debug_assertions, ignore = "trains a predictor; run with --release")]
 fn fleet_manifest_matches_hand_built_run_latency_dispatch() {
     fleet_identity_case("latency", 2);
-}
-
-/// The legacy CLI flag semantics and the manifest schema meet in the
-/// shared helpers; spot-check that a flags-built scenario and the
-/// equivalent manifest text lower to the same scenario value.
-#[test]
-fn cli_flags_and_manifest_agree() {
-    let from_flags = Scenario {
-        name: "cli".into(),
-        kind: ScenarioKind::Node,
-        seed: 5,
-        intervals: 300,
-        pair: ColocationPair::new(LsServiceId::Xapian, BeAppId::Ferret),
-        controller: ControllerSpec {
-            kind: ControllerKind::SturgeonNoB,
-            strategy: SearchStrategy::FrontierPruned,
-            hardened: false,
-        },
-        load: scenario::cli_load_profile("diurnal", 0.5, 300).expect("load"),
-        region_loads: Vec::new(),
-        faults: scenario::cli_fault_plan("telemetry", 5).expect("faults"),
-        policy: ActuationPolicy::hardened(),
-        fleet: None,
-        budget: None,
-        placement: None,
-        scoring: None,
-        probe: None,
-    };
-    let manifest = r#"
-name = "cli"
-seed = 5
-intervals = 300
-
-[workload]
-ls = "xapian"
-be = "ferret"
-
-[controller]
-kind = "sturgeon-nob"
-search = "pruned"
-
-[load]
-profile = "diurnal"
-low = 0.15
-high = 0.5
-day_s = 300
-
-[faults]
-telemetry_dropout_rate = 0.1
-seed = 5
-"#;
-    assert_eq!(
-        Scenario::from_toml_str(manifest).expect("manifest"),
-        from_flags
-    );
 }
