@@ -229,6 +229,9 @@ struct Shard {
     /// Per-node power budget (identical fleet-wide — homogeneous spec).
     budget_w: f64,
     intervals_stepped: u32,
+    /// Node-intervals whose OS jitter was not 1.0, which evaluated their
+    /// own latency instead of copying the shard's quiet latency.
+    jitter_node_intervals: u64,
     /// Streaming aggregates: histogram buckets merged into the registry
     /// after the run, running stats summarizing the shard for dispatch.
     p95_hist: Histogram,
@@ -271,6 +274,7 @@ impl Shard {
             tput_hist,
             p95_run,
             job_factor,
+            jitter_node_intervals,
             traced,
             trace,
             ..
@@ -279,14 +283,15 @@ impl Shard {
         // Everything that depends only on (config, qps) is identical
         // across the shard's nodes: evaluate it once, replay per node.
         let invariants = envs[0].step_invariants(config, qps);
+        // Counted BE throughput: the measured partition throughput times
+        // the co-runner score for the jobs multiplexed on it. With the
+        // default single pinned job the factor is exactly 1.0 and the
+        // product is bit-identical to the raw value.
+        let counted_tput = invariants.be_throughput_norm * *job_factor;
         let mut sums = ObsSums::default();
         for (i, env) in envs.iter_mut().enumerate() {
             let obs = env.step_with(config, qps, &invariants);
-            // Counted BE throughput: the measured partition throughput
-            // times the co-runner score for the jobs multiplexed on it.
-            // With the default single pinned job the factor is exactly
-            // 1.0 and the product is bit-identical to the raw value.
-            let counted_tput = obs.be_throughput_norm * *job_factor;
+            *jitter_node_intervals += u64::from(obs.interference != invariants.bw_multiplier);
             slab.power_w[i] = obs.power_w;
             slab.be_tput[i] = counted_tput;
             slab.sum_qps[i] += obs.qps;
@@ -297,11 +302,14 @@ impl Shard {
                 slab.overload_intervals[i] += 1;
             }
             p95_hist.observe(obs.p95_ms);
-            power_hist.observe(obs.power_w);
-            tput_hist.observe(counted_tput);
             p95_run.observe(obs.p95_ms);
             sums.add(&obs);
         }
+        // Power and counted throughput are shard-uniform: one bucket
+        // search each, bit-identical to observing them once per node.
+        let n = envs.len() as u64;
+        power_hist.observe_repeated(invariants.power_w, n);
+        tput_hist.observe_repeated(counted_tput, n);
         self.intervals_stepped += 1;
         let mean = sums.mean(envs.len() as f64);
         self.last_mean_p95 = mean.p95_ms;
@@ -536,6 +544,7 @@ impl Fleet {
                 slab: NodeSlab::new(len),
                 budget_w,
                 intervals_stepped: 0,
+                jitter_node_intervals: 0,
                 p95_hist: Histogram::new(&DEFAULT_BUCKETS),
                 power_hist: Histogram::new(&DEFAULT_BUCKETS),
                 tput_hist: Histogram::new(&BE_THROUGHPUT_BUCKETS),
@@ -1005,8 +1014,10 @@ impl Fleet {
         registry.set_gauge("fleet.shards", self.shards.len() as f64);
         registry.set_gauge("fleet.regions", self.regions.len() as f64);
         let mut intervals = 0u64;
+        let mut jitter_intervals = 0u64;
         for shard in &self.shards {
             intervals += shard.intervals_stepped as u64 * shard.len() as u64;
+            jitter_intervals += shard.jitter_node_intervals;
             registry.merge_histogram("interval.p95_ms", &shard.p95_hist);
             registry.merge_histogram("interval.power_w", &shard.power_hist);
             registry.merge_histogram("interval.be_throughput", &shard.tput_hist);
@@ -1039,6 +1050,7 @@ impl Fleet {
         registry.add("fleet.trainings", result.trainings);
         registry.add("fleet.table_builds", result.table_builds);
         registry.add("fleet.slab_builds", result.slab_builds);
+        registry.add("fleet.jitter_node_intervals", jitter_intervals);
         registry.add("search.runs", result.searches);
         registry.add("budget.reclaims", result.budget_reclaims);
         registry.add("placement.migrations", result.migrations);
@@ -1235,6 +1247,25 @@ mod tests {
             8 * 120
         );
         assert_eq!(registry.gauge("fleet.qos_rate"), Some(r.qos_rate));
+    }
+
+    #[test]
+    fn jittered_node_intervals_are_counted() {
+        let params = FleetParams {
+            shards: 2,
+            ..FleetParams::default()
+        };
+        let mut fleet = Fleet::new(pair(), 8, params, 5);
+        let r = fleet.run(LoadProfile::Constant { fraction: 0.4 }, 100);
+        let registry = MetricsRegistry::new();
+        fleet.export_metrics(&r, &registry);
+        // About 5.8% of node-intervals see a jitter spike (0.03 / 0.52):
+        // some, but far from all, leave the shared quiet-latency path.
+        let jittered = registry.counter("fleet.jitter_node_intervals");
+        assert!(
+            0 < jittered && jittered < 8 * 100,
+            "jittered node-intervals {jittered}"
+        );
     }
 
     #[test]

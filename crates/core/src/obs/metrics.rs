@@ -53,7 +53,14 @@ impl Histogram {
 
     /// Records one observation (non-finite values are dropped).
     pub fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
+        self.observe_repeated(value, 1);
+    }
+
+    /// Records `n` observations of one value with a single bucket search;
+    /// `sum` still adds `value` `n` times in sequence, so the result is
+    /// bit-identical to `n` calls of [`Histogram::observe`].
+    pub fn observe_repeated(&mut self, value: f64, n: u64) {
+        if n == 0 || !value.is_finite() {
             return;
         }
         let idx = self
@@ -61,9 +68,11 @@ impl Histogram {
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
+        self.counts[idx] += n;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += value;
+        }
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -569,6 +578,43 @@ mod tests {
         // Non-finite observations are dropped.
         h.observe(f64::NAN);
         assert_eq!(h.count(), 5);
+    }
+
+    #[test]
+    fn observe_repeated_matches_repeated_observe() {
+        let bounds = [1.0, 10.0, 100.0];
+        // 10.0 sits on a bucket bound, 250.0 lands in the overflow bucket,
+        // and 0.1/3.3 make the running sum round.
+        for value in [
+            0.1,
+            3.3,
+            10.0,
+            250.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            for n in [0u64, 1, 7, 10_000] {
+                let mut repeated = Histogram::new(&bounds);
+                let mut single = Histogram::new(&bounds);
+                for h in [&mut repeated, &mut single] {
+                    h.observe(0.7);
+                }
+                repeated.observe_repeated(value, n);
+                for _ in 0..n {
+                    single.observe(value);
+                }
+                let (a, b) = (repeated.snapshot(), single.snapshot());
+                assert_eq!(a.counts, b.counts, "{value} × {n}");
+                assert_eq!(a.count, b.count, "{value} × {n}");
+                assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{value} × {n}");
+                assert_eq!(a.min, b.min, "{value} × {n}");
+                assert_eq!(a.max, b.max, "{value} × {n}");
+                if !value.is_finite() {
+                    assert_eq!(a.count, 1, "non-finite {value} must be dropped");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl std::error::Error for TomlError {}
 
 /// One step of a table path: an object key, or an index into an array
 /// of tables (always the last element while parsing).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Seg {
     Key(String),
     Idx(usize),
@@ -53,9 +53,11 @@ pub fn parse(text: &str) -> Result<Value, TomlError> {
         line: 1,
     };
     let mut root = Value::Object(Vec::new());
-    // Paths of tables introduced by an explicit `[header]`, so duplicate
-    // headers are rejected (implicit parents may later be opened once).
-    let mut defined: Vec<String> = Vec::new();
+    // Resolved paths (array-element indices included) of tables
+    // introduced by an explicit `[header]`, so duplicate headers are
+    // rejected while each `[[array]]` element may open its own
+    // sub-tables (implicit parents may later be opened once).
+    let mut defined: Vec<Vec<Seg>> = Vec::new();
     let mut current: Vec<Seg> = Vec::new();
 
     loop {
@@ -98,7 +100,7 @@ fn open_table(
     root: &mut Value,
     path: &[String],
     array: bool,
-    defined: &mut Vec<String>,
+    defined: &mut Vec<Vec<Seg>>,
     line: usize,
 ) -> Result<Vec<Seg>, TomlError> {
     let mut segs: Vec<Seg> = Vec::new();
@@ -139,11 +141,6 @@ fn open_table(
         };
         segs.push(Seg::Idx(items.len() - 1));
     } else {
-        let full = path.join(".");
-        if defined.iter().any(|d| d == &full) {
-            return Err(err(line, format!("duplicate table `[{full}]`")));
-        }
-        defined.push(full);
         match slot {
             None => fields.push((leaf.clone(), Value::Object(Vec::new()))),
             Some(i) if fields[i].1.is_object() => {}
@@ -152,6 +149,10 @@ fn open_table(
             }
         }
         segs.push(Seg::Key(leaf.clone()));
+        if defined.contains(&segs) {
+            return Err(err(line, format!("duplicate table `[{}]`", path.join("."))));
+        }
+        defined.push(segs.clone());
     }
     Ok(segs)
 }
@@ -669,6 +670,43 @@ depth = 2
     }
 
     #[test]
+    fn each_array_element_opens_its_own_sub_table() {
+        let headers = "
+[[region_load]]
+profile = \"failover\"
+takeover = 0.5
+
+[region_load.base]
+profile = \"constant\"
+fraction = 0.4
+
+[[region_load]]
+profile = \"failover\"
+takeover = 0.25
+
+[region_load.base]
+profile = \"diurnal\"
+low = 0.2
+";
+        let inline = "
+[[region_load]]
+profile = \"failover\"
+takeover = 0.5
+base = { profile = \"constant\", fraction = 0.4 }
+
+[[region_load]]
+profile = \"failover\"
+takeover = 0.25
+base = { profile = \"diurnal\", low = 0.2 }
+";
+        assert_eq!(parse(headers).unwrap(), parse(inline).unwrap());
+        // Within one element the sub-table is still defined only once.
+        let e = parse("[[region_load]]\n[region_load.base]\na = 1\n[region_load.base]\nb = 2\n")
+            .unwrap_err();
+        assert!(e.message.contains("duplicate table"), "{}", e.message);
+    }
+
+    #[test]
     fn multiline_arrays_with_comments() {
         let doc = "fracs = [\n  0.2, # twenty\n  0.35,\n  0.8,\n]\n";
         let v = parse(doc).unwrap();
@@ -697,11 +735,18 @@ fraction = 0.4
 label = "a"
 n = 1
 
+[rows.base]
+profile = "constant"
+
 [[rows]]
 label = "b"
 n = 2
+
+[rows.base]
+profile = "diurnal"
 "#;
         let v = parse(doc).unwrap();
+        assert_eq!(v["rows"][1]["base"]["profile"], "diurnal");
         let rendered = render(&v);
         let reparsed = parse(&rendered).unwrap();
         assert_eq!(reparsed, v, "render → parse must be the identity");

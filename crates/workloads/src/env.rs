@@ -9,7 +9,7 @@
 
 use crate::be::BeAppModel;
 use crate::interference::{InterferenceModel, InterferenceParams};
-use crate::ls::LsServiceModel;
+use crate::ls::{LsLatency, LsServiceModel};
 use sturgeon_simnode::power::{PartitionLoad, PowerModel};
 use sturgeon_simnode::{NodeSpec, PairConfig};
 
@@ -38,22 +38,27 @@ pub struct Observation {
 
 /// The parts of one [`CoLocationEnv::step`] that depend only on
 /// `(config, qps)` and the workload models — not on the node's private
-/// interference state. A homogeneous shard whose nodes share one
+/// OS-jitter state. A homogeneous shard whose nodes share one
 /// configuration and load computes these once per interval and replays
 /// them into every node via [`CoLocationEnv::step_with`]; the result is
 /// bit-identical to calling [`CoLocationEnv::step`] on each node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepInvariants {
-    /// BE memory traffic feeding the interference model.
-    pub be_traffic: f64,
-    /// LS share of LLC ways in `[0, 1]`.
-    pub ls_ways_fraction: f64,
     /// Ground-truth package power (W) — interference-free by definition.
     pub power_w: f64,
     /// BE throughput normalized to its whole-node solo run.
     pub be_throughput_norm: f64,
     /// BE IPC proxy.
     pub be_ipc: f64,
+    /// Deterministic bandwidth-pressure multiplier (the interference
+    /// multiplier of a node with no active jitter spike).
+    pub bw_multiplier: f64,
+    /// Deterministic additive tail-latency term (ms).
+    pub additive_ms: f64,
+    /// LS latency of a node with no active jitter spike. A quiet node's
+    /// multiplier is `bw_multiplier * 1.0`, which IEEE-754 makes exactly
+    /// `bw_multiplier`, so this is bit-identical to its own evaluation.
+    pub quiet: LsLatency,
 }
 
 /// A co-location of one LS service and one BE app on one node.
@@ -189,16 +194,23 @@ impl CoLocationEnv {
         self.step_with(config, qps, &invariants)
     }
 
-    /// Evaluates the interference-free parts of one interval — a pure
+    /// Evaluates the jitter-free parts of one interval — a pure
     /// function of `(config, qps)` shareable across every node of a
     /// homogeneous shard running the same configuration and load.
     pub fn step_invariants(&self, config: &PairConfig, qps: f64) -> StepInvariants {
         let be_f = config.be.freq_ghz(&self.spec);
+        let be_traffic = self
+            .be
+            .memory_traffic(config.be.cores, be_f, config.be.llc_ways);
+        let ls_ways_fraction = config.ls.llc_ways as f64 / self.spec.total_llc_ways as f64;
+        let sensitivity = self.ls.params.bw_sensitivity;
+        let bw_multiplier =
+            self.interference
+                .bandwidth_multiplier(be_traffic, ls_ways_fraction, sensitivity);
+        let additive_ms = self
+            .interference
+            .additive_ms(be_traffic, ls_ways_fraction, sensitivity);
         StepInvariants {
-            be_traffic: self
-                .be
-                .memory_traffic(config.be.cores, be_f, config.be.llc_ways),
-            ls_ways_fraction: config.ls.llc_ways as f64 / self.spec.total_llc_ways as f64,
             power_w: self.total_power(config, qps),
             be_throughput_norm: self.be.normalized_throughput(
                 config.be.cores,
@@ -206,12 +218,23 @@ impl CoLocationEnv {
                 config.be.llc_ways,
             ),
             be_ipc: self.be.ipc(config.be.cores, be_f, config.be.llc_ways),
+            bw_multiplier,
+            additive_ms,
+            quiet: self.ls.latency_disturbed(
+                config.ls.cores,
+                config.ls.freq_ghz(&self.spec),
+                config.ls.llc_ways,
+                qps,
+                bw_multiplier,
+                additive_ms,
+            ),
         }
     }
 
     /// Simulates one interval replaying precomputed
-    /// [`StepInvariants`] and advancing only this node's private
-    /// interference process. `step(config, qps)` is exactly
+    /// [`StepInvariants`] and advancing only this node's private OS-jitter
+    /// process; only a node whose jitter is not 1.0 evaluates its own
+    /// latency. `step(config, qps)` is exactly
     /// `step_with(config, qps, &step_invariants(config, qps))`.
     pub fn step_with(
         &mut self,
@@ -222,23 +245,22 @@ impl CoLocationEnv {
         debug_assert!(config.validate(&self.spec).is_ok(), "invalid config");
         debug_assert_eq!(*invariants, self.step_invariants(config, qps));
         self.t_s += 1.0;
-        let ls_f = config.ls.freq_ghz(&self.spec);
 
         // Interference from the BE co-runner plus OS jitter.
-        let disturbance = self.interference.step(
-            invariants.be_traffic,
-            invariants.ls_ways_fraction,
-            self.ls.params.bw_sensitivity,
-        );
-
-        let lat = self.ls.latency_disturbed(
-            config.ls.cores,
-            ls_f,
-            config.ls.llc_ways,
-            qps,
-            disturbance.multiplier,
-            disturbance.additive_ms,
-        );
+        let jitter = self.interference.step_jitter();
+        let multiplier = invariants.bw_multiplier * jitter;
+        let lat = if jitter == 1.0 {
+            invariants.quiet
+        } else {
+            self.ls.latency_disturbed(
+                config.ls.cores,
+                config.ls.freq_ghz(&self.spec),
+                config.ls.llc_ways,
+                qps,
+                multiplier,
+                invariants.additive_ms,
+            )
+        };
 
         Observation {
             t_s: self.t_s,
@@ -249,7 +271,7 @@ impl CoLocationEnv {
             power_w: invariants.power_w,
             be_throughput_norm: invariants.be_throughput_norm,
             be_ipc: invariants.be_ipc,
-            interference: disturbance.multiplier,
+            interference: multiplier,
         }
     }
 
@@ -283,6 +305,9 @@ impl CoLocationEnv {
 mod tests {
     use super::*;
     use crate::catalog::{be_app, ls_service, BeAppId, LsServiceId};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sturgeon_simnode::Allocation;
 
     fn env(ls: LsServiceId, be: BeAppId, seed: u64) -> CoLocationEnv {
@@ -401,5 +426,137 @@ mod tests {
     fn be_only_power_grows_with_frequency() {
         let e = quiet_env(LsServiceId::Memcached, BeAppId::Blackscholes);
         assert!(e.be_partition_power(12, 2.2) > e.be_partition_power(12, 1.2));
+    }
+
+    /// A uniformly random valid configuration on the 20-core, 20-way node.
+    fn random_config(rng: &mut StdRng) -> PairConfig {
+        let c1 = rng.gen_range(1..20);
+        let l1 = rng.gen_range(1..20);
+        cfg(
+            c1,
+            rng.gen_range(0..10),
+            l1,
+            rng.gen_range(1..=20 - c1),
+            rng.gen_range(0..10),
+            rng.gen_range(1..=20 - l1),
+        )
+    }
+
+    /// One interval the way `step` computed it before the quiet-node
+    /// latency was shared: the disturbance from `InterferenceModel::step`
+    /// (bandwidth multiplier times jitter), then a latency evaluation.
+    fn reference_step(
+        e: &CoLocationEnv,
+        twin: &mut InterferenceModel,
+        t_s: f64,
+        config: &PairConfig,
+        qps: f64,
+    ) -> Observation {
+        let spec = e.spec();
+        let be_f = config.be.freq_ghz(spec);
+        let d = twin.step(
+            e.be()
+                .memory_traffic(config.be.cores, be_f, config.be.llc_ways),
+            config.ls.llc_ways as f64 / spec.total_llc_ways as f64,
+            e.ls().params.bw_sensitivity,
+        );
+        let lat = e.ls().latency_disturbed(
+            config.ls.cores,
+            config.ls.freq_ghz(spec),
+            config.ls.llc_ways,
+            qps,
+            d.multiplier,
+            d.additive_ms,
+        );
+        Observation {
+            t_s,
+            qps,
+            p95_ms: lat.p95_ms,
+            in_target_fraction: lat.in_target_fraction,
+            ls_utilization: lat.utilization,
+            power_w: e.total_power(config, qps),
+            be_throughput_norm: e.be().normalized_throughput(
+                config.be.cores,
+                be_f,
+                config.be.llc_ways,
+            ),
+            be_ipc: e.be().ipc(config.be.cores, be_f, config.be.llc_ways),
+            interference: d.multiplier,
+        }
+    }
+
+    fn obs_bits(o: &Observation) -> [u64; 9] {
+        [
+            o.t_s.to_bits(),
+            o.qps.to_bits(),
+            o.p95_ms.to_bits(),
+            o.in_target_fraction.to_bits(),
+            o.ls_utilization.to_bits(),
+            o.power_w.to_bits(),
+            o.be_throughput_norm.to_bits(),
+            o.be_ipc.to_bits(),
+            o.interference.to_bits(),
+        ]
+    }
+
+    /// Interference processes worth checking: the default, a quiet one, a
+    /// spiky one, and one whose active spikes have jitter exactly 1.0.
+    fn interference_variant(i: usize) -> InterferenceParams {
+        match i {
+            0 => InterferenceParams::default(),
+            1 => InterferenceParams::none(),
+            2 => InterferenceParams {
+                spike_probability: 0.3,
+                ..InterferenceParams::default()
+            },
+            _ => InterferenceParams {
+                spike_probability: 0.3,
+                spike_magnitude: (1.0, 1.0),
+                ..InterferenceParams::default()
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn shared_quiet_latency_is_bit_identical_to_per_node_evaluation(
+            seed in 0u64..u64::MAX,
+            ls in 0usize..3,
+            be in 0usize..6,
+            variant in 0usize..4,
+        ) {
+            let params = interference_variant(variant);
+            let mut e = CoLocationEnv::new(
+                NodeSpec::xeon_e5_2630_v4(),
+                PowerModel::default(),
+                ls_service(LsServiceId::all()[ls]),
+                be_app(BeAppId::all()[be]),
+                params,
+                seed,
+            );
+            let mut twin = InterferenceModel::new(params, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+            let peak = e.ls().params.peak_qps;
+            let (mut own_evaluations, mut saturated) = (0, 0);
+            for t in 1..=320 {
+                let config = random_config(&mut rng);
+                // Up to 1.5× peak, so small LS partitions saturate often.
+                let qps = rng.gen_range(0.0..1.5) * peak;
+                let invariants = e.step_invariants(&config, qps);
+                let got = e.step_with(&config, qps, &invariants);
+                let want = reference_step(&e, &mut twin, f64::from(t), &config, qps);
+                prop_assert_eq!(obs_bits(&got), obs_bits(&want), "interval {}", t);
+                own_evaluations += usize::from(got.interference != invariants.bw_multiplier);
+                saturated += usize::from(got.ls_utilization >= 1.0);
+            }
+            prop_assert!(saturated > 0, "no saturated interval");
+            if variant == 2 {
+                prop_assert!(own_evaluations > 0, "no jitter spike in 320 intervals");
+            } else if variant != 0 {
+                prop_assert_eq!(own_evaluations, 0);
+            }
+        }
     }
 }
