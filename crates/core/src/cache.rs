@@ -17,6 +17,12 @@
 //! oracle-equivalence test in `tests/integration_predictor.rs` locks that
 //! in.
 //!
+//! A lookup costs far less than the model query it saves, so hashing
+//! is a visible share of it. Keys are hashed by `KeyHasher`, a
+//! deterministic multiply-rotate fold of the key's five fields: the same
+//! hash picks the shard and is the shard maps' `BuildHasher`, so a
+//! lookup hashes with a few multiplies rather than std's SipHash.
+//!
 //! The cache is `Send + Sync` (sharded `parking_lot::Mutex` maps, atomic
 //! counters) so the parallel sweeps of the search layer can share one
 //! instance across worker threads. Its atomic counters are totals over
@@ -29,7 +35,7 @@
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use sturgeon_simnode::PairConfig;
 
@@ -57,6 +63,54 @@ struct Key {
     ways: u32,
     qps_bits: u64,
 }
+
+/// Multiplier of [`KeyHasher`]: odd, so multiplying by it is a bijection.
+const KEY_MUL: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// The prediction cache's hasher: each word is folded in as
+/// `h = (h.rotate_left(5) ^ word) · KEY_MUL`. Every step is a bijection of
+/// `h` for a fixed word and of the word for a fixed `h`, so two keys that
+/// differ in one field always hash differently. The derived `Hash` of
+/// [`Key`] writes five words, so hashing a key costs five multiplies.
+/// Deterministic: no per-process seed.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(KEY_MUL);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    /// Also takes the enum discriminant, which `write_isize` forwards.
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    /// The product's high bits mix every input bit; the rotation moves
+    /// them down to the low bits a hash table indexes its buckets with.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A shard's memo table, hashed with [`KeyHasher`].
+type ShardMap = HashMap<Key, f64, BuildHasherDefault<KeyHasher>>;
 
 /// Per-thread query counters, advanced alongside the predictor-global
 /// atomics: `calls` by every counted prediction query, `hits`/`misses`
@@ -119,11 +173,24 @@ impl std::ops::Add for QueryMeter {
 /// worker counts the rayon sweeps use.
 const SHARDS: usize = 16;
 
+/// Where the shard index sits in a [`KeyHasher`] hash: the four bits
+/// under the rotated-in product high bits (`finish` puts the product's
+/// top four bits at 22..26). A shard map indexes buckets with the low
+/// bits and tags them with the top seven, so neither is constant across
+/// a shard until a shard outgrows 2²² buckets.
+const SHARD_SHIFT: u32 = 22;
+
+/// The shard `key` lives in.
+fn shard_index(key: &Key) -> usize {
+    let hash = BuildHasherDefault::<KeyHasher>::default().hash_one(key);
+    (hash >> SHARD_SHIFT) as usize & (SHARDS - 1)
+}
+
 /// A sharded, thread-safe memo table from exact query keys to
 /// predicted values, with hit/miss accounting for the §VII-E overhead
 /// tables.
 pub struct PredictionCache {
-    shards: Vec<Mutex<HashMap<Key, f64>>>,
+    shards: Vec<Mutex<ShardMap>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: AtomicBool,
@@ -150,7 +217,9 @@ impl PredictionCache {
     /// An empty, enabled cache.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(ShardMap::default()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
@@ -169,10 +238,8 @@ impl PredictionCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn shard_of(&self, key: &Key) -> &Mutex<HashMap<Key, f64>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+    fn shard_of(&self, key: &Key) -> &Mutex<ShardMap> {
+        &self.shards[shard_index(key)]
     }
 
     /// Returns the memoized value for the query, computing and
@@ -333,7 +400,93 @@ impl FrontierCache {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use sturgeon_simnode::Allocation;
+    use sturgeon_simnode::{Allocation, NodeSpec};
+
+    fn hash(key: &Key) -> u64 {
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn search_lattice_keys_spread_over_the_shards() {
+        // The keys one search issues: every family over the node's
+        // (cores, freq level, ways) lattice at a single load.
+        let spec = NodeSpec::xeon_e5_2630_v4();
+        let families = [
+            Family::LsFeasible,
+            Family::LsPower,
+            Family::BeThroughput,
+            Family::BePower,
+        ];
+        let mut per_shard = [0usize; SHARDS];
+        let mut keys = 0;
+        for family in families {
+            for cores in 1..=spec.total_cores {
+                for level in 0..spec.freq_level_count() {
+                    for ways in 0..=spec.total_llc_ways {
+                        let key = Key {
+                            family,
+                            cores,
+                            freq_bits: spec.freq_ghz(level).to_bits(),
+                            ways,
+                            qps_bits: 12_345.0f64.to_bits(),
+                        };
+                        per_shard[shard_index(&key)] += 1;
+                        keys += 1;
+                    }
+                }
+            }
+        }
+        let used = per_shard.iter().filter(|&&n| n > 0).count();
+        assert!(used >= 8, "{keys} keys in {used} shards: {per_shard:?}");
+        let fullest = per_shard.iter().max().unwrap();
+        assert!(
+            4 * fullest <= keys,
+            "one shard holds {fullest} of {keys} keys"
+        );
+    }
+
+    #[test]
+    fn keys_differing_in_one_field_stay_distinct() {
+        let base = Key {
+            family: Family::LsPower,
+            cores: 8,
+            freq_bits: 1.8f64.to_bits(),
+            ways: 10,
+            qps_bits: 0.0f64.to_bits(),
+        };
+        let variants = [
+            Key {
+                family: Family::BePower,
+                ..base
+            },
+            Key { cores: 9, ..base },
+            Key {
+                freq_bits: 1.8f64.next_up().to_bits(),
+                ..base
+            },
+            Key { ways: 11, ..base },
+            Key {
+                qps_bits: (-0.0f64).to_bits(),
+                ..base
+            },
+        ];
+        let cache = PredictionCache::new();
+        let lookup = |key: &Key, v: f64| {
+            let (freq, qps) = (f64::from_bits(key.freq_bits), f64::from_bits(key.qps_bits));
+            cache.get_or_compute(key.family, key.cores, freq, key.ways, qps, || v)
+        };
+        assert_eq!(lookup(&base, -1.0), -1.0);
+        for (i, variant) in variants.iter().enumerate() {
+            assert_ne!(hash(variant), hash(&base), "variant {i} collides");
+            assert_eq!(
+                lookup(variant, i as f64),
+                i as f64,
+                "variant {i} hit the base"
+            );
+        }
+        assert_eq!(cache.len(), 1 + variants.len());
+        assert_eq!(cache.misses(), 1 + variants.len() as u64);
+    }
 
     #[test]
     fn memoizes_and_counts() {

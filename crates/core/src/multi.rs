@@ -20,7 +20,7 @@
 //!   violates at unchanged load.
 
 use crate::predictor::{make_classifier, make_regressor, PredictorConfig, QOS_LOAD_MARGIN};
-use crate::profiler::features;
+use crate::profiler::{feature_row, features};
 use crate::scoring::SetScorer;
 use crate::search::least_satisfying;
 use crate::tables::BeLattice;
@@ -57,14 +57,14 @@ impl LsModelSet {
             return false;
         }
         let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
-        let x = features(guarded, cores, freq_ghz, ways);
+        let x = feature_row(guarded, cores, freq_ghz, ways);
         self.qos.predict_label(&x) && self.latency.predict(&x) <= self.qos_target_ms
     }
 
     /// Predicted partition power (W).
     pub fn power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
         self.power
-            .predict(&features(qps, cores, freq_ghz, ways))
+            .predict(&feature_row(qps, cores, freq_ghz, ways))
             .max(0.0)
     }
 }
@@ -99,7 +99,7 @@ impl BeModelSet {
             }
         }
         self.perf
-            .predict(&features(self.input_level, cores, freq_ghz, ways))
+            .predict(&feature_row(self.input_level, cores, freq_ghz, ways))
             .max(0.0)
     }
 
@@ -111,7 +111,7 @@ impl BeModelSet {
             }
         }
         self.power
-            .predict(&features(self.input_level, cores, freq_ghz, ways))
+            .predict(&feature_row(self.input_level, cores, freq_ghz, ways))
             .max(0.0)
     }
 }
@@ -236,8 +236,8 @@ impl<'e> MultiProfiler<'e> {
             // answers are bit-identical.
             let lattice = BeLattice::build(
                 spec,
-                |c, ghz, w| perf.predict(&features(input_level, c, ghz, w)).max(0.0),
-                |c, ghz, w| power.predict(&features(input_level, c, ghz, w)).max(0.0),
+                |c, ghz, w| perf.predict(&feature_row(input_level, c, ghz, w)).max(0.0),
+                |c, ghz, w| power.predict(&feature_row(input_level, c, ghz, w)).max(0.0),
             );
             be_sets.push(BeModelSet {
                 perf,
@@ -787,8 +787,8 @@ mod tests {
                 for f in [0, spec.max_freq_level()] {
                     let ghz = spec.freq_ghz(f);
                     for w in [1, spec.total_llc_ways / 2, spec.total_llc_ways] {
-                        let live_t = set.perf.predict(&features(set.input_level, c, ghz, w));
-                        let live_p = set.power.predict(&features(set.input_level, c, ghz, w));
+                        let live_t = set.perf.predict(&feature_row(set.input_level, c, ghz, w));
+                        let live_p = set.power.predict(&feature_row(set.input_level, c, ghz, w));
                         assert_eq!(
                             set.throughput(c, ghz, w).to_bits(),
                             live_t.max(0.0).to_bits()
@@ -799,7 +799,9 @@ mod tests {
             }
             // Off-lattice frequencies fall through to the model.
             let odd_ghz = spec.freq_ghz(0) + 0.0123;
-            let live = set.perf.predict(&features(set.input_level, 2, odd_ghz, 2));
+            let live = set
+                .perf
+                .predict(&feature_row(set.input_level, 2, odd_ghz, 2));
             assert_eq!(
                 set.throughput(2, odd_ghz, 2).to_bits(),
                 live.max(0.0).to_bits()

@@ -20,7 +20,7 @@
 //! The `adaptation_reduces_misprediction` test quantifies the effect.
 
 use crate::predictor::{make_regressor, ModelKind};
-use crate::profiler::features;
+use crate::profiler::{feature_row, features};
 use sturgeon_mlkit::{Dataset, MlError, Regressor};
 
 /// One live observation the adaptor can learn from.
@@ -225,7 +225,7 @@ impl OnlineAdaptor {
             .model
             .as_ref()
             .expect("model fitted above")
-            .predict(&features(qps, cores, freq_ghz, ways)))
+            .predict(&feature_row(qps, cores, freq_ghz, ways)))
     }
 
     /// Feasibility under the adapted model: does the configuration keep

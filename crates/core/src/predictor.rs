@@ -19,7 +19,7 @@
 //! Lasso feature-selection step of §V-A.
 
 use crate::cache::{Family, PredictionCache, QueryMeter};
-use crate::profiler::{features, ProfileDatasets, FEATURE_DIM};
+use crate::profiler::{feature_row, ProfileDatasets, FEATURE_DIM};
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -561,7 +561,7 @@ impl PerfPowerPredictor {
         self.cache
             .get_or_compute(Family::LsFeasible, cores, freq_ghz, ways, qps, || {
                 let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
-                let x = features(guarded, cores, freq_ghz, ways);
+                let x = feature_row(guarded, cores, freq_ghz, ways);
                 // Dual check: the classifier answers the paper's yes/no
                 // question, and the instance-based latency regressor vetoes
                 // feasible islands the tree may hallucinate far from any
@@ -579,7 +579,7 @@ impl PerfPowerPredictor {
         self.cache
             .get_or_compute(Family::LsPower, cores, freq_ghz, ways, qps, || {
                 self.ls_power
-                    .predict(&features(qps, cores, freq_ghz, ways))
+                    .predict(&feature_row(qps, cores, freq_ghz, ways))
                     .max(0.0)
                     * (1.0 + self.config.power_margin)
             })
@@ -591,7 +591,7 @@ impl PerfPowerPredictor {
         self.cache
             .get_or_compute(Family::BeThroughput, cores, freq_ghz, ways, 0.0, || {
                 self.be_perf
-                    .predict(&features(self.be_input_level, cores, freq_ghz, ways))
+                    .predict(&feature_row(self.be_input_level, cores, freq_ghz, ways))
                     .max(0.0)
             })
     }
@@ -609,7 +609,7 @@ impl PerfPowerPredictor {
         self.cache
             .get_or_compute(Family::BePower, cores, freq_ghz, 0, 0.0, || {
                 self.be_power
-                    .predict(&features(self.be_input_level, cores, freq_ghz, 0))
+                    .predict(&feature_row(self.be_input_level, cores, freq_ghz, 0))
                     .max(0.0)
                     * (1.0 + self.config.power_margin)
             })
@@ -794,14 +794,14 @@ mod tests {
             return false;
         }
         let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(p.max_trained_qps);
-        let x = features(guarded, cores, ghz, ways);
+        let x = feature_row(guarded, cores, ghz, ways);
         p.ls_qos.predict_label(&x) && p.ls_latency.predict(&x) <= p.qos_target_ms
     }
 
     /// The per-point compute path behind `ls_power_w`.
     fn raw_ls_power_w(p: &PerfPowerPredictor, cores: u32, ghz: f64, ways: u32, qps: f64) -> f64 {
         p.ls_power
-            .predict(&features(qps, cores, ghz, ways))
+            .predict(&feature_row(qps, cores, ghz, ways))
             .max(0.0)
             * (1.0 + p.config.power_margin)
     }

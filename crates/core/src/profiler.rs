@@ -21,10 +21,16 @@ use sturgeon_workloads::env::CoLocationEnv;
 /// `[input_size, cores, freq_ghz, llc_ways]`.
 pub const FEATURE_DIM: usize = 4;
 
-/// Builds the canonical feature row.
+/// Builds the canonical feature row on the stack, for model queries.
+#[inline]
+pub fn feature_row(input_size: f64, cores: u32, freq_ghz: f64, ways: u32) -> [f64; FEATURE_DIM] {
+    [input_size, cores as f64, freq_ghz, ways as f64]
+}
+
+/// Builds the canonical feature row as a dataset row.
 #[inline]
 pub fn features(input_size: f64, cores: u32, freq_ghz: f64, ways: u32) -> Vec<f64> {
-    vec![input_size, cores as f64, freq_ghz, ways as f64]
+    feature_row(input_size, cores, freq_ghz, ways).to_vec()
 }
 
 /// Profiling controls.

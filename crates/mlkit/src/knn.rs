@@ -13,10 +13,11 @@
 //! no visiting order can change a bit of a prediction.
 //!
 //! The tree ([`KdTree`]) is built over the standardized rows on the first
-//! query after a fit (a [`OnceLock`], so fitting stays as cheap as copying
-//! the data). Each node splits its rows at the median of its widest
-//! feature and records the box bounding them. A query walks the nearer
-//! child first and skips a node only when the box's distance bound is
+//! query after a fit (a [`LazyLock`], so fitting stays as cheap as copying
+//! the data). Each node records the box bounding its rows and splits them
+//! on its widest feature: at the middle of the box when that leaves each
+//! child at least a third of the rows, else at the median. A query walks
+//! the nearer child first and skips a node only when the box's distance bound is
 //! strictly greater than the worst held distance. The bound folds, left
 //! to right, each feature's term to the nearest point of the box; every
 //! term is ≤ the same term for any row in the box and rounding is
@@ -25,16 +26,29 @@
 //! get in, not even on the row tie-break: the tree finds exactly the
 //! neighbours a full scan finds.
 //!
+//! The tree is laid out so that a query reads contiguous memory. Nodes
+//! are stored depth-first, so a left child follows its parent, and each
+//! node's box is one run of `(lo, hi)` pairs at the node's index (64
+//! bytes for four features). The build moves the training rows into leaf
+//! order: a leaf's values of each standardized feature, its targets and
+//! its row ids are each one contiguous run, and the tree holds the only
+//! copy of them. A leaf folds its rows' distances a feature column at a
+//! time, the same left fold per row as a row-at-a-time scan. The `k` nearest are kept sorted in a buffer of `k`
+//! slots that starts filled with sentinels farther than any row, so a
+//! candidate is placed by shifting the worse ones down one slot.
+//!
 //! A query allocates nothing: the standardized query, the traversal stack
 //! and the held neighbours live in per-thread buffers that are reused.
 
 use crate::model::{check_binary_targets, Classifier, Dataset, MlError, Regressor};
 use crate::preprocess::Standardizer;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::LazyLock;
 
-/// Most training rows in one KD-tree leaf.
-const LEAF: usize = 16;
+/// Most training rows in one KD-tree leaf. A leaf's distances are summed
+/// a feature column at a time, so a wider leaf costs little more to scan
+/// than a narrow one and saves node visits.
+const LEAF: usize = 32;
 
 /// A training row's squared distance to the query, with its row index
 /// and target. Neighbours are ranked by the canonical key
@@ -48,10 +62,18 @@ struct Neighbor {
 }
 
 impl Neighbor {
-    /// True when `self` ranks strictly before `other` on `(dist2, row)`.
+    /// Fills the slots no row has taken yet: every row ranks before it,
+    /// even one at an infinite distance.
+    const SENTINEL: Self = Self {
+        dist2: f64::INFINITY,
+        row: usize::MAX,
+        y: 0.0,
+    };
+
+    /// True when `(dist2, row)` ranks strictly before `self`.
     #[inline]
-    fn before(&self, other: &Neighbor) -> bool {
-        self.dist2 < other.dist2 || (self.dist2 == other.dist2 && self.row < other.row)
+    fn after(&self, dist2: f64, row: usize) -> bool {
+        dist2 < self.dist2 || (dist2 == self.dist2 && row < self.row)
     }
 }
 
@@ -62,12 +84,13 @@ fn term(q: f64, x: f64) -> f64 {
 }
 
 /// The `k` nearest candidates offered so far, ascending by
-/// `(dist2, row)`. A row gets in when it ranks before the worst held
-/// candidate.
+/// `(dist2, row)`, in a buffer of exactly `k` slots; the slots no
+/// candidate has reached yet hold [`Neighbor::SENTINEL`].
 #[derive(Debug, Default)]
 struct NearestK {
-    k: usize,
-    held: Vec<Neighbor>,
+    slots: Vec<Neighbor>,
+    /// Candidates held, at most `k`.
+    len: usize,
     /// The worst held distance once `k` candidates are held, `+∞` before.
     bound: f64,
 }
@@ -76,37 +99,33 @@ impl NearestK {
     /// Empties the set for a new query with neighbourhood size `k`,
     /// keeping its buffer.
     fn reset(&mut self, k: usize) {
-        self.k = k;
-        self.held.clear();
+        self.slots.clear();
+        self.slots.resize(k, Neighbor::SENTINEL);
+        self.len = 0;
         self.bound = f64::INFINITY;
     }
 
-    #[inline]
-    fn full(&self) -> bool {
-        self.held.len() >= self.k
+    /// The held candidates, nearest first.
+    fn held(&self) -> &[Neighbor] {
+        &self.slots[..self.len]
     }
 
-    /// Offers one row. Most rows are strictly farther than the worst held
-    /// candidate and fail the first comparison; the row tie-break only
-    /// runs on an exact distance tie.
+    /// Offers one row whose distance passed the caller's
+    /// `dist2 <= bound` reject. It gets in when it ranks before the worst
+    /// slot; the row tie-break only decides an exact distance tie.
     #[inline]
     fn offer(&mut self, dist2: f64, row: usize, y: f64) {
-        if dist2 <= self.bound
-            && (dist2 < self.bound || !self.full() || row < self.held[self.k - 1].row)
-        {
-            self.insert(Neighbor { dist2, row, y });
+        let mut at = self.slots.len() - 1;
+        if !self.slots[at].after(dist2, row) {
+            return;
         }
-    }
-
-    fn insert(&mut self, n: Neighbor) {
-        if self.full() {
-            self.held.pop();
+        while at > 0 && self.slots[at - 1].after(dist2, row) {
+            self.slots[at] = self.slots[at - 1];
+            at -= 1;
         }
-        let at = self.held.partition_point(|h| h.before(&n));
-        self.held.insert(at, n);
-        if self.full() {
-            self.bound = self.held[self.k - 1].dist2;
-        }
+        self.slots[at] = Neighbor { dist2, row, y };
+        self.len = (self.len + 1).min(self.slots.len());
+        self.bound = self.slots[self.slots.len() - 1].dist2;
     }
 }
 
@@ -115,59 +134,83 @@ impl NearestK {
 /// so an inner node's left child directly follows it.
 #[derive(Debug, Clone)]
 struct Node {
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
     /// The right child's id, `0` for a leaf (the root is nobody's child).
-    right: usize,
-    /// The split feature and value: `left` holds the rows ranked below
-    /// the median on `(value, row)`, `right` the rest.
-    dim: usize,
+    right: u32,
+    /// The split feature and value: the left child holds the rows ranked
+    /// below the cut on `(value, row)`, the right one the rest, starting
+    /// with the row whose value is `split`.
+    dim: u32,
     split: f64,
 }
 
-/// A KD-tree over standardized training rows.
+/// A KD-tree that owns the standardized training rows in leaf order.
 #[derive(Debug, Clone)]
 struct KdTree {
     dims: usize,
     /// Node 0 is the root.
     nodes: Vec<Node>,
-    /// Each node's bounding box, `lo[node · dims + j] ..= hi[node · dims + j]`.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    /// The training rows in leaf order.
+    /// Each node's bounding box as `(lo, hi)` pairs, one per feature:
+    /// feature `j` of node `n` spans `bounds[2 · (n · dims + j)]
+    /// ..= bounds[2 · (n · dims + j) + 1]`.
+    bounds: Vec<f64>,
+    /// Standardized features in leaf order, one column per feature:
+    /// feature `j` of leaf-order row `i` is `x[j · n + i]`, `n` rows in
+    /// all, so a leaf's values of one feature are contiguous.
+    x: Vec<f64>,
+    /// Targets in leaf order.
+    y: Vec<f64>,
+    /// Each leaf-order row's index in the training set.
     rows: Vec<usize>,
 }
 
 impl KdTree {
-    /// Builds the tree over the `n` standardized rows stored row-major in
-    /// `x`.
-    fn build(dims: usize, x: &[f64], n: usize) -> Self {
+    /// Builds the tree over the `y.len()` standardized rows stored one
+    /// column per feature in `x`, and permutes `x` and `y` into leaf order
+    /// in place, a column at a time.
+    fn build(dims: usize, mut x: Vec<f64>, mut y: Vec<f64>) -> Self {
+        let n = y.len();
         let mut order: Vec<usize> = (0..n).collect();
         let mut tree = Self {
             dims,
             nodes: Vec::new(),
-            lo: Vec::new(),
-            hi: Vec::new(),
+            bounds: Vec::new(),
+            x: Vec::new(),
+            y: Vec::new(),
             rows: Vec::new(),
         };
-        tree.grow(x, &mut order, 0);
-        tree.rows = order;
+        tree.grow(&x, &mut order, 0);
+        let mut permuted = vec![0.0; n];
+        for column in x.chunks_exact_mut(n).chain([y.as_mut_slice()]) {
+            for (value, &row) in permuted.iter_mut().zip(&order) {
+                *value = column[row];
+            }
+            column.copy_from_slice(&permuted);
+        }
+        (tree.x, tree.y, tree.rows) = (x, y, order);
         tree
     }
 
     /// Adds the node over `order` (which starts at leaf position `start`)
     /// and its subtree, permuting `order` into leaf order; returns its id.
+    /// `x` holds the rows one column per feature, in training order.
     fn grow(&mut self, x: &[f64], order: &mut [usize], start: usize) -> usize {
         let dims = self.dims;
+        let column = |j: usize| {
+            let n = x.len() / dims;
+            &x[j * n..(j + 1) * n]
+        };
         let id = self.nodes.len();
         for j in 0..dims {
-            let values = order.iter().map(|&r| x[r * dims + j]);
-            self.lo.push(values.clone().fold(f64::INFINITY, f64::min));
-            self.hi.push(values.fold(f64::NEG_INFINITY, f64::max));
+            let values = order.iter().map(|&r| column(j)[r]);
+            self.bounds
+                .push(values.clone().fold(f64::INFINITY, f64::min));
+            self.bounds.push(values.fold(f64::NEG_INFINITY, f64::max));
         }
         self.nodes.push(Node {
-            start,
-            end: start + order.len(),
+            start: start as u32,
+            end: (start + order.len()) as u32,
             right: 0,
             dim: 0,
             split: 0.0,
@@ -175,26 +218,30 @@ impl KdTree {
         if order.len() <= LEAF {
             return id;
         }
-        let (lo, hi) = (&self.lo[id * dims..], &self.hi[id * dims..]);
-        let dim = (0..dims).fold(0, |best, j| {
-            if hi[j] - lo[j] > hi[best] - lo[best] {
-                j
-            } else {
-                best
-            }
-        });
-        let mid = order.len() / 2;
+        let (pairs, _) = self.bounds[2 * id * dims..].as_chunks::<2>();
+        let span = |j: usize| pairs[j][1] - pairs[j][0];
+        let dim = (0..dims).fold(0, |best, j| if span(j) > span(best) { j } else { best });
+        let values = column(dim);
+        // Cut the widest side at its middle, so boxes stay square-ish on
+        // the lattice-shaped profiles, unless that leaves either child
+        // with less than a third of the rows; then cut at the median.
+        let centre = 0.5 * (pairs[dim][0] + pairs[dim][1]);
+        let below = order.iter().filter(|&&r| values[r] < centre).count();
+        let third = order.len() / 3;
+        let mid = if (third..=order.len() - third).contains(&below) {
+            below
+        } else {
+            order.len() / 2
+        };
         order.select_nth_unstable_by(mid, |&a, &b| {
-            x[a * dims + dim]
-                .total_cmp(&x[b * dims + dim])
-                .then(a.cmp(&b))
+            values[a].total_cmp(&values[b]).then(a.cmp(&b))
         });
-        let split = x[order[mid] * dims + dim];
+        let split = values[order[mid]];
         let (left, right) = order.split_at_mut(mid);
         self.grow(x, left, start);
         let right = self.grow(x, right, start + mid);
         let node = &mut self.nodes[id];
-        (node.right, node.dim, node.split) = (right, dim, split);
+        (node.right, node.dim, node.split) = (right as u32, dim as u32, split);
         id
     }
 
@@ -203,38 +250,48 @@ impl KdTree {
     /// point.
     #[inline]
     fn box_dist2(&self, node: usize, q: &[f64]) -> f64 {
-        let lo = &self.lo[node * self.dims..(node + 1) * self.dims];
-        let hi = &self.hi[node * self.dims..(node + 1) * self.dims];
+        let bounds = &self.bounds[2 * node * self.dims..2 * (node + 1) * self.dims];
+        let (pairs, _) = bounds.as_chunks::<2>();
         let mut d = 0.0;
-        for ((&qj, &l), &h) in q.iter().zip(lo).zip(hi) {
-            d += term(qj, qj.clamp(l, h));
+        for (&qj, &[lo, hi]) in q.iter().zip(pairs) {
+            d += term(qj, qj.clamp(lo, hi));
         }
         d
     }
 
-    /// Offers `near` every row of `x` (features) and `y` (targets) that
-    /// could be among the nearest to `q`.
-    fn search(&self, x: &[f64], y: &[f64], q: &[f64], near: &mut NearestK, stack: &mut Vec<usize>) {
+    /// Offers `near` every row that could be among the nearest to `q`.
+    fn search(&self, q: &[f64], near: &mut NearestK, stack: &mut Vec<u32>) {
+        let n = self.y.len();
         stack.clear();
         stack.push(0);
         while let Some(id) = stack.pop() {
+            let id = id as usize;
             if self.box_dist2(id, q) > near.bound {
                 continue;
             }
             let node = &self.nodes[id];
-            let left = id + 1;
             if node.right == 0 {
-                for &row in &self.rows[node.start..node.end] {
-                    let mut d = 0.0;
-                    for (&qj, &v) in q.iter().zip(&x[row * self.dims..(row + 1) * self.dims]) {
-                        d += term(qj, v);
+                // Each row's distance is still the left fold over its
+                // features in order; the leaf just folds all its rows
+                // one feature at a time.
+                let rows = node.start as usize..node.end as usize;
+                let mut dist = [0.0; LEAF];
+                let dist = &mut dist[..rows.len()];
+                for (j, &qj) in q.iter().enumerate() {
+                    let column = &self.x[j * n + rows.start..j * n + rows.end];
+                    for (d, &v) in dist.iter_mut().zip(column) {
+                        *d += term(qj, v);
                     }
-                    near.offer(d, row, y[row]);
                 }
-            } else if q[node.dim] < node.split {
-                stack.extend([node.right, left]);
+                for (i, &d) in rows.zip(dist.iter()) {
+                    if d <= near.bound {
+                        near.offer(d, self.rows[i], self.y[i]);
+                    }
+                }
+            } else if q[node.dim as usize] < node.split {
+                stack.extend([node.right, id as u32 + 1]);
             } else {
-                stack.extend([left, node.right]);
+                stack.extend([id as u32 + 1, node.right]);
             }
         }
     }
@@ -245,37 +302,48 @@ impl KdTree {
 struct Scratch {
     q: Vec<f64>,
     near: NearestK,
-    stack: Vec<usize>,
+    stack: Vec<u32>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// Builds a fitted model's tree from its standardized rows on first use.
+type TreeBuild = Box<dyn FnOnce() -> KdTree + Send>;
+
 /// Shared KNN core: standardizes features at fit time and finds the `k`
 /// nearest training rows at query time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct KnnCore {
     k: usize,
-    dims: usize,
-    /// Standardized training features, row-major: feature `j` of row `r`
-    /// is `x[r · dims + j]`.
-    x: Vec<f64>,
-    y: Vec<f64>,
     scaler: Option<Standardizer>,
-    /// Built from `x` on the first query after a fit.
-    tree: OnceLock<KdTree>,
+    /// The fitted rows, moved into a tree on the first query after a fit.
+    tree: Option<LazyLock<KdTree, TreeBuild>>,
+}
+
+impl Clone for KnnCore {
+    /// Builds the tree if no query has yet (the unbuilt rows live in the
+    /// build closure, which cannot be cloned).
+    fn clone(&self) -> Self {
+        let tree = self.tree.as_ref().map(|tree| {
+            let tree = KdTree::clone(tree);
+            LazyLock::new(Box::new(move || tree) as TreeBuild)
+        });
+        Self {
+            k: self.k,
+            scaler: self.scaler.clone(),
+            tree,
+        }
+    }
 }
 
 impl KnnCore {
     fn new(k: usize) -> Self {
         Self {
             k,
-            dims: 0,
-            x: Vec::new(),
-            y: Vec::new(),
             scaler: None,
-            tree: OnceLock::new(),
+            tree: None,
         }
     }
 
@@ -291,31 +359,31 @@ impl KnnCore {
             )));
         }
         let scaler = Standardizer::fit(data);
-        self.dims = data.dims();
-        self.x = data
-            .x
-            .iter()
-            .flat_map(|row| row.iter().enumerate().map(|(j, &v)| scaler.scale(j, v)))
+        let dims = data.dims();
+        let standardize = |j: usize, v: f64| scaler.scale(j, v);
+        // One column per feature, in training order.
+        let x: Vec<f64> = (0..dims)
+            .flat_map(|j| data.x.iter().map(move |row| standardize(j, row[j])))
             .collect();
-        self.y = data.y.clone();
+        let y = data.y.clone();
+        self.tree = Some(LazyLock::new(Box::new(move || KdTree::build(dims, x, y))));
         self.scaler = Some(scaler);
-        self.tree = OnceLock::new();
         Ok(())
     }
 
     /// Aggregates the `k` nearest neighbours of `x`, ascending by
     /// `(dist2, row)`, with `f`.
     fn with_nearest<R>(&self, x: &[f64], f: impl FnOnce(&[Neighbor]) -> R) -> R {
-        let scaler = self.scaler.as_ref().expect("predict before fit");
-        let tree = self
-            .tree
-            .get_or_init(|| KdTree::build(self.dims, &self.x, self.y.len()));
+        let (Some(scaler), Some(tree)) = (&self.scaler, &self.tree) else {
+            panic!("predict before fit");
+        };
+        let tree: &KdTree = tree;
         SCRATCH.with_borrow_mut(|s| {
             s.q.clear();
-            s.q.extend((0..self.dims).map(|j| scaler.scale(j, x[j])));
+            s.q.extend((0..tree.dims).map(|j| scaler.scale(j, x[j])));
             s.near.reset(self.k);
-            tree.search(&self.x, &self.y, &s.q, &mut s.near, &mut s.stack);
-            f(&s.near.held)
+            tree.search(&s.q, &mut s.near, &mut s.stack);
+            f(s.near.held())
         })
     }
 }
@@ -768,6 +836,22 @@ mod tests {
         for q in &queries {
             let want = reference_predict(&second, 4, Aggregation::Weighted, q);
             assert_eq!(model.predict(q).to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn clones_before_and_after_the_first_query_agree() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let data = tie_dataset(&mut rng, 120, 4, false);
+        let queries = tie_queries(&mut rng, &data);
+        let mut model = KnnRegressor::weighted(5);
+        model.fit(&data).unwrap();
+        let unbuilt = model.clone();
+        let want: Vec<u64> = queries.iter().map(|q| model.predict(q).to_bits()).collect();
+        let built = model.clone();
+        for clone in [unbuilt, built] {
+            let got: Vec<u64> = queries.iter().map(|q| clone.predict(q).to_bits()).collect();
+            assert_eq!(got, want);
         }
     }
 

@@ -141,7 +141,9 @@ impl LsServiceModel {
             };
         }
         let service_p95_ms = self.params.tail_mult * s_ms + additive_ms;
-        let wait_p95_ms = queue.wait_quantile_s(0.95) * 1000.0;
+        // Both tail figures share one Erlang-C evaluation.
+        let c_prob = queue.wait_probability();
+        let wait_p95_ms = queue.wait_quantile_given(c_prob, 0.95) * 1000.0;
         let p95_ms = service_p95_ms + wait_p95_ms;
         // Fraction within target: queries make the deadline when their
         // queueing delay fits in whatever headroom the (shifted) service
@@ -152,7 +154,7 @@ impl LsServiceModel {
             // service tail; approximate with the service-tail mass only.
             0.90 * (target / service_p95_ms).min(1.0)
         } else {
-            queue.wait_below_fraction(headroom_s)
+            queue.wait_below_fraction_given(c_prob, headroom_s)
         };
         LsLatency {
             p95_ms,
@@ -179,6 +181,7 @@ impl LsServiceModel {
 mod tests {
     use super::*;
     use crate::catalog::{ls_services, LsServiceId};
+    use proptest::prelude::*;
 
     fn memcached() -> LsServiceModel {
         ls_services()
@@ -311,5 +314,75 @@ mod tests {
         assert!((m.power_utilization(0.0) - 0.35).abs() < 1e-12);
         assert!((m.power_utilization(1.0) - 1.0).abs() < 1e-12);
         assert!((m.power_utilization(5.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// `latency_disturbed` as it was written before the Erlang-C value
+    /// was shared: `wait_quantile_s` and `wait_below_fraction` each run
+    /// the recurrence themselves.
+    fn two_call_latency(
+        m: &LsServiceModel,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        qps: f64,
+        interference: f64,
+        additive_ms: f64,
+    ) -> LsLatency {
+        let additive_ms = additive_ms.max(0.0);
+        let s_ms = m.service_time_ms(freq_ghz, ways, interference);
+        let queue = MmcQueue {
+            servers: cores.max(1),
+            arrival_rate: qps.max(0.0),
+            service_rate: 1000.0 / s_ms,
+        };
+        let rho = queue.utilization();
+        let target = m.params.qos_target_ms;
+        if queue.is_saturated() {
+            return LsLatency {
+                p95_ms: target * (2.0 + 8.0 * (rho - 1.0)) + additive_ms,
+                in_target_fraction: (0.8 / rho).clamp(0.0, 0.85),
+                utilization: rho,
+            };
+        }
+        let service_p95_ms = m.params.tail_mult * s_ms + additive_ms;
+        let p95_ms = service_p95_ms + queue.wait_quantile_s(0.95) * 1000.0;
+        let headroom_s = ((target - service_p95_ms) / 1000.0).max(0.0);
+        let in_target = if target <= service_p95_ms {
+            0.90 * (target / service_p95_ms).min(1.0)
+        } else {
+            queue.wait_below_fraction(headroom_s)
+        };
+        LsLatency {
+            p95_ms,
+            in_target_fraction: in_target,
+            utilization: rho,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_erlang_c_matches_the_two_call_path(
+            service in 0usize..3,
+            cores in 1u32..21,
+            level in 0usize..10,
+            ways in 1u32..21,
+            rho in 0.0f64..1.05,
+            interference in 1.0f64..1.6,
+            additive_ms in -1.0f64..6.0,
+        ) {
+            let m = &ls_services()[service];
+            let freq_ghz = 1.2 + 0.1 * level as f64;
+            // Offered load as a fraction of the allocation's capacity, so
+            // every case sits near the cliff or past saturation.
+            let mu = 1000.0 / m.service_time_ms(freq_ghz, ways, interference);
+            let qps = rho * f64::from(cores) * mu;
+            let got = m.latency_disturbed(cores, freq_ghz, ways, qps, interference, additive_ms);
+            let want = two_call_latency(m, cores, freq_ghz, ways, qps, interference, additive_ms);
+            prop_assert_eq!(got.p95_ms.to_bits(), want.p95_ms.to_bits());
+            prop_assert_eq!(got.in_target_fraction.to_bits(), want.in_target_fraction.to_bits());
+            prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
+        }
     }
 }

@@ -99,11 +99,17 @@ impl MmcQueue {
     /// distribution is `P(Wq > t) = C·exp(−(cμ−λ)t)`, so the quantile is
     /// `ln(C/(1−q)) / (cμ−λ)` when `C > 1−q`, else 0.
     pub fn wait_quantile_s(&self, q: f64) -> f64 {
+        self.wait_quantile_given(self.wait_probability(), q)
+    }
+
+    /// [`wait_quantile_s`](Self::wait_quantile_s) given this queue's
+    /// [`wait_probability`](Self::wait_probability) `c_prob`, so a caller
+    /// that needs several tail figures runs the Erlang-C recurrence once.
+    pub fn wait_quantile_given(&self, c_prob: f64, q: f64) -> f64 {
         assert!((0.0..1.0).contains(&q), "quantile must be in [0,1)");
         if self.is_saturated() {
             return f64::INFINITY;
         }
-        let c_prob = self.wait_probability();
         let tail = 1.0 - q;
         if c_prob <= tail {
             return 0.0;
@@ -115,11 +121,17 @@ impl MmcQueue {
     /// Fraction of queries whose *queueing delay* stays below `t` seconds:
     /// `1 − C·exp(−(cμ−λ)·t)`. Zero spare capacity gives 0.
     pub fn wait_below_fraction(&self, t: f64) -> f64 {
+        self.wait_below_fraction_given(self.wait_probability(), t)
+    }
+
+    /// [`wait_below_fraction`](Self::wait_below_fraction) given this
+    /// queue's [`wait_probability`](Self::wait_probability) `c_prob`.
+    pub fn wait_below_fraction_given(&self, c_prob: f64, t: f64) -> f64 {
         if self.is_saturated() {
             return 0.0;
         }
         let spare = self.servers as f64 * self.service_rate - self.arrival_rate;
-        (1.0 - self.wait_probability() * (-spare * t).exp()).clamp(0.0, 1.0)
+        (1.0 - c_prob * (-spare * t).exp()).clamp(0.0, 1.0)
     }
 }
 
