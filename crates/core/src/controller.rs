@@ -78,25 +78,6 @@ pub const STALENESS_WINDOW: u32 = 3;
 /// balancer is still converging (Algorithm 1 line 6).
 pub const RESEARCH_LOAD_DELTA: f64 = 0.04;
 
-/// Graceful-degradation switch (extension; DESIGN.md "Fault model and
-/// degradation policy"). Disabled by default because a noiseless
-/// simulation legitimately repeats observations bit-for-bit, which the
-/// staleness detector would misread as a frozen sensor; the robustness
-/// harness and `tab_robustness` enable it explicitly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RobustnessParams {
-    /// Detect stale telemetry (see [`STALENESS_WINDOW`]) and fall back
-    /// to safe mode.
-    pub enabled: bool,
-}
-
-impl RobustnessParams {
-    /// The hardened profile used by the robustness experiments.
-    pub fn hardened() -> Self {
-        Self { enabled: true }
-    }
-}
-
 /// Algorithm 1 tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerParams {
@@ -107,8 +88,14 @@ pub struct ControllerParams {
     pub balancer: BalancerParams,
     /// Disable to obtain the paper's *Sturgeon-NoB* ablation (§VII-C).
     pub balancer_enabled: bool,
-    /// Stale-telemetry detection and safe-mode fallback.
-    pub robust: RobustnessParams,
+    /// Graceful degradation (extension; DESIGN.md "Fault model and
+    /// degradation policy"): detect stale telemetry (see
+    /// [`STALENESS_WINDOW`]) and fall back to safe mode. Off by default
+    /// because a noiseless simulation legitimately repeats observations
+    /// bit for bit, which the staleness detector would misread as a
+    /// frozen sensor; the robustness harness and `tab_robustness` enable
+    /// it explicitly.
+    pub hardened: bool,
 }
 
 impl Default for ControllerParams {
@@ -117,7 +104,7 @@ impl Default for ControllerParams {
             search: SearchParams::default(),
             balancer: BalancerParams::default(),
             balancer_enabled: true,
-            robust: RobustnessParams::default(),
+            hardened: false,
         }
     }
 }
@@ -126,7 +113,7 @@ impl ControllerParams {
     /// Paper defaults plus the hardened degradation path.
     pub fn hardened() -> Self {
         Self {
-            robust: RobustnessParams::hardened(),
+            hardened: true,
             ..Self::default()
         }
     }
@@ -575,7 +562,7 @@ impl ResourceController for SturgeonController {
         // blind — hold position inside the staleness window, and beyond
         // it stop trusting every model-derived configuration and drop to
         // the safe-mode allocation.
-        if self.params.robust.enabled {
+        if self.params.hardened {
             let sig = (
                 obs.qps.to_bits(),
                 obs.p95_ms.to_bits(),
@@ -676,7 +663,7 @@ impl ResourceController for SturgeonController {
                 // violating. Under the hardened policy that is the second
                 // safe-mode trigger: give up on fine-tuning and fall back
                 // to the known-feasible allocation.
-                if self.params.robust.enabled && self.balancer.is_exhausted() {
+                if self.params.hardened && self.balancer.is_exhausted() {
                     if !self.safe_mode {
                         self.safe_mode = true;
                         self.safe_mode_entries += 1;

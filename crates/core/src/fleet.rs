@@ -15,13 +15,15 @@
 //!   bit-identical to per-node training. Per-shard control state
 //!   (balancer, warm hints, `FrontierCache`) stays private.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
-//!   shards, each stepped as one rayon task over an SoA slab of node
-//!   state (last-interval power/throughput plus running sums) instead
-//!   of a `Vec` of heap-fat per-node structs. One Sturgeon controller
-//!   runs per shard, driven by the shard-mean observation; per-node
-//!   environments keep their own interference processes, so node
-//!   telemetry still diverges the way real machines do. With one node
-//!   per shard this degenerates to exactly the `Cluster` control loop.
+//!   shards, each stepped as one rayon task. One Sturgeon controller
+//!   runs per shard, driven by the shard-mean observation. Every node
+//!   of a shard runs the shard's configuration at the shard's load
+//!   under the fleet's one environment model, so power, counted BE
+//!   throughput and the over-cap test are shard-uniform and kept once
+//!   per shard. A node keeps only what can differ: its own OS-jitter
+//!   process, so node telemetry still diverges the way real machines
+//!   do, and its in-target query sum. With one node per shard this
+//!   degenerates to exactly the `Cluster` control loop.
 //! * **Streaming aggregation** — shards fold telemetry into running
 //!   sums and fixed-bucket histograms as they step; nothing is replayed
 //!   after the run, so memory is O(nodes + shards), independent of the
@@ -48,9 +50,7 @@ use crate::controller::{
 use crate::dispatch::{DispatchPolicy, Dispatcher};
 use crate::error::SturgeonError;
 use crate::experiment::{ColocationPair, ExperimentSetup};
-use crate::obs::{
-    Histogram, MetricsRegistry, RunningStats, TraceEvent, TraceSink, DEFAULT_BUCKETS,
-};
+use crate::obs::{Histogram, MetricsRegistry, TraceEvent, TraceSink, DEFAULT_BUCKETS};
 use crate::placement::{
     FleetView, PlacementAction, PlacementParams, PlacementScoring, ScoredPlacementEngine, UnitView,
 };
@@ -62,8 +62,8 @@ use rayon::prelude::*;
 use std::sync::Arc;
 use sturgeon_simnode::{NodeSpec, PairConfig};
 use sturgeon_workloads::catalog::BeAppId;
-use sturgeon_workloads::env::CoLocationEnv;
-use sturgeon_workloads::env::Observation;
+use sturgeon_workloads::env::{CoLocationEnv, Observation};
+use sturgeon_workloads::interference::{InterferenceModel, InterferenceParams};
 use sturgeon_workloads::loadgen::LoadProfile;
 
 /// Bucket bounds of the fleet's BE-throughput histogram (normalized
@@ -142,37 +142,6 @@ impl Default for FleetParams {
     }
 }
 
-/// Per-node state kept as parallel arrays — the contiguous slab one
-/// shard steps over. The last-interval channels (`power_w`, `be_tput`)
-/// are overwritten each step and feed budget demand and placement;
-/// `sum_*` channels accumulate in time order so the end-of-run per-node
-/// aggregates reproduce [`sturgeon_simnode::TelemetryLog`]'s formulas
-/// exactly.
-#[derive(Debug, Default)]
-struct NodeSlab {
-    power_w: Vec<f64>,
-    be_tput: Vec<f64>,
-    sum_qps: Vec<f64>,
-    sum_in_target_qps: Vec<f64>,
-    sum_be_tput: Vec<f64>,
-    sum_power_w: Vec<f64>,
-    overload_intervals: Vec<u32>,
-}
-
-impl NodeSlab {
-    fn new(n: usize) -> Self {
-        Self {
-            power_w: vec![0.0; n],
-            be_tput: vec![0.0; n],
-            sum_qps: vec![0.0; n],
-            sum_in_target_qps: vec![0.0; n],
-            sum_be_tput: vec![0.0; n],
-            sum_power_w: vec![0.0; n],
-            overload_intervals: vec![0; n],
-        }
-    }
-}
-
 /// Sums of one interval's observations across a shard's nodes.
 #[derive(Debug, Clone, Copy, Default)]
 struct ObsSums {
@@ -217,27 +186,41 @@ impl ObsSums {
 
 /// One shard: a contiguous node range stepped as a single rayon task,
 /// controlled by one Sturgeon controller fed the shard-mean observation.
+/// Its nodes share the configuration, the load and the environment
+/// model, so every per-node channel but the jitter-driven latency is
+/// shard-uniform and kept here once.
 struct Shard {
     /// Global index of the shard's first node.
     first_node: usize,
-    /// Per-node environments (private interference processes).
-    envs: Vec<CoLocationEnv>,
+    /// Per-node OS-jitter processes (node `n` seeded `seed + n`).
+    jitter: Vec<InterferenceModel>,
+    /// Per-node running sums of in-target queries.
+    sum_in_target_qps: Vec<f64>,
     controller: SturgeonController,
     /// The configuration in force on every node of the shard.
     config: PairConfig,
-    slab: NodeSlab,
-    /// Per-node power budget (identical fleet-wide — homogeneous spec).
+    /// Per-node power budget of this shard's nodes (its budget-tree
+    /// leaf cap split evenly; the flat node budget without a tree).
     budget_w: f64,
     intervals_stepped: u32,
     /// Node-intervals whose OS jitter was not 1.0, which evaluated their
     /// own latency instead of copying the shard's quiet latency.
     jitter_node_intervals: u64,
-    /// Streaming aggregates: histogram buckets merged into the registry
-    /// after the run, running stats summarizing the shard for dispatch.
+    /// Each node's last-interval power and counted BE throughput (feed
+    /// budget demand and placement).
+    last_power_w: f64,
+    last_be_tput: f64,
+    /// Each node's running sums, accumulated in time order so the
+    /// end-of-run per-node aggregates reproduce
+    /// [`sturgeon_simnode::TelemetryLog`]'s formulas exactly.
+    sum_qps: f64,
+    sum_be_tput: f64,
+    sum_power_w: f64,
+    overload_intervals: u32,
+    /// Streaming histograms, merged into the registry after the run.
     p95_hist: Histogram,
     power_hist: Histogram,
     tput_hist: Histogram,
-    p95_run: RunningStats,
     /// Shard-mean p95 of the last stepped interval (dispatch summary).
     last_mean_p95: f64,
     /// Per-node load share staged for the interval being stepped.
@@ -257,64 +240,57 @@ struct Shard {
 
 impl Shard {
     fn len(&self) -> usize {
-        self.envs.len()
+        self.jitter.len()
+    }
+
+    /// The sum over the shard's nodes of a shard-uniform per-node value,
+    /// added node by node: `v * len` can round differently.
+    fn node_sum(&self, v: f64) -> f64 {
+        std::iter::repeat_n(v, self.len()).sum()
     }
 
     /// One monitor → decide → actuate interval for every node of the
-    /// shard, streaming telemetry into the shard aggregates.
-    fn step_interval(&mut self) {
-        let Self {
-            envs,
-            controller,
-            config,
-            slab,
-            budget_w,
-            p95_hist,
-            power_hist,
-            tput_hist,
-            p95_run,
-            job_factor,
-            jitter_node_intervals,
-            traced,
-            trace,
-            ..
-        } = self;
+    /// shard under the environment model `env`, streaming telemetry into
+    /// the shard aggregates.
+    fn step_interval(&mut self, env: &CoLocationEnv) {
         let qps = self.next_qps_per_node;
+        let config = self.config;
         // Everything that depends only on (config, qps) is identical
         // across the shard's nodes: evaluate it once, replay per node.
-        let invariants = envs[0].step_invariants(config, qps);
+        let invariants = env.step_invariants(&config, qps);
         // Counted BE throughput: the measured partition throughput times
         // the co-runner score for the jobs multiplexed on it. With the
         // default single pinned job the factor is exactly 1.0 and the
         // product is bit-identical to the raw value.
-        let counted_tput = invariants.be_throughput_norm * *job_factor;
+        let counted_tput = invariants.be_throughput_norm * self.job_factor;
+        self.intervals_stepped += 1;
+        let t_s = f64::from(self.intervals_stepped);
         let mut sums = ObsSums::default();
-        for (i, env) in envs.iter_mut().enumerate() {
-            let obs = env.step_with(config, qps, &invariants);
-            *jitter_node_intervals += u64::from(obs.interference != invariants.bw_multiplier);
-            slab.power_w[i] = obs.power_w;
-            slab.be_tput[i] = counted_tput;
-            slab.sum_qps[i] += obs.qps;
-            slab.sum_in_target_qps[i] += obs.qps * obs.in_target_fraction;
-            slab.sum_be_tput[i] += counted_tput;
-            slab.sum_power_w[i] += obs.power_w;
-            if obs.power_w > *budget_w {
-                slab.overload_intervals[i] += 1;
-            }
-            p95_hist.observe(obs.p95_ms);
-            p95_run.observe(obs.p95_ms);
+        for (jitter, in_target) in self.jitter.iter_mut().zip(&mut self.sum_in_target_qps) {
+            let obs = env.observe(t_s, &config, qps, &invariants, jitter.step_jitter());
+            self.jitter_node_intervals += u64::from(obs.interference != invariants.bw_multiplier);
+            *in_target += obs.qps * obs.in_target_fraction;
+            self.p95_hist.observe(obs.p95_ms);
             sums.add(&obs);
+        }
+        self.last_power_w = invariants.power_w;
+        self.last_be_tput = counted_tput;
+        self.sum_qps += qps;
+        self.sum_be_tput += counted_tput;
+        self.sum_power_w += invariants.power_w;
+        if invariants.power_w > self.budget_w {
+            self.overload_intervals += 1;
         }
         // Power and counted throughput are shard-uniform: one bucket
         // search each, bit-identical to observing them once per node.
-        let n = envs.len() as u64;
-        power_hist.observe_repeated(invariants.power_w, n);
-        tput_hist.observe_repeated(counted_tput, n);
-        self.intervals_stepped += 1;
-        let mean = sums.mean(envs.len() as f64);
+        let n = self.len();
+        self.power_hist
+            .observe_repeated(invariants.power_w, n as u64);
+        self.tput_hist.observe_repeated(counted_tput, n as u64);
+        let mean = sums.mean(n as f64);
         self.last_mean_p95 = mean.p95_ms;
-        if *traced {
-            trace.push(TraceEvent::TelemetrySample {
+        if self.traced {
+            self.trace.push(TraceEvent::TelemetrySample {
                 t_s: mean.t_s,
                 qps: mean.qps,
                 p95_ms: mean.p95_ms,
@@ -322,16 +298,16 @@ impl Shard {
                 be_throughput_norm: mean.be_throughput_norm,
             });
         }
-        let next = controller.decide(&mean, *config);
-        if next != *config {
+        let next = self.controller.decide(&mean, config);
+        if next != config {
             debug_assert!(
-                next.validate(envs[0].spec()).is_ok(),
+                next.validate(env.spec()).is_ok(),
                 "controller returned invalid config"
             );
-            *config = next;
+            self.config = next;
         }
-        if *traced {
-            trace.extend(controller.take_trace());
+        if self.traced {
+            self.trace.extend(self.controller.take_trace());
         }
     }
 }
@@ -411,7 +387,9 @@ pub struct Fleet {
     /// The one predictor every shard controller shares, kept for the
     /// table-build accounting in [`FleetResult`].
     predictor: Arc<PerfPowerPredictor>,
-    spec: NodeSpec,
+    /// The environment model every node steps under; nodes differ only
+    /// in their shard's jitter processes.
+    env: CoLocationEnv,
     peak_qps_per_node: f64,
     node_count: usize,
     /// The BE application whose jobs the placement engine moves.
@@ -477,8 +455,9 @@ impl Fleet {
             sp.validate()?;
         }
 
-        // The fleet is homogeneous: pair-level properties come from one
-        // setup; per-node environments differ only in interference seed.
+        // The fleet is homogeneous: pair-level properties and the
+        // environment model come from one setup; nodes differ only in
+        // their OS-jitter seed.
         let first = ExperimentSetup::new(pair, seed);
         let peak = first.peak_qps();
         let qos_target = first.qos_target_ms();
@@ -524,11 +503,14 @@ impl Fleet {
             config.validate(&spec).map_err(|e| {
                 SturgeonError::setup(format!("shard {s}: initial config rejected: {e}"))
             })?;
-            let envs: Vec<CoLocationEnv> = (0..len)
-                .map(|i| {
-                    ExperimentSetup::new(pair, seed.wrapping_add((first_node + i) as u64))
-                        .env()
-                        .clone()
+            // Seeded exactly as `ExperimentSetup::new` seeds node n's
+            // environment.
+            let jitter = (first_node..first_node + len)
+                .map(|n| {
+                    InterferenceModel::new(
+                        InterferenceParams::default(),
+                        seed.wrapping_add(n as u64),
+                    )
                 })
                 .collect();
             let mut controller = controller;
@@ -538,17 +520,22 @@ impl Fleet {
             }
             shards.push(Shard {
                 first_node,
-                envs,
+                jitter,
+                sum_in_target_qps: vec![0.0; len],
                 controller,
                 config,
-                slab: NodeSlab::new(len),
                 budget_w,
                 intervals_stepped: 0,
                 jitter_node_intervals: 0,
+                last_power_w: 0.0,
+                last_be_tput: 0.0,
+                sum_qps: 0.0,
+                sum_be_tput: 0.0,
+                sum_power_w: 0.0,
+                overload_intervals: 0,
                 p95_hist: Histogram::new(&DEFAULT_BUCKETS),
                 power_hist: Histogram::new(&DEFAULT_BUCKETS),
                 tput_hist: Histogram::new(&BE_THROUGHPUT_BUCKETS),
-                p95_run: RunningStats::new(),
                 last_mean_p95: 0.0,
                 next_qps_per_node: 0.0,
                 be_jobs: 1,
@@ -667,7 +654,7 @@ impl Fleet {
             shards,
             regions,
             predictor,
-            spec,
+            env: first.env().clone(),
             peak_qps_per_node: peak,
             node_count: nodes,
             be: pair.be,
@@ -710,7 +697,7 @@ impl Fleet {
 
     /// The node spec shared by the whole fleet.
     pub fn spec(&self) -> &NodeSpec {
-        &self.spec
+        self.env.spec()
     }
 
     /// Aggregate peak capacity (QPS) of the fleet.
@@ -795,7 +782,10 @@ impl Fleet {
                 }
             }
             // Step every shard as one rayon task.
-            self.shards.par_iter_mut().for_each(Shard::step_interval);
+            let env = &self.env;
+            self.shards
+                .par_iter_mut()
+                .for_each(|shard| shard.step_interval(env));
             // Drain the traced shard serially, keeping event order
             // deterministic regardless of shard scheduling.
             if let Some(sink) = sink.as_deref_mut() {
@@ -882,7 +872,7 @@ impl Fleet {
                     exhausted: s.controller.balancer_exhausted(),
                     be_jobs: s.be_jobs,
                     be_slots,
-                    last_be_tput: s.slab.be_tput.iter().sum(),
+                    last_be_tput: s.node_sum(s.last_be_tput),
                 })
                 .collect(),
             queued_jobs: rt.queued_jobs,
@@ -989,7 +979,7 @@ impl Fleet {
         let demands: Vec<f64> = self
             .shards
             .iter()
-            .map(|s| s.slab.power_w.iter().sum())
+            .map(|s| s.node_sum(s.last_power_w))
             .collect();
         tree.reclaim(Some(&demands));
         let mut changed = false;
@@ -1089,25 +1079,21 @@ impl Fleet {
             fault_counters.safe_mode_entries += c.safe_mode_entries;
             fault_counters.balancer_retry_rounds += c.balancer_retry_rounds;
             searches += shard.controller.search_count();
-            let intervals = shard.intervals_stepped;
-            for i in 0..shard.len() {
-                // The same aggregates TelemetryLog computes, from the
-                // streamed per-node running sums.
-                let q = shard.slab.sum_qps[i];
-                let qos = if q == 0.0 {
-                    1.0
-                } else {
-                    shard.slab.sum_in_target_qps[i] / q
-                };
-                let (tput, mean_power, overload) = if intervals == 0 {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    (
-                        shard.slab.sum_be_tput[i] / intervals as f64,
-                        shard.slab.sum_power_w[i] / intervals as f64,
-                        shard.slab.overload_intervals[i] as f64 / intervals as f64,
-                    )
-                };
+            // The same aggregates TelemetryLog computes, from the
+            // streamed running sums.
+            let q = shard.sum_qps;
+            let intervals = f64::from(shard.intervals_stepped);
+            let (tput, mean_power, overload) = if shard.intervals_stepped == 0 {
+                (0.0, 0.0, 0.0)
+            } else {
+                (
+                    shard.sum_be_tput / intervals,
+                    shard.sum_power_w / intervals,
+                    f64::from(shard.overload_intervals) / intervals,
+                )
+            };
+            for (i, &node_in_target) in shard.sum_in_target_qps.iter().enumerate() {
+                let qos = if q == 0.0 { 1.0 } else { node_in_target / q };
                 total_q += q;
                 in_target_q += q * qos;
                 total_tput += tput;

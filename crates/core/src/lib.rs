@@ -65,8 +65,7 @@ pub mod prelude {
     pub use crate::budget::{BudgetCap, BudgetEvent, BudgetLevel, BudgetTree};
     pub use crate::cache::{FrontierCache, PredictionCache};
     pub use crate::controller::{
-        ControllerFaultCounters, ControllerParams, ResourceController, RobustnessParams,
-        SturgeonController,
+        ControllerFaultCounters, ControllerParams, ResourceController, SturgeonController,
     };
     pub use crate::dispatch::{DispatchPolicy, Dispatcher};
     pub use crate::error::SturgeonError;

@@ -179,78 +179,6 @@ impl Histogram {
     }
 }
 
-/// Streaming count/mean/extrema accumulator — the O(1)-memory summary a
-/// shard keeps per channel instead of a full sample log. Merging two
-/// accumulators gives exactly the stats of the concatenated streams.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation (non-finite values are dropped, matching
-    /// [`Histogram::observe`]).
-    pub fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest observation, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 /// Exported view of one histogram.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct HistogramSnapshot {
@@ -638,25 +566,6 @@ mod tests {
         let before = a.snapshot();
         assert!(!a.merge(&other));
         assert_eq!(a.snapshot(), before);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_single_stream() {
-        let mut whole = RunningStats::new();
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for (i, v) in [3.0, -1.0, f64::NAN, 8.5, 0.0].iter().enumerate() {
-            whole.observe(*v);
-            if i < 2 { &mut a } else { &mut b }.observe(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), Some(-1.0));
-        assert_eq!(a.max(), Some(8.5));
-        assert!((a.mean() - 10.5 / 4.0).abs() < 1e-12);
-        assert_eq!(RunningStats::new().mean(), 0.0);
-        assert_eq!(RunningStats::new().min(), None);
     }
 
     #[test]

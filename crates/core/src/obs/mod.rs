@@ -27,5 +27,5 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, RunningStats, DEFAULT_BUCKETS};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, DEFAULT_BUCKETS};
 pub use trace::{JsonlSink, NullSink, RingSink, SearchReason, TraceEvent, TraceSink};

@@ -313,6 +313,8 @@ pub struct ScenarioMetrics {
     pub budget_w: f64,
     /// Fraction of intervals above budget (fleet: mean across nodes).
     pub overload_fraction: f64,
+    /// QoS guarantee rate of the worst node (node runs: `qos_rate`).
+    pub worst_node_qos: f64,
     /// Total injected faults (0 for fault-free and fleet runs).
     pub faults_seen: u64,
     /// Actuation retries spent by the policy.
@@ -392,6 +394,13 @@ impl ScenarioMetrics {
         f.push((
             "overload_fraction".into(),
             Value::Number(self.overload_fraction),
+        ));
+        f.push(("worst_node_qos".into(), Value::Number(self.worst_node_qos)));
+        // The in-cap share of (node-)intervals, the tail view of
+        // `overload_fraction` that perfbench reports as `in_cap_frac`.
+        f.push((
+            "in_cap_frac".into(),
+            Value::Number(1.0 - self.overload_fraction),
         ));
         let counters = [
             ("faults_seen", self.faults_seen),
@@ -1630,6 +1639,7 @@ impl Scenario {
             peak_power_w: result.peak_power_w,
             budget_w: result.budget_w,
             overload_fraction: result.overload_fraction,
+            worst_node_qos: result.qos_rate,
             faults_seen: result.faults.faults_seen,
             retries: result.faults.retries,
             failed_actuations: result.faults.failed_actuations,
@@ -1744,6 +1754,7 @@ impl Scenario {
             peak_power_w: power.and_then(|h| h.max).unwrap_or(0.0),
             budget_w: result.fleet_budget_w,
             overload_fraction: overload,
+            worst_node_qos: result.nodes.iter().map(|n| n.qos_rate).fold(1.0, f64::min),
             faults_seen: 0,
             retries: 0,
             failed_actuations: 0,
@@ -2006,6 +2017,7 @@ day_s = 100
             peak_power_w: 120.0,
             budget_w: 130.0,
             overload_fraction: 0.0,
+            worst_node_qos: 0.99,
             faults_seen: 0,
             retries: 0,
             failed_actuations: 0,

@@ -40,7 +40,7 @@ pub struct Observation {
 /// `(config, qps)` and the workload models — not on the node's private
 /// OS-jitter state. A homogeneous shard whose nodes share one
 /// configuration and load computes these once per interval and replays
-/// them into every node via [`CoLocationEnv::step_with`]; the result is
+/// them into every node via [`CoLocationEnv::observe`]; the result is
 /// bit-identical to calling [`CoLocationEnv::step`] on each node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepInvariants {
@@ -232,9 +232,9 @@ impl CoLocationEnv {
     }
 
     /// Simulates one interval replaying precomputed
-    /// [`StepInvariants`] and advancing only this node's private OS-jitter
-    /// process; only a node whose jitter is not 1.0 evaluates its own
-    /// latency. `step(config, qps)` is exactly
+    /// [`StepInvariants`]: advances the clock and this node's private
+    /// OS-jitter process, then [`CoLocationEnv::observe`]s the interval.
+    /// `step(config, qps)` is exactly
     /// `step_with(config, qps, &step_invariants(config, qps))`.
     pub fn step_with(
         &mut self,
@@ -242,12 +242,28 @@ impl CoLocationEnv {
         qps: f64,
         invariants: &StepInvariants,
     ) -> Observation {
-        debug_assert!(config.validate(&self.spec).is_ok(), "invalid config");
         debug_assert_eq!(*invariants, self.step_invariants(config, qps));
         self.t_s += 1.0;
-
-        // Interference from the BE co-runner plus OS jitter.
         let jitter = self.interference.step_jitter();
+        self.observe(self.t_s, config, qps, invariants, jitter)
+    }
+
+    /// The observation of an interval ending at `t_s` on a node whose
+    /// OS jitter is `jitter`. Only a node whose jitter is not 1.0
+    /// evaluates its own latency; a quiet one replays
+    /// `invariants.quiet`. Reads nothing that differs between nodes, so
+    /// one model serves every node of a homogeneous shard, each with its
+    /// own jitter process.
+    pub fn observe(
+        &self,
+        t_s: f64,
+        config: &PairConfig,
+        qps: f64,
+        invariants: &StepInvariants,
+        jitter: f64,
+    ) -> Observation {
+        debug_assert!(config.validate(&self.spec).is_ok(), "invalid config");
+        // Interference from the BE co-runner plus OS jitter.
         let multiplier = invariants.bw_multiplier * jitter;
         let lat = if jitter == 1.0 {
             invariants.quiet
@@ -263,7 +279,7 @@ impl CoLocationEnv {
         };
 
         Observation {
-            t_s: self.t_s,
+            t_s,
             qps,
             p95_ms: lat.p95_ms,
             in_target_fraction: lat.in_target_fraction,

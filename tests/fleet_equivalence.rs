@@ -199,3 +199,95 @@ fn per_node_safe_mode_entries_are_surfaced() {
         "one node per shard: per-node counts sum to the aggregate"
     );
 }
+
+/// Folds every field of every node row, in node order, into one word.
+fn node_rows_fingerprint(fleet: &FleetResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for n in &fleet.nodes {
+        for word in [
+            n.node as u64,
+            n.qos_rate.to_bits(),
+            n.mean_be_throughput.to_bits(),
+            n.overload_fraction.to_bits(),
+            n.mean_power_w.to_bits(),
+            n.safe_mode_entries,
+        ] {
+            h = (h ^ word).wrapping_mul(0x0100_0000_01b3).rotate_left(17);
+        }
+    }
+    h
+}
+
+#[test]
+fn multi_node_shards_stay_on_the_pinned_trajectory() {
+    // Every case above runs one node per shard, so none of them sees a
+    // shard whose nodes share one environment model and differ only in
+    // their OS-jitter processes. This one does: 3 shards × 6 nodes under
+    // default jitter, a rack cap cut on the flash-crowd region (budget
+    // demand sums each shard's nodes) and BE placement (its view sums
+    // each shard's counted throughput). The pins were recorded while
+    // every node still held its own environment clone.
+    use sturgeon::budget::{BudgetCap, BudgetEvent, BudgetLevel};
+    use sturgeon::obs::MetricsRegistry;
+    use sturgeon::placement::PlacementParams;
+    const SEED: u64 = 19;
+    const NODES: usize = 18;
+    let params = FleetParams {
+        shards: 3,
+        regions: 2,
+        budget: Some(FleetBudget {
+            rows: 1,
+            events: vec![BudgetEvent {
+                at_s: 50.0,
+                level: BudgetLevel::Rack,
+                index: 0,
+                cap: BudgetCap::FractionOfNominal(0.78),
+            }],
+        }),
+        placement: Some(PlacementParams::default()),
+        ..FleetParams::default()
+    };
+    let hot = LoadProfile::FlashCrowd {
+        base: Box::new(LoadProfile::Constant { fraction: 0.35 }),
+        at_s: 30.0,
+        ramp_s: 10.0,
+        hold_s: 60.0,
+        decay_s: 10.0,
+        magnitude: 2.4,
+    };
+    let cool = LoadProfile::Constant { fraction: 0.35 };
+    let mut fleet = Fleet::new(pair(), NODES, params, SEED);
+    let r = fleet
+        .run_regional(&[hot, cool], 120)
+        .expect("two profiles, two regions");
+    let registry = MetricsRegistry::new();
+    fleet.export_metrics(&r, &registry);
+    let jittered = registry.counter("fleet.jitter_node_intervals");
+    assert!(jittered > 0, "no node saw OS jitter");
+    assert!(r.budget_reclaims > 0, "the cap cut never reached a shard");
+    assert_eq!(r.nodes.len(), NODES);
+    assert!(r.migrations > 0, "placement never moved a job");
+    assert_eq!(
+        r.qos_rate.to_bits(),
+        0x3fef_8939_324d_e33f,
+        "fleet qos {}",
+        r.qos_rate
+    );
+    assert_eq!(
+        r.total_be_throughput.to_bits(),
+        0x4023_5988_aace_dbea,
+        "fleet BE throughput {}",
+        r.total_be_throughput
+    );
+    assert_eq!(
+        r.mean_fleet_power_w.to_bits(),
+        0x4091_9e9c_88fa_e147,
+        "fleet power {}",
+        r.mean_fleet_power_w
+    );
+    assert_eq!(
+        node_rows_fingerprint(&r),
+        0xdd16_127c_d838_c783,
+        "node rows moved"
+    );
+}
