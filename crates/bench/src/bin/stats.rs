@@ -97,18 +97,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A lone metrics object (e.g. `fleet_sim --json`) gates against an
-    // array baseline as a one-row batch.
-    let wrap = |v: serde::Value| match v {
-        obj @ serde::Value::Object(_) => serde::Value::Array(vec![obj]),
-        other => other,
-    };
-    let (baseline, current) = match (&baseline, &current) {
-        (serde::Value::Array(_), serde::Value::Object(_))
-        | (serde::Value::Object(_), serde::Value::Array(_)) => (wrap(baseline), wrap(current)),
-        _ => (baseline, current),
-    };
-
     let mut rules = match &args.tolerances {
         Some(path) => {
             let text = match std::fs::read_to_string(path) {

@@ -27,14 +27,21 @@ use std::time::Instant;
 use sturgeon::prelude::*;
 use sturgeon::report::OverheadSummary;
 
-/// Runs `search` `reps` times, returning the last outcome and the sorted
-/// per-search latencies in microseconds.
-fn timed_reps(reps: usize, mut search: impl FnMut() -> SearchOutcome) -> (SearchOutcome, Vec<f64>) {
+/// Runs `search` `reps` times, recording every search's stats in `ran`
+/// and returning the last outcome and the sorted per-search latencies
+/// in microseconds.
+fn timed_reps(
+    ran: &mut Vec<SearchStats>,
+    reps: usize,
+    mut search: impl FnMut() -> SearchOutcome,
+) -> (SearchOutcome, Vec<f64>) {
     let mut durations_us: Vec<f64> = Vec::with_capacity(reps);
     let mut last = search();
+    ran.push(last.stats);
     durations_us.push(last.stats.duration.as_secs_f64() * 1e6);
     for _ in 1..reps {
         last = search();
+        ran.push(last.stats);
         durations_us.push(last.stats.duration.as_secs_f64() * 1e6);
     }
     durations_us.sort_by(f64::total_cmp);
@@ -87,30 +94,33 @@ fn main() {
     // lazy one-time builds (BE tables, QPS slabs, memo-cache fills) land
     // here and not in a measured row — the old binary@20% row read 55 ms
     // of first-call initialization against ~1 ms of steady state.
+    // Every search the table runs, warm-up included, for the totals line.
+    let mut ran: Vec<SearchStats> = Vec::new();
     let warmup = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
     for frac in fracs {
         let qps = frac * setup.peak_qps();
-        let _ = warmup.best_config(qps);
-        let _ = warmup.exhaustive(qps);
-        let _ = warmup.pruned(qps);
+        ran.push(warmup.best_config(qps).stats);
+        ran.push(warmup.exhaustive(qps).stats);
+        ran.push(warmup.pruned(qps).stats);
     }
 
     let mut summaries = Vec::new();
     for frac in fracs {
         let qps = frac * setup.peak_qps();
         let search = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
-        let (fast, fast_us) = timed_reps(100, || search.best_config(qps));
-        let (full, full_us) = timed_reps(5, || search.exhaustive(qps));
+        let (fast, fast_us) = timed_reps(&mut ran, 100, || search.best_config(qps));
+        let (full, full_us) = timed_reps(&mut ran, 5, || search.exhaustive(qps));
         // Cold: no memo attached, so every repetition pays the full
         // latticed sweep.
-        let (pruned, pruned_us) = timed_reps(200, || search.pruned(qps));
+        let (pruned, pruned_us) = timed_reps(&mut ran, 200, || search.pruned(qps));
         let latticed = search.exhaustive_latticed(qps);
+        ran.push(latticed.stats);
         // Warm: same slab bracket every time — after the first pass the
         // bracket memo answers.
         let frontiers = FrontierCache::default();
         let memoized = search.with_frontiers(&frontiers);
-        let _ = memoized.pruned(qps);
-        let (pruned_warm, warm_us) = timed_reps(200, || memoized.pruned(qps));
+        ran.push(memoized.pruned(qps).stats);
+        let (pruned_warm, warm_us) = timed_reps(&mut ran, 200, || memoized.pruned(qps));
         println!("\n-- load {:.0}% of peak --", frac * 100.0);
         let fast_row =
             OverheadSummary::from_stats(format!("binary@{:.0}%", frac * 100.0), &fast.stats)
@@ -158,11 +168,13 @@ fn main() {
         summaries.push(warm_row);
     }
 
+    let total = |count: fn(&SearchStats) -> u64| ran.iter().map(count).sum::<u64>();
     println!(
-        "\npredictor totals: {} queries, {} cache hits, {} cache misses",
-        predictor.prediction_count(),
-        predictor.cache_hits(),
-        predictor.cache_misses()
+        "\nsearch totals: {} searches, {} queries, {} cache hits, {} cache misses",
+        ran.len(),
+        total(|s| s.model_calls),
+        total(|s| s.cache_hits),
+        total(|s| s.cache_misses)
     );
     let json = sturgeon::report::overhead_summary_json(&summaries);
     println!("\noverhead summary JSON:");

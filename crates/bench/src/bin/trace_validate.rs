@@ -1,5 +1,5 @@
 //! `trace_validate` — checks a decision-trace JSONL file (as written by
-//! `sturgeon_sim --trace` or [`sturgeon::obs::JsonlSink`]) for structural
+//! `scenario_run --trace` or [`sturgeon::obs::JsonlSink`]) for structural
 //! integrity.
 //!
 //! ```text
@@ -52,7 +52,7 @@ fn validate_body(kind: &str, body: &serde_json::Value) -> Result<(), String> {
             "pruned_subspaces",
             "frontier_reuses",
         ],
-        "CacheSnapshot" => &["t_s", "entries", "hits", "misses"],
+        "CacheSnapshot" => &["t_s", "hits", "misses"],
         other => return Err(format!("unknown event type {other}")),
     };
     for field in numbers {

@@ -112,11 +112,11 @@ impl Hasher for KeyHasher {
 /// A shard's memo table, hashed with [`KeyHasher`].
 type ShardMap = HashMap<Key, f64, BuildHasherDefault<KeyHasher>>;
 
-/// Per-thread query counters, advanced alongside the predictor-global
-/// atomics: `calls` by every counted prediction query, `hits`/`misses`
-/// by every memo-cache lookup. A search reads its own thread's meter
-/// before and after, so its `SearchStats` count exactly its own queries
-/// whatever other threads do with the same predictor.
+/// Per-thread query counters: `calls` advanced by every counted
+/// prediction query, `hits`/`misses` by every memo-cache lookup. A
+/// search reads its own thread's meter before and after, so its
+/// `SearchStats` count exactly its own queries whatever other threads
+/// do with the same predictor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct QueryMeter {
     pub(crate) calls: u64,
@@ -187,12 +187,10 @@ fn shard_index(key: &Key) -> usize {
 }
 
 /// A sharded, thread-safe memo table from exact query keys to
-/// predicted values, with hit/miss accounting for the §VII-E overhead
-/// tables.
+/// predicted values. Hits and misses are counted per thread
+/// ([`QueryMeter`]), so each search reports its own.
 pub struct PredictionCache {
     shards: Vec<Mutex<ShardMap>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     enabled: AtomicBool,
 }
 
@@ -200,8 +198,6 @@ impl std::fmt::Debug for PredictionCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictionCache")
             .field("entries", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .field("enabled", &self.is_enabled())
             .finish()
     }
@@ -220,14 +216,12 @@ impl PredictionCache {
             shards: (0..SHARDS)
                 .map(|_| Mutex::new(ShardMap::default()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
         }
     }
 
     /// Turns memoization on or off. Disabled, every lookup computes and
-    /// neither counters nor tables are touched — the uncached baseline for
+    /// neither meters nor tables are touched — the uncached baseline for
     /// the Criterion benches.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
@@ -266,7 +260,6 @@ impl PredictionCache {
         };
         let shard = self.shard_of(&key);
         if let Some(&v) = shard.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             QueryMeter::bump(|m| m.hits += 1);
             return v;
         }
@@ -276,24 +269,13 @@ impl PredictionCache {
         // the search threads never serialize on model evaluation.
         let v = compute();
         shard.lock().insert(key, v);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         QueryMeter::bump(|m| m.misses += 1);
         v
     }
 
-    /// Lookups answered from the memo tables.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to run the underlying models.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Drops every memoized entry. Must be called whenever the underlying
-    /// models change (retraining); counters are kept so overhead
-    /// accounting spans invalidations.
+    /// models change (retraining); the per-thread meters keep counting
+    /// across invalidations.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().clear();
@@ -471,6 +453,7 @@ mod tests {
             },
         ];
         let cache = PredictionCache::new();
+        let start = QueryMeter::current();
         let lookup = |key: &Key, v: f64| {
             let (freq, qps) = (f64::from_bits(key.freq_bits), f64::from_bits(key.qps_bits));
             cache.get_or_compute(key.family, key.cores, freq, key.ways, qps, || v)
@@ -485,12 +468,13 @@ mod tests {
             );
         }
         assert_eq!(cache.len(), 1 + variants.len());
-        assert_eq!(cache.misses(), 1 + variants.len() as u64);
+        assert_eq!(QueryMeter::since(start).misses, 1 + variants.len() as u64);
     }
 
     #[test]
     fn memoizes_and_counts() {
         let cache = PredictionCache::new();
+        let start = QueryMeter::current();
         let computed = AtomicUsize::new(0);
         let f = || {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -503,27 +487,29 @@ mod tests {
             );
         }
         assert_eq!(computed.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 4);
+        let meter = QueryMeter::since(start);
+        assert_eq!((meter.hits, meter.misses), (4, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = PredictionCache::new();
+        let start = QueryMeter::current();
         let a = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 100.0, || 1.0);
         let b = cache.get_or_compute(Family::BePower, 8, 1.8, 10, 100.0, || 2.0);
         let c = cache.get_or_compute(Family::LsPower, 9, 1.8, 10, 100.0, || 3.0);
         let d = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 101.0, || 4.0);
         assert_eq!((a, b, c, d), (1.0, 2.0, 3.0, 4.0));
         assert_eq!(cache.len(), 4);
-        assert_eq!(cache.misses(), 4);
+        assert_eq!(QueryMeter::since(start).misses, 4);
     }
 
     #[test]
     fn disabled_cache_always_computes() {
         let cache = PredictionCache::new();
         cache.set_enabled(false);
+        let start = QueryMeter::current();
         let computed = AtomicUsize::new(0);
         for _ in 0..3 {
             cache.get_or_compute(Family::BeThroughput, 4, 1.2, 4, 0.0, || {
@@ -532,23 +518,25 @@ mod tests {
             });
         }
         assert_eq!(computed.load(Ordering::Relaxed), 3);
-        assert_eq!(cache.hits() + cache.misses(), 0);
+        let meter = QueryMeter::since(start);
+        assert_eq!(meter.hits + meter.misses, 0);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn clear_invalidates_entries_but_keeps_counters() {
         let cache = PredictionCache::new();
+        let start = QueryMeter::current();
         cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
         cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(QueryMeter::since(start).hits, 1);
         // A cleared entry recomputes (and may return a new value, as after
         // retraining).
         let v = cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 7.0);
         assert_eq!(v, 7.0);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(QueryMeter::since(start).misses, 2);
     }
 
     #[test]
@@ -577,7 +565,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.hits() + cache.misses(), 800);
         assert!(cache.len() <= 200);
     }
 
@@ -639,16 +626,21 @@ mod tests {
         let cache = PredictionCache::new();
         let start = QueryMeter::current();
         cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for _ in 0..5 {
-                    cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
-                }
-            });
+        let theirs = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let start = QueryMeter::current();
+                    for _ in 0..5 {
+                        cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
+                    }
+                    QueryMeter::since(start)
+                })
+                .join()
+                .unwrap()
         });
         cache.get_or_compute(Family::BePower, 2, 1.2, 0, 0.0, || 1.0);
         let mine = QueryMeter::since(start);
         assert_eq!((mine.hits, mine.misses), (1, 1));
-        assert_eq!(cache.hits() + cache.misses(), 7);
+        assert_eq!((theirs.hits, theirs.misses), (5, 0));
     }
 }

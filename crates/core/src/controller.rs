@@ -169,6 +169,12 @@ pub struct SturgeonController {
     pruned_candidates_total: u64,
     pruned_subspaces_total: u64,
     frontier_reuses_total: u64,
+    /// Running prediction-cache hits and misses of this controller's own
+    /// searches (the `CacheSnapshot` totals). Summed from per-search
+    /// stats, so they never count another controller's queries against
+    /// a shared predictor.
+    cache_hits_total: u64,
+    cache_misses_total: u64,
     /// True while the placement layer has parked the BE side (no job
     /// assigned): the controller holds the power-feasible all-LS safe
     /// configuration instead of optimizing a throughput nobody counts.
@@ -226,6 +232,8 @@ impl SturgeonController {
             pruned_candidates_total: 0,
             pruned_subspaces_total: 0,
             frontier_reuses_total: 0,
+            cache_hits_total: 0,
+            cache_misses_total: 0,
             be_idle: false,
         }
     }
@@ -431,6 +439,8 @@ impl SturgeonController {
         self.pruned_candidates_total += outcome.stats.pruned_candidates;
         self.pruned_subspaces_total += outcome.stats.pruned_subspaces;
         self.frontier_reuses_total += outcome.stats.frontier_reuses;
+        self.cache_hits_total += outcome.stats.cache_hits;
+        self.cache_misses_total += outcome.stats.cache_misses;
         self.warm_hint = outcome.best.map(|cfg| (cfg, qps));
         self.last_search_stats = Some(outcome.stats);
         self.last_search_qps = Some(qps);
@@ -487,9 +497,8 @@ impl SturgeonController {
             }
             self.trace.push(TraceEvent::CacheSnapshot {
                 t_s,
-                entries: self.predictor.cache().len(),
-                hits: self.predictor.cache_hits(),
-                misses: self.predictor.cache_misses(),
+                hits: self.cache_hits_total,
+                misses: self.cache_misses_total,
             });
         }
         config

@@ -1343,4 +1343,23 @@ mod tests {
         assert_eq!(f.shards[1].len(), 1);
         assert_eq!(f.shards[1].first_node, 2);
     }
+
+    #[test]
+    fn node_sum_folds_node_by_node() {
+        // The perfbench ledger replay keeps one value per node and sums
+        // them node by node (`iter().sum()`), so a shard-uniform value
+        // must be folded the same way to reproduce it bit for bit. 0.1
+        // folded ten times is 0.9999999999999999; `0.1 * 10.0` is 1.0.
+        let params = FleetParams {
+            shards: 1,
+            ..FleetParams::default()
+        };
+        let f = Fleet::new(pair(), 10, params, 1);
+        let shard = &f.shards[0];
+        assert_eq!(shard.len(), 10);
+        let folded: f64 = [0.1; 10].iter().sum();
+        assert_eq!(folded, 0.9999999999999999);
+        assert_ne!(folded, 0.1 * 10.0);
+        assert_eq!(shard.node_sum(0.1).to_bits(), folded.to_bits());
+    }
 }

@@ -374,13 +374,7 @@ impl MetricsRegistry {
                 self.add("search.pruned_subspaces", *pruned_subspaces);
                 self.add("search.frontier_reuses", *frontier_reuses);
             }
-            TraceEvent::CacheSnapshot {
-                entries,
-                hits,
-                misses,
-                ..
-            } => {
-                self.set_gauge("predictor.cache_entries", *entries as f64);
+            TraceEvent::CacheSnapshot { hits, misses, .. } => {
                 self.set_gauge("predictor.cache_hit_total", *hits as f64);
                 self.set_gauge("predictor.cache_miss_total", *misses as f64);
             }

@@ -135,15 +135,14 @@ pub enum TraceEvent {
         /// (nothing evaluated or pruned), 0 when the search swept.
         frontier_reuses: u64,
     },
-    /// Prediction-cache occupancy after a search.
+    /// The emitting controller's running prediction-cache totals after
+    /// a search, summed over its own searches only.
     CacheSnapshot {
         /// Interval timestamp (s).
         t_s: f64,
-        /// Entries resident across all shards.
-        entries: usize,
-        /// Lifetime cache hits.
+        /// Cache hits across this controller's searches so far.
         hits: u64,
-        /// Lifetime cache misses.
+        /// Cache misses across this controller's searches so far.
         misses: u64,
     },
     /// A budget-tree cap changed and the reclaimed apportionment was

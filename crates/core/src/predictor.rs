@@ -261,8 +261,8 @@ impl PerfPowerPredictor {
     /// Total prediction queries answered, on every thread, since
     /// construction or the last reset. Counts every query whether it ran
     /// the models or was served from the memo cache — the stable measure
-    /// of search work; subtract [`cache_hits`](Self::cache_hits) for
-    /// actual model executions.
+    /// of search work; a search's [`SearchStats`](crate::search::SearchStats)
+    /// splits its own queries into cache hits and misses.
     pub fn prediction_count(&self) -> u64 {
         self.predictions.load(Ordering::Relaxed)
     }
@@ -277,16 +277,6 @@ impl PerfPowerPredictor {
         &self.cache
     }
 
-    /// Queries served from the memo cache without running any model.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Queries that ran the underlying models and populated the cache.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
     /// Turns prediction memoization on or off (on by default). Results
     /// are identical either way; only the cost changes.
     pub fn set_caching(&self, enabled: bool) {
@@ -295,7 +285,7 @@ impl PerfPowerPredictor {
 
     /// Refits every model on fresh datasets in place and invalidates the
     /// memo cache — stale entries would otherwise keep answering for the
-    /// old models. Query/hit counters are preserved so §VII-E accounting
+    /// old models. The query counter is preserved so §VII-E accounting
     /// can span retraining events.
     pub fn retrain(&mut self, datasets: &ProfileDatasets) -> Result<(), MlError> {
         let mut ls_qos = make_classifier(self.config.ls_qos);

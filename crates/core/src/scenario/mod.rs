@@ -5,7 +5,7 @@
 //! The experiment surface (controllers, load-profile algebra, fault
 //! plans, search strategies, fleet geometries) is described by one
 //! reviewable file: a [`Scenario`] is the only way to configure a
-//! `sturgeon_sim` or `fleet_sim` run. The contract
+//! `scenario_run` run, node or fleet. The contract
 //! that makes manifests trustworthy is **bit-identity**: lowering a
 //! manifest produces the same controller construction and the same
 //! builder chain as the equivalent hand-built run, so the two paths
@@ -53,7 +53,6 @@ use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
 use crate::heracles::{HeraclesController, HeraclesParams};
 use crate::obs::{MetricsRegistry, TraceSink};
 use crate::placement::PlacementParams;
-use crate::predictor::PerfPowerPredictor;
 use crate::scoring::ScoringParams;
 use crate::search::{ConfigSearch, SearchParams, SearchStrategy};
 use serde::Value;
@@ -276,7 +275,7 @@ pub struct ScenarioOutcome {
 
 /// The canonical metrics row emitted by `scenario_run` and compared by
 /// the `stats` gate. Field order is the JSON key order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioMetrics {
     /// Scenario name (the row key).
     pub scenario: String,
@@ -333,6 +332,17 @@ pub struct ScenarioMetrics {
     pub table_builds: Option<u64>,
     /// Fleet: configuration searches run across shard controllers.
     pub searches: Option<u64>,
+    /// Fleet: shard count the geometry resolved to.
+    pub shards: Option<usize>,
+    /// Fleet: region count.
+    pub regions: Option<usize>,
+    /// Fleet: node-intervals stepped per second of the run phase
+    /// (construction and training excluded).
+    pub node_intervals_per_s: Option<f64>,
+    /// Fleet: the process's peak resident set (`VmHWM`, MiB) when the
+    /// row finished; -1 where `/proc` is unavailable (the gate's
+    /// missing-data sentinel).
+    pub peak_rss_mib: Option<f64>,
     /// Fleet: budget reclamation passes that changed at least one leaf
     /// cap (present only when the scenario has a `[budget]` table, so
     /// pre-budget baselines stay comparable).
@@ -414,6 +424,8 @@ impl ScenarioMetrics {
             f.push((k.into(), Value::Number(v as f64)));
         }
         let opt_counters = [
+            ("shards", self.shards.map(|n| n as u64)),
+            ("regions", self.regions.map(|n| n as u64)),
             ("trainings", self.trainings),
             ("table_builds", self.table_builds),
             ("searches", self.searches),
@@ -438,6 +450,8 @@ impl ScenarioMetrics {
             ("search_p50_us", self.search_p50_us),
             ("search_p95_us", self.search_p95_us),
             ("search_p99_us", self.search_p99_us),
+            ("node_intervals_per_s", self.node_intervals_per_s),
+            ("peak_rss_mib", self.peak_rss_mib),
         ];
         for (k, v) in opt_floats {
             if let Some(v) = v {
@@ -1484,7 +1498,8 @@ impl Scenario {
     }
 
     /// The fleet construction parameters (fleet scenarios only;
-    /// `traced_shard` is left `None` — drivers that trace set it).
+    /// `traced_shard` is left `None` — [`Scenario::run`] sets it when a
+    /// sink is attached).
     pub fn fleet_params(&self) -> Result<FleetParams, SturgeonError> {
         let fleet = self
             .fleet
@@ -1511,71 +1526,77 @@ impl Scenario {
         vec![self.load.clone(); regions]
     }
 
-    /// Runs a node scenario with optional observability attached —
-    /// the entry point `sturgeon_sim --manifest` uses. Attaching a sink
-    /// or registry never perturbs the trajectory (the harness's
-    /// documented zero-cost-observability contract).
-    pub fn run_node_observed(
+    /// Drives one node controller through the builder under the
+    /// manifest's load, faults and actuation policy.
+    fn go<C: ResourceController>(
         &self,
+        setup: &ExperimentSetup,
+        controller: C,
         sink: Option<&mut dyn TraceSink>,
         registry: Option<&MetricsRegistry>,
     ) -> Result<RunResult, SturgeonError> {
-        if self.kind != ScenarioKind::Node {
-            return Err(bad("not a node scenario"));
+        let mut run = setup
+            .runner()
+            .controller(controller)
+            .load(self.load.clone())
+            .intervals(self.intervals)
+            .faults(self.faults)
+            .policy(self.policy);
+        if let Some(sink) = sink {
+            run = run.trace(sink);
         }
+        if let Some(registry) = registry {
+            run = run.metrics(registry);
+        }
+        run.go()
+    }
+
+    /// Executes the scenario and distills it into a metrics row — the
+    /// one entry point for node and fleet runs alike.
+    ///
+    /// `sink` receives the decision trace: every event of a node run, or
+    /// shard 0's events of a fleet run. `registry` receives the run's
+    /// metrics: a node run folds every event into it, a fleet exports
+    /// its aggregates into it at the end. Attaching either never
+    /// perturbs the trajectory (the harness's zero-cost-observability
+    /// contract).
+    pub fn run(
+        &self,
+        sink: Option<&mut dyn TraceSink>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<ScenarioOutcome, SturgeonError> {
+        let started = Instant::now();
+        match self.kind {
+            ScenarioKind::Node => self.run_node(started, sink, registry),
+            ScenarioKind::Fleet => self.run_fleet(started, sink, registry),
+        }
+    }
+
+    fn run_node(
+        &self,
+        started: Instant,
+        sink: Option<&mut dyn TraceSink>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<ScenarioOutcome, SturgeonError> {
         let setup = self.setup();
         let predictor = self
             .controller
             .kind
             .is_sturgeon()
             .then(|| Arc::new(setup.train_default_predictor()));
-        self.execute_node(&setup, predictor, sink, registry)
-    }
-
-    fn execute_node(
-        &self,
-        setup: &ExperimentSetup,
-        predictor: Option<Arc<PerfPowerPredictor>>,
-        sink: Option<&mut dyn TraceSink>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, SturgeonError> {
-        fn go<C: ResourceController>(
-            scenario: &Scenario,
-            setup: &ExperimentSetup,
-            controller: C,
-            sink: Option<&mut dyn TraceSink>,
-            registry: Option<&MetricsRegistry>,
-        ) -> Result<RunResult, SturgeonError> {
-            let mut run = setup
-                .runner()
-                .controller(controller)
-                .load(scenario.load.clone())
-                .intervals(scenario.intervals)
-                .faults(scenario.faults)
-                .policy(scenario.policy);
-            if let Some(sink) = sink {
-                run = run.trace(sink);
-            }
-            if let Some(registry) = registry {
-                run = run.metrics(registry);
-            }
-            run.go()
-        }
-
         let spec = setup.spec().clone();
         let budget = setup.budget_w();
         let qos = setup.qos_target_ms();
-        match self.controller.kind {
+        let result = match self.controller.kind {
             ControllerKind::Sturgeon | ControllerKind::SturgeonNoB => {
-                let predictor = predictor.ok_or_else(|| bad("missing trained predictor"))?;
                 let controller = SturgeonController::with_shared_predictor(
-                    predictor,
+                    predictor.clone().expect("Sturgeon kinds train a predictor"),
                     spec,
                     budget,
                     qos,
                     self.controller_params(),
                 );
-                go(self, setup, controller, sink, registry)
+                self.go(&setup, controller, sink, registry)
             }
             ControllerKind::Parties | ControllerKind::PartiesOrig => {
                 let controller = PartiesController::new(
@@ -1587,36 +1608,17 @@ impl Scenario {
                         ..PartiesParams::default()
                     },
                 );
-                go(self, setup, controller, sink, registry)
+                self.go(&setup, controller, sink, registry)
             }
             ControllerKind::Heracles => {
                 let controller =
                     HeraclesController::new(spec, budget, qos, HeraclesParams::default());
-                go(self, setup, controller, sink, registry)
+                self.go(&setup, controller, sink, registry)
             }
             ControllerKind::Reserved => {
-                go(self, setup, StaticReservationController, sink, registry)
+                self.go(&setup, StaticReservationController, sink, registry)
             }
-        }
-    }
-
-    /// Executes the scenario and distills it into a metrics row.
-    pub fn run(&self) -> Result<ScenarioOutcome, SturgeonError> {
-        let started = Instant::now();
-        match self.kind {
-            ScenarioKind::Node => self.run_node(started),
-            ScenarioKind::Fleet => self.run_fleet(started),
-        }
-    }
-
-    fn run_node(&self, started: Instant) -> Result<ScenarioOutcome, SturgeonError> {
-        let setup = self.setup();
-        let predictor = self
-            .controller
-            .kind
-            .is_sturgeon()
-            .then(|| Arc::new(setup.train_default_predictor()));
-        let result = self.execute_node(&setup, predictor.clone(), None, None)?;
+        }?;
 
         let mut p95s: Vec<f64> = result.log.samples().iter().map(|s| s.p95_ms).collect();
         p95s.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
@@ -1646,24 +1648,7 @@ impl Scenario {
             stale_intervals: result.faults.stale_intervals,
             safe_mode_entries: result.faults.safe_mode_entries,
             balancer_retry_rounds: result.faults.balancer_retry_rounds,
-            trainings: None,
-            table_builds: None,
-            searches: None,
-            budget_reclaims: None,
-            migrations: None,
-            evictions: None,
-            assignments: None,
-            cells_observed: None,
-            cells_hidden: None,
-            cold_start_cells: None,
-            set_scores: None,
-            rmse_heldout: None,
-            search_p50_us: None,
-            search_p95_us: None,
-            search_p99_us: None,
-            probe_model_calls: None,
-            probe_candidates: None,
-            wall_s: 0.0,
+            ..ScenarioMetrics::default()
         };
 
         if let (Some(probe), Some(predictor)) = (&self.probe, &predictor) {
@@ -1705,16 +1690,33 @@ impl Scenario {
         })
     }
 
-    fn run_fleet(&self, started: Instant) -> Result<ScenarioOutcome, SturgeonError> {
+    fn run_fleet(
+        &self,
+        started: Instant,
+        sink: Option<&mut dyn TraceSink>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<ScenarioOutcome, SturgeonError> {
         let fleet_spec = self
             .fleet
             .as_ref()
             .ok_or_else(|| bad("fleet scenario without a `[fleet]` table"))?;
-        let params = self.fleet_params()?;
+        let mut params = self.fleet_params()?;
+        params.traced_shard = sink.as_ref().map(|_| 0);
         let profiles = self.fleet_profiles();
         let mut fleet = Fleet::try_new(self.pair, fleet_spec.nodes, params, self.seed)?;
-        let result = fleet.run_regional(&profiles, self.intervals)?;
+        let run_started = Instant::now();
+        let result = match sink {
+            Some(sink) => fleet.run_regional_traced(&profiles, self.intervals, sink)?,
+            None => fleet.run_regional(&profiles, self.intervals)?,
+        };
+        let run_s = run_started.elapsed().as_secs_f64();
+        let node_intervals = fleet.len() as f64 * f64::from(self.intervals);
 
+        if let Some(registry) = registry {
+            fleet.export_metrics(&result, registry);
+        }
+        // The row reads its histograms from a registry of its own, so a
+        // caller's registry can never leak into the gated numbers.
         let registry = MetricsRegistry::new();
         fleet.export_metrics(&result, &registry);
         let p95 = registry.histogram("interval.p95_ms");
@@ -1755,15 +1757,16 @@ impl Scenario {
             budget_w: result.fleet_budget_w,
             overload_fraction: overload,
             worst_node_qos: result.nodes.iter().map(|n| n.qos_rate).fold(1.0, f64::min),
-            faults_seen: 0,
-            retries: 0,
-            failed_actuations: 0,
             stale_intervals: result.fault_counters.stale_intervals,
             safe_mode_entries: result.fault_counters.safe_mode_entries,
             balancer_retry_rounds: result.fault_counters.balancer_retry_rounds,
             trainings: Some(result.trainings),
             table_builds: Some(result.table_builds),
             searches: Some(result.searches),
+            shards: Some(fleet.shard_count()),
+            regions: Some(fleet.region_count()),
+            node_intervals_per_s: Some(node_intervals / run_s),
+            peak_rss_mib: Some(peak_rss_mib().unwrap_or(-1.0)),
             budget_reclaims: self.budget.as_ref().map(|_| result.budget_reclaims),
             migrations: self.placement.map(|_| result.migrations),
             evictions: self.placement.map(|_| result.evictions),
@@ -1773,12 +1776,8 @@ impl Scenario {
             cold_start_cells: fleet.cold_start_report().map(|(_, r)| r.cold_start_cells),
             set_scores: self.scoring.as_ref().map(|_| result.set_scores),
             rmse_heldout: fleet.cold_start_report().map(|(_, r)| r.rmse_heldout_tput),
-            search_p50_us: None,
-            search_p95_us: None,
-            search_p99_us: None,
-            probe_model_calls: None,
-            probe_candidates: None,
             wall_s: started.elapsed().as_secs_f64(),
+            ..ScenarioMetrics::default()
         };
         Ok(ScenarioOutcome {
             metrics,
@@ -1786,6 +1785,15 @@ impl Scenario {
             fleet: Some(result),
         })
     }
+}
+
+/// Peak resident set size (MiB) of this process so far, from
+/// `/proc/self/status` (`VmHWM`); `None` off Linux.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Nearest-rank percentile on already-sorted data (`q` in `[0, 1]`) —
@@ -2018,30 +2026,13 @@ day_s = 100
             budget_w: 130.0,
             overload_fraction: 0.0,
             worst_node_qos: 0.99,
-            faults_seen: 0,
-            retries: 0,
-            failed_actuations: 0,
-            stale_intervals: 0,
-            safe_mode_entries: 0,
-            balancer_retry_rounds: 0,
-            trainings: None,
-            table_builds: None,
-            searches: None,
-            budget_reclaims: None,
-            migrations: None,
-            evictions: None,
-            assignments: None,
-            cells_observed: None,
-            cells_hidden: None,
-            cold_start_cells: None,
-            set_scores: None,
-            rmse_heldout: None,
             search_p50_us: Some(10.0),
             search_p95_us: Some(20.0),
             search_p99_us: Some(30.0),
             probe_model_calls: Some(100),
             probe_candidates: Some(5),
             wall_s: 1.5,
+            ..ScenarioMetrics::default()
         };
         let v = m.to_value();
         assert_eq!(v["scenario"], "s");
@@ -2049,8 +2040,34 @@ day_s = 100
         assert_eq!(v["probe_model_calls"], 100);
         // Fleet-only counters are omitted for node rows.
         assert!(v.get("trainings").is_none());
-        let json = metrics_json(&[m]);
+
+        let fleet = ScenarioMetrics {
+            scenario: "f".into(),
+            kind: "fleet",
+            nodes: 1000,
+            trainings: Some(1),
+            table_builds: Some(1),
+            searches: Some(165),
+            shards: Some(3),
+            regions: Some(1),
+            node_intervals_per_s: Some(2.5e5),
+            peak_rss_mib: Some(6.7),
+            wall_s: 1.5,
+            ..ScenarioMetrics::default()
+        };
+        let f = fleet.to_value();
+        assert_eq!(f["shards"], 3);
+        assert_eq!(f["regions"], 1);
+        assert_eq!(f["node_intervals_per_s"], 2.5e5);
+        assert_eq!(f["peak_rss_mib"], 6.7);
+        // The four fleet-only keys appear on fleet rows and nowhere else.
+        for key in ["shards", "regions", "node_intervals_per_s", "peak_rss_mib"] {
+            assert!(v.get(key).is_none(), "node row carries `{key}`");
+            assert!(f.get(key).is_some(), "fleet row lacks `{key}`");
+        }
+        let json = metrics_json(&[m, fleet]);
         assert!(json.starts_with('['));
         assert!(json.contains("\"wall_s\""));
+        assert!(json.contains("\"peak_rss_mib\""));
     }
 }

@@ -163,7 +163,7 @@ fn pct(token: &str) -> f64 {
 )]
 fn golden_fig9_matches_committed_report_and_baseline() {
     let scenario = load_scenario("scenarios/golden_fig9.toml");
-    let outcome = scenario.run().expect("golden fig9 run");
+    let outcome = scenario.run(None, None).expect("golden fig9 run");
 
     // 1. The manifest run reproduces the committed fig9 sturgeon column
     //    for memcached+rt (the flagship pair).
@@ -192,7 +192,7 @@ fn golden_fig9_matches_committed_report_and_baseline() {
 )]
 fn golden_robustness_matches_committed_report_and_baseline() {
     let scenario = load_scenario("scenarios/golden_robustness.toml");
-    let outcome = scenario.run().expect("golden robustness run");
+    let outcome = scenario.run(None, None).expect("golden robustness run");
     assert!(outcome.metrics.faults_seen > 0, "fault plan must fire");
 
     // The hardened actuator-fault row of reports/tab_robustness.txt.
@@ -230,13 +230,13 @@ fn golden_budget_cut_migration_beats_static_pinning() {
         scenario.placement.is_some(),
         "manifest configures [placement]"
     );
-    let outcome = scenario.run().expect("golden budget-cut run");
+    let outcome = scenario.run(None, None).expect("golden budget-cut run");
 
     // The same run with the placement engine disabled: jobs stay pinned
     // to their initial shard through the crowd and the budget cut.
     let mut pinned = scenario.clone();
     pinned.placement = None;
-    let static_outcome = pinned.run().expect("pinned twin run");
+    let static_outcome = pinned.run(None, None).expect("pinned twin run");
 
     let m = &outcome.metrics;
     let p = &static_outcome.metrics;
@@ -283,19 +283,19 @@ fn golden_budget_cut_migration_beats_static_pinning() {
 fn golden_cold_start_cf_closes_on_full_profile_and_beats_fallback() {
     let scenario = load_scenario("scenarios/golden_cold_start.toml");
     assert!(scenario.scoring.is_some(), "manifest configures [scoring]");
-    let outcome = scenario.run().expect("golden cold-start run");
+    let outcome = scenario.run(None, None).expect("golden cold-start run");
 
     // Twin 1: the same fleet with raytrace fully profiled — the ceiling
     // the cold-start path is measured against.
     let mut full = scenario.clone();
     full.scoring.as_mut().expect("scoring table").cold_start = false;
-    let full_outcome = full.run().expect("fully-profiled twin run");
+    let full_outcome = full.run(None, None).expect("fully-profiled twin run");
 
     // Twin 2: the no-model column-statistics fallback — the floor it
     // must clear to justify existing.
     let mut naive = scenario.clone();
     naive.scoring.as_mut().expect("scoring table").fallback = true;
-    let naive_outcome = naive.run().expect("fallback twin run");
+    let naive_outcome = naive.run(None, None).expect("fallback twin run");
 
     let cf = &outcome.metrics;
     let fp = &full_outcome.metrics;
@@ -358,7 +358,7 @@ fn golden_rack_cut_interior_budget_events_fire_and_hold_caps() {
             && budget.events.iter().any(|e| e.level == BudgetLevel::Row),
         "manifest schedules both a rack-level and a row-level cut"
     );
-    let outcome = scenario.run().expect("golden rack-cut run");
+    let outcome = scenario.run(None, None).expect("golden rack-cut run");
 
     let m = &outcome.metrics;
     assert!(

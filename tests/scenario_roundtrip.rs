@@ -204,7 +204,7 @@ high = 0.8
 period_s = 120
 "#;
     let s = Scenario::from_toml_str(text).expect("manifest");
-    let manifest_run = s.run_node_observed(None, None).expect("manifest run");
+    let manifest_run = s.run(None, None).unwrap().node.expect("node run");
 
     // The equivalent run, written the way the legacy bins write it.
     let setup = ExperimentSetup::new(
@@ -259,7 +259,7 @@ rate = 0.10
 seed = 1309
 "#;
     let s = Scenario::from_toml_str(text).expect("manifest");
-    let manifest_run = s.run_node_observed(None, None).expect("manifest run");
+    let manifest_run = s.run(None, None).unwrap().node.expect("node run");
 
     // The equivalent run, written the way tab_robustness writes it.
     let setup = ExperimentSetup::new(
@@ -333,10 +333,10 @@ dispatch = "{dispatch}"
 "#
     );
     let s = Scenario::from_toml_str(&text).expect("manifest");
-    let outcome = s.run().expect("manifest fleet run");
+    let outcome = s.run(None, None).expect("manifest fleet run");
     let manifest_result = outcome.fleet.expect("fleet result");
 
-    // The equivalent fleet, written the way fleet_sim writes it.
+    // The equivalent fleet, built by hand from the public fleet API.
     let pair = ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace);
     let params = FleetParams {
         shards: 3,
