@@ -21,8 +21,10 @@
 //!   under the fleet's one environment model, so power, counted BE
 //!   throughput and the over-cap test are shard-uniform and kept once
 //!   per shard. A node keeps only what can differ: its own OS-jitter
-//!   process, so node telemetry still diverges the way real machines
-//!   do, and its in-target query sum. With one node per shard this
+//!   chain, so node telemetry still diverges the way real machines
+//!   do, and its in-target query sum. A quiet node costs a countdown
+//!   and the sums of one shared observation per interval; only a
+//!   spiking node evaluates its own latency. With one node per shard this
 //!   degenerates to exactly the `Cluster` control loop.
 //! * **Streaming aggregation** — shards fold telemetry into running
 //!   sums and fixed-bucket histograms as they step; nothing is replayed
@@ -63,7 +65,7 @@ use std::sync::Arc;
 use sturgeon_simnode::{NodeSpec, PairConfig};
 use sturgeon_workloads::catalog::BeAppId;
 use sturgeon_workloads::env::{CoLocationEnv, Observation};
-use sturgeon_workloads::interference::{InterferenceModel, InterferenceParams};
+use sturgeon_workloads::interference::JitterChain;
 use sturgeon_workloads::loadgen::LoadProfile;
 
 /// Bucket bounds of the fleet's BE-throughput histogram (normalized
@@ -192,8 +194,9 @@ impl ObsSums {
 struct Shard {
     /// Global index of the shard's first node.
     first_node: usize,
-    /// Per-node OS-jitter processes (node `n` seeded `seed + n`).
-    jitter: Vec<InterferenceModel>,
+    /// Per-node OS-jitter chains (node `n` seeded `seed + n`), stepped
+    /// under the environment model's interference parameters.
+    jitter: Vec<JitterChain>,
     /// Per-node running sums of in-target queries.
     sum_in_target_qps: Vec<f64>,
     controller: SturgeonController,
@@ -265,14 +268,33 @@ impl Shard {
         let counted_tput = invariants.be_throughput_norm * self.job_factor;
         self.intervals_stepped += 1;
         let t_s = f64::from(self.intervals_stepped);
+        // A quiet node's observation is shard-uniform: build it once. Per
+        // quiet node the loop only counts down its chain and adds the
+        // shared values; a spiking node evaluates its own latency. The
+        // sums still fold node by node in node order, so each node's
+        // in-target sum and the shard mean keep the bits of a per-node
+        // evaluation.
+        let quiet = env.observe(t_s, &config, qps, &invariants, 1.0);
+        let quiet_in_target = quiet.qps * quiet.in_target_fraction;
+        let params = env.interference_params();
         let mut sums = ObsSums::default();
-        for (jitter, in_target) in self.jitter.iter_mut().zip(&mut self.sum_in_target_qps) {
-            let obs = env.observe(t_s, &config, qps, &invariants, jitter.step_jitter());
-            self.jitter_node_intervals += u64::from(obs.interference != invariants.bw_multiplier);
-            *in_target += obs.qps * obs.in_target_fraction;
-            self.p95_hist.observe(obs.p95_ms);
-            sums.add(&obs);
+        let mut spiking = 0u64;
+        for (chain, in_target) in self.jitter.iter_mut().zip(&mut self.sum_in_target_qps) {
+            let jitter = chain.step(params);
+            if jitter == 1.0 {
+                *in_target += quiet_in_target;
+                sums.add(&quiet);
+            } else {
+                let obs = env.observe(t_s, &config, qps, &invariants, jitter);
+                spiking += 1;
+                *in_target += obs.qps * obs.in_target_fraction;
+                self.p95_hist.observe(obs.p95_ms);
+                sums.add(&obs);
+            }
         }
+        self.jitter_node_intervals += spiking;
+        self.p95_hist
+            .observe_repeated(quiet.p95_ms, self.len() as u64 - spiking);
         self.last_power_w = invariants.power_w;
         self.last_be_tput = counted_tput;
         self.sum_qps += qps;
@@ -506,12 +528,7 @@ impl Fleet {
             // Seeded exactly as `ExperimentSetup::new` seeds node n's
             // environment.
             let jitter = (first_node..first_node + len)
-                .map(|n| {
-                    InterferenceModel::new(
-                        InterferenceParams::default(),
-                        seed.wrapping_add(n as u64),
-                    )
-                })
+                .map(|n| JitterChain::new(seed.wrapping_add(n as u64)))
                 .collect();
             let mut controller = controller;
             let traced = params.traced_shard == Some(s);
@@ -1245,8 +1262,9 @@ mod tests {
         let r = fleet.run(LoadProfile::Constant { fraction: 0.4 }, 100);
         let registry = MetricsRegistry::new();
         fleet.export_metrics(&r, &registry);
-        // About 5.8% of node-intervals see a jitter spike (0.03 / 0.52):
-        // some, but far from all, leave the shared quiet-latency path.
+        // About 5.8% of node-intervals see a jitter spike (a 3-interval
+        // mean spike per 52-interval cycle): some, but far from all,
+        // leave the shared quiet-latency path.
         let jittered = registry.counter("fleet.jitter_node_intervals");
         assert!(
             0 < jittered && jittered < 8 * 100,

@@ -139,6 +139,12 @@ impl CoLocationEnv {
         &self.be
     }
 
+    /// The interference process's parameters: a homogeneous shard steps
+    /// each node's [`crate::interference::JitterChain`] under these.
+    pub fn interference_params(&self) -> &InterferenceParams {
+        self.interference.params()
+    }
+
     /// The ground-truth power model.
     pub fn power_model(&self) -> &PowerModel {
         &self.power

@@ -43,7 +43,7 @@ pub use be::{BeAppModel, BeAppParams};
 pub use catalog::{be_apps, ls_services, BeAppId, LsServiceId};
 pub use counters::{be_counters, ls_counters, CounterSample};
 pub use env::{CoLocationEnv, Observation};
-pub use interference::{InterferenceModel, InterferenceParams};
+pub use interference::{InterferenceModel, InterferenceParams, JitterChain};
 pub use loadgen::LoadProfile;
 pub use ls::{LsServiceModel, LsServiceParams};
 pub use multienv::{LsObservation, MultiColocationEnv, MultiConfig, MultiObservation};

@@ -225,12 +225,14 @@ fn multi_node_shards_stay_on_the_pinned_trajectory() {
     // their OS-jitter processes. This one does: 3 shards × 6 nodes under
     // default jitter, a rack cap cut on the flash-crowd region (budget
     // demand sums each shard's nodes) and BE placement (its view sums
-    // each shard's counted throughput). The pins were recorded while
-    // every node still held its own environment clone.
+    // each shard's counted throughput). The pins were recorded with the
+    // sojourn-sampled jitter chain and a per-node evaluation of every
+    // node, before quiet nodes shared one observation. Seed 21 is the
+    // first from 19 on whose run moves a job under that chain.
     use sturgeon::budget::{BudgetCap, BudgetEvent, BudgetLevel};
     use sturgeon::obs::MetricsRegistry;
     use sturgeon::placement::PlacementParams;
-    const SEED: u64 = 19;
+    const SEED: u64 = 21;
     const NODES: usize = 18;
     let params = FleetParams {
         shards: 3,
@@ -269,25 +271,25 @@ fn multi_node_shards_stay_on_the_pinned_trajectory() {
     assert!(r.migrations > 0, "placement never moved a job");
     assert_eq!(
         r.qos_rate.to_bits(),
-        0x3fef_8939_324d_e33f,
+        0x3fef_b035_ef29_fe59,
         "fleet qos {}",
         r.qos_rate
     );
     assert_eq!(
         r.total_be_throughput.to_bits(),
-        0x4023_5988_aace_dbea,
+        0x4023_4c16_fbcc_2af0,
         "fleet BE throughput {}",
         r.total_be_throughput
     );
     assert_eq!(
         r.mean_fleet_power_w.to_bits(),
-        0x4091_9e9c_88fa_e147,
+        0x4091_7e26_f3c6_7310,
         "fleet power {}",
         r.mean_fleet_power_w
     );
     assert_eq!(
         node_rows_fingerprint(&r),
-        0xdd16_127c_d838_c783,
+        0x4d31_e3f3_34d1_f682,
         "node rows moved"
     );
 }

@@ -11,9 +11,9 @@ use sturgeon::profiler::ProfilerConfig;
 
 /// Pinned metrics of the golden run (seed 42, fast profiler seed 77,
 /// memcached+raytrace, 160 s fluctuating load).
-const GOLDEN_QOS_RATE: f64 = 0.999994449640;
-const GOLDEN_MEAN_POWER_W: f64 = 73.323531980957;
-const GOLDEN_MEAN_BE_TPUT: f64 = 0.642892802735;
+const GOLDEN_QOS_RATE: f64 = 0.993512158899;
+const GOLDEN_MEAN_POWER_W: f64 = 73.298377566216;
+const GOLDEN_MEAN_BE_TPUT: f64 = 0.641476897950;
 const GOLDEN_PEAK_POWER_W: f64 = 76.771413013333;
 
 fn golden_run() -> RunResult {

@@ -3,6 +3,8 @@
 //! matters, and Sturgeon must still deliver its guarantees when driven by
 //! *sampled* telemetry instead of closed-form observations.
 
+use rayon::prelude::*;
+use std::sync::Arc;
 use sturgeon::controller::ResourceController;
 use sturgeon::prelude::*;
 use sturgeon_simnode::{IntervalSample, SimActuators, TelemetryLog};
@@ -72,52 +74,78 @@ fn cliff_location_agrees() {
 /// End-to-end: run the full Sturgeon controller against the measured
 /// (query-sampled) environment. The guarantees must survive telemetry
 /// noise.
+///
+/// One run's QoS depends on where its OS-jitter spikes fall: over these
+/// setup seeds single runs span about 0.85–0.99. So the QoS bound holds
+/// for the mean over a fixed seed set; overload and throughput hold for
+/// every run.
 #[test]
 fn sturgeon_holds_up_under_measured_telemetry() {
+    const SEEDS: std::ops::Range<u64> = 0..40;
     let pair = ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace);
-    let setup = ExperimentSetup::new(pair, 42);
-    let predictor = setup.train_default_predictor();
-    let mut controller = SturgeonController::new(
-        predictor,
-        setup.spec().clone(),
-        setup.budget_w(),
-        setup.qos_target_ms(),
-        ControllerParams::default(),
-    );
+    // Profiling is interference-free with its own seed, so every setup
+    // seed trains this same predictor; share one training.
+    let predictor = Arc::new(ExperimentSetup::new(pair, SEEDS.start).train_default_predictor());
+    // Runs are independent: fan them across the pool, then check them in
+    // seed order.
+    let runs: Vec<(u64, f64, f64, f64)> = SEEDS
+        .into_par_iter()
+        .map(|seed| {
+            let setup = ExperimentSetup::new(pair, seed);
+            let mut controller = SturgeonController::with_shared_predictor(
+                Arc::clone(&predictor),
+                setup.spec().clone(),
+                setup.budget_w(),
+                setup.qos_target_ms(),
+                ControllerParams::default(),
+            );
+            let mut env = MeasuredColocation::new(setup.env().clone(), 4242);
+            let actuators = SimActuators::new(setup.spec().clone());
+            let mut log = TelemetryLog::new();
+            let load = LoadProfile::paper_fluctuating(300.0);
+            let mut config = controller.initial_config(setup.spec());
+            actuators.apply(config).expect("valid initial config");
 
-    let mut env = MeasuredColocation::new(setup.env().clone(), 4242);
-    let actuators = SimActuators::new(setup.spec().clone());
-    let mut log = TelemetryLog::new();
-    let load = LoadProfile::paper_fluctuating(300.0);
-    let mut config = controller.initial_config(setup.spec());
-    actuators.apply(config).expect("valid initial config");
+            for t in 0..300u32 {
+                let qps = load.qps_at(t as f64, setup.peak_qps());
+                let obs = env.step(&actuators.config(), qps);
+                actuators.push_power(obs.power_w);
+                log.push(IntervalSample {
+                    t_s: obs.t_s,
+                    qps: obs.qps,
+                    p95_ms: obs.p95_ms,
+                    in_target_fraction: obs.in_target_fraction,
+                    power_w: obs.power_w,
+                    be_throughput_norm: obs.be_throughput_norm,
+                    config: actuators.config(),
+                });
+                let next = controller.decide(&obs, config);
+                if next != config {
+                    actuators.apply(next).expect("valid config");
+                    config = next;
+                }
+            }
+            (
+                seed,
+                log.qos_guarantee_rate(),
+                log.overload_fraction(setup.budget_w()),
+                log.mean_be_throughput(),
+            )
+        })
+        .collect();
 
-    for t in 0..300u32 {
-        let qps = load.qps_at(t as f64, setup.peak_qps());
-        let obs = env.step(&actuators.config(), qps);
-        actuators.push_power(obs.power_w);
-        log.push(IntervalSample {
-            t_s: obs.t_s,
-            qps: obs.qps,
-            p95_ms: obs.p95_ms,
-            in_target_fraction: obs.in_target_fraction,
-            power_w: obs.power_w,
-            be_throughput_norm: obs.be_throughput_norm,
-            config: actuators.config(),
-        });
-        let next = controller.decide(&obs, config);
-        if next != config {
-            actuators.apply(next).expect("valid config");
-            config = next;
-        }
+    let mut qos_sum = 0.0;
+    for &(seed, qos, overload, tput) in &runs {
+        println!("seed {seed}: QoS {qos:.4}, overload {overload:.4}, throughput {tput:.4}");
+        assert!(overload < 0.02, "seed {seed}: overload fraction {overload}");
+        assert!(tput > 0.35, "seed {seed}: throughput {tput}");
+        qos_sum += qos;
     }
-
-    let qos = log.qos_guarantee_rate();
-    let overload = log.overload_fraction(setup.budget_w());
-    let tput = log.mean_be_throughput();
-    assert!(qos > 0.93, "QoS under measured telemetry: {qos}");
-    assert!(overload < 0.02, "overload fraction {overload}");
-    assert!(tput > 0.35, "throughput {tput}");
+    let mean_qos = qos_sum / runs.len() as f64;
+    assert!(
+        mean_qos > 0.93,
+        "mean QoS under measured telemetry: {mean_qos}"
+    );
 }
 
 /// Measured telemetry is reproducible per seed.
