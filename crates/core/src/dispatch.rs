@@ -80,6 +80,13 @@ impl Dispatcher {
         &self.policy
     }
 
+    /// True when the weights depend on the units' last-interval
+    /// summaries (LatencyAware), so they must be refilled every
+    /// interval; Even and Weighted weights never change.
+    pub(crate) fn reads_feedback(&self) -> bool {
+        matches!(self.policy, DispatchPolicy::LatencyAware)
+    }
+
     /// Number of serving units.
     pub fn len(&self) -> usize {
         self.weights.len()

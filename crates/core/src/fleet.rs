@@ -6,7 +6,7 @@
 //! in-memory telemetry log — and is kept only as the reference the
 //! equivalence tests pin [`Fleet`] against. A 100k-node sweep cannot
 //! afford 100k trainings or O(nodes × intervals) sample storage, so
-//! [`Fleet`] restructures the same control loop around three ideas:
+//! [`Fleet`] restructures the same control loop around four ideas:
 //!
 //! * **One training** — the profiler runs interference-free with its own
 //!   seed, so the predictor a node trains does not depend on the node.
@@ -15,7 +15,7 @@
 //!   bit-identical to per-node training. Per-shard control state
 //!   (balancer, warm hints, `FrontierCache`) stays private.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
-//!   shards, each stepped as one rayon task. One Sturgeon controller
+//!   shards, stepped in parallel. One Sturgeon controller
 //!   runs per shard, driven by the shard-mean observation. Every node
 //!   of a shard runs the shard's configuration at the shard's load
 //!   under the fleet's one environment model, so power, counted BE
@@ -26,6 +26,15 @@
 //!   and the sums of one shared observation per interval; only a
 //!   spiking node evaluates its own latency. With one node per shard this
 //!   degenerates to exactly the `Cluster` control loop.
+//! * **Segments** — shards interact only at coupling events: a due
+//!   budget event, a placement boundary, or (under
+//!   [`DispatchPolicy::LatencyAware`]) the dispatcher reading last
+//!   interval's shard latencies. Between them each shard's load is a
+//!   pure function of time, so one parallel stage advances every shard
+//!   through a whole segment of intervals; an uncoupled fleet runs one
+//!   stage per run. Each worker steps one contiguous group of shards
+//!   interval by interval, so the group's shards query the shared
+//!   prediction cache at one load level together.
 //! * **Streaming aggregation** — shards fold telemetry into running
 //!   sums and fixed-bucket histograms as they step; nothing is replayed
 //!   after the run, so memory is O(nodes + shards), independent of the
@@ -186,7 +195,7 @@ impl ObsSums {
     }
 }
 
-/// One shard: a contiguous node range stepped as a single rayon task,
+/// One shard: a contiguous node range stepped on one worker thread,
 /// controlled by one Sturgeon controller fed the shard-mean observation.
 /// Its nodes share the configuration, the load and the environment
 /// model, so every per-node channel but the jitter-driven latency is
@@ -226,8 +235,13 @@ struct Shard {
     tput_hist: Histogram,
     /// Shard-mean p95 of the last stepped interval (dispatch summary).
     last_mean_p95: f64,
-    /// Per-node load share staged for the interval being stepped.
-    next_qps_per_node: f64,
+    /// Index of the region whose dispatcher and load profile feed it.
+    region: usize,
+    /// The shard's dispatch weight within its region, staged for the
+    /// segment being stepped.
+    weight: f64,
+    /// Per-node load share of the interval being (or last) stepped.
+    qps_per_node: f64,
     /// BE jobs multiplexed on this shard's BE partition (1 without a
     /// placement engine — the static assignment).
     be_jobs: u32,
@@ -235,8 +249,8 @@ struct Shard {
     /// co-runner interference score (exactly 1.0 for one job, 0.0 for a
     /// parked partition).
     job_factor: f64,
-    /// Trace buffer drained by the run loop each interval (traced shard
-    /// only; stays empty otherwise).
+    /// Trace buffer drained by the run loop after each segment (traced
+    /// shard only; stays empty otherwise).
     traced: bool,
     trace: Vec<TraceEvent>,
 }
@@ -252,11 +266,16 @@ impl Shard {
         std::iter::repeat_n(v, self.len()).sum()
     }
 
-    /// One monitor → decide → actuate interval for every node of the
+    /// One monitor → decide → actuate interval `t` for every node of the
     /// shard under the environment model `env`, streaming telemetry into
-    /// the shard aggregates.
-    fn step_interval(&mut self, env: &CoLocationEnv) {
-        let qps = self.next_qps_per_node;
+    /// the shard aggregates. The per-node load is the region's offered
+    /// load at `t` (`profile` against the region's `peak_qps`) split by
+    /// the shard's staged weight, exactly as a per-interval dispatch
+    /// would stage it.
+    fn step_interval(&mut self, env: &CoLocationEnv, profile: &LoadProfile, peak_qps: f64, t: u32) {
+        let total_qps = profile.qps_at(t as f64, peak_qps);
+        self.qps_per_node = total_qps * self.weight / self.len() as f64;
+        let qps = self.qps_per_node;
         let config = self.config;
         // Everything that depends only on (config, qps) is identical
         // across the shard's nodes: evaluate it once, replay per node.
@@ -430,6 +449,8 @@ pub struct Fleet {
     /// `ColdStartPredicted` already streamed to a sink this run.
     cold_start_traced: bool,
     set_scores: u64,
+    /// Parallel stages run: one per segment between coupling events.
+    segments: u64,
 }
 
 impl Fleet {
@@ -554,7 +575,9 @@ impl Fleet {
                 power_hist: Histogram::new(&DEFAULT_BUCKETS),
                 tput_hist: Histogram::new(&BE_THROUGHPUT_BUCKETS),
                 last_mean_p95: 0.0,
-                next_qps_per_node: 0.0,
+                region: 0,
+                weight: 0.0,
+                qps_per_node: 0.0,
                 be_jobs: 1,
                 job_factor: 1.0,
                 traced,
@@ -572,6 +595,9 @@ impl Fleet {
             let rlen = rbase + usize::from(r < rextra);
             let hi = lo + rlen;
             let region_nodes: usize = shards[lo..hi].iter().map(Shard::len).sum();
+            for shard in &mut shards[lo..hi] {
+                shard.region = r;
+            }
             regions.push(Region {
                 lo,
                 hi,
@@ -683,6 +709,7 @@ impl Fleet {
             cold_start,
             cold_start_traced: false,
             set_scores: 0,
+            segments: 0,
         })
     }
 
@@ -776,16 +803,19 @@ impl Fleet {
                 self.cold_start_traced = true;
             }
         }
-        for t in 0..duration_s {
+        let mut t = 0;
+        while t < duration_s {
             // Budget events due at or before this interval tighten (or
             // relax) tree caps and push the reclaimed per-node budgets
             // into the shard controllers before load is dispatched.
             self.apply_budget_events(t as f64, &mut sink);
-            // Dispatch: per region, split the offered load across shards
-            // from last-interval shard summaries, then stage per-node
-            // shares. Cheap and serial; the stepping below is the work.
-            for (region, profile) in self.regions.iter_mut().zip(profiles) {
-                let total_qps = profile.qps_at(t as f64, region.peak_qps);
+            let end = self.segment_end(t, duration_s);
+            // Dispatch: per region, weight the shards from last-interval
+            // summaries. Even and Weighted weights never change and a
+            // LatencyAware segment is one interval long, so the weights
+            // hold for the whole segment; each shard stages its per-node
+            // share interval by interval from the region's load profile.
+            for region in &mut self.regions {
                 for (slot, shard) in region
                     .p95_buf
                     .iter_mut()
@@ -794,17 +824,29 @@ impl Fleet {
                     *slot = shard.last_mean_p95;
                 }
                 let weights = region.dispatcher.fill_weights(&region.p95_buf);
-                for (shard, w) in self.shards[region.lo..region.hi].iter_mut().zip(weights) {
-                    shard.next_qps_per_node = total_qps * w / shard.len() as f64;
+                for (shard, &w) in self.shards[region.lo..region.hi].iter_mut().zip(weights) {
+                    shard.weight = w;
                 }
             }
-            // Step every shard as one rayon task.
+            // One parallel stage steps the segment: one contiguous shard
+            // group per worker, stepped interval by interval.
             let env = &self.env;
-            self.shards
-                .par_iter_mut()
-                .for_each(|shard| shard.step_interval(env));
+            let regions = &self.regions;
+            let group_len = self.shards.len().div_ceil(rayon::current_num_threads());
+            let mut groups: Vec<&mut [Shard]> = self.shards.chunks_mut(group_len).collect();
+            groups.par_iter_mut().for_each(|group| {
+                for interval in t..end {
+                    for shard in group.iter_mut() {
+                        let peak_qps = regions[shard.region].peak_qps;
+                        shard.step_interval(env, &profiles[shard.region], peak_qps, interval);
+                    }
+                }
+            });
+            self.segments += 1;
             // Drain the traced shard serially, keeping event order
-            // deterministic regardless of shard scheduling.
+            // deterministic regardless of shard scheduling. No budget
+            // event or placement boundary falls inside a segment, so the
+            // trace order equals a per-interval drain's.
             if let Some(sink) = sink.as_deref_mut() {
                 for shard in self.shards.iter_mut().filter(|s| s.traced) {
                     for event in shard.trace.drain(..) {
@@ -818,12 +860,34 @@ impl Fleet {
             let due = self
                 .placement
                 .as_ref()
-                .is_some_and(|rt| (t + 1) % rt.engine.params().interval_s == 0);
+                .is_some_and(|rt| end.is_multiple_of(rt.engine.params().interval_s));
             if due {
-                self.run_placement((t + 1) as f64, &mut sink);
+                self.run_placement(end as f64, &mut sink);
             }
+            t = end;
         }
         Ok(self.result())
+    }
+
+    /// The exclusive end of the segment starting at interval `t`: the
+    /// first later coupling event, or the run end. The next budget
+    /// event applies at the first interval at or after its `at_s`; a
+    /// placement round runs after every `interval_s`-th interval; a
+    /// dispatcher that reads shard latencies reweights every interval.
+    fn segment_end(&self, t: u32, duration_s: u32) -> u32 {
+        if self.regions.iter().any(|r| r.dispatcher.reads_feedback()) {
+            return t + 1;
+        }
+        let mut end = u64::from(duration_s);
+        if let Some(event) = self.budget_events.get(self.events_applied) {
+            // Every event at or before `t` was applied, so this is > t.
+            end = end.min(event.at_s.ceil() as u64);
+        }
+        if let Some(rt) = &self.placement {
+            let every = u64::from(rt.engine.params().interval_s);
+            end = end.min((u64::from(t) / every + 1) * every);
+        }
+        end as u32
     }
 
     /// Applies every budget event due at or before `t_s`, then
@@ -883,7 +947,7 @@ impl Fleet {
                     unit: i,
                     first_node: s.first_node,
                     nodes: s.len(),
-                    qps_per_node: s.next_qps_per_node,
+                    qps_per_node: s.qps_per_node,
                     cap_w: s.budget_w,
                     safe_mode: s.controller.in_safe_mode(),
                     exhausted: s.controller.balancer_exhausted(),
@@ -1020,6 +1084,7 @@ impl Fleet {
         registry.set_gauge("fleet.nodes", self.node_count as f64);
         registry.set_gauge("fleet.shards", self.shards.len() as f64);
         registry.set_gauge("fleet.regions", self.regions.len() as f64);
+        registry.add("fleet.segments", self.segments);
         let mut intervals = 0u64;
         let mut jitter_intervals = 0u64;
         for shard in &self.shards {

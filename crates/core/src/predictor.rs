@@ -508,8 +508,11 @@ impl PerfPowerPredictor {
     /// The slab for one bucket of the family, built on first use by one
     /// batched sweep of the LS models over the full `(C1, F1, L1)` lattice
     /// (see [`ls_lattice`](Self::ls_lattice)), split across
-    /// `rayon::current_num_threads()` workers. Neither the build nor later
-    /// lookups advance the prediction counter or touch the memo cache.
+    /// `rayon::current_num_threads()` workers when the pool is idle. Inside
+    /// a fleet stage the pool is busy, so the sweep runs serially under the
+    /// family's map lock (see [`LsSlabs::slab`]). Neither the build nor
+    /// later lookups advance the prediction counter or touch the memo
+    /// cache.
     ///
     /// `slabs` must be this predictor's current family for `spec`, as
     /// returned by [`ls_slabs`](Self::ls_slabs) since the last retrain:

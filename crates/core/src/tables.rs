@@ -434,10 +434,13 @@ impl LsSlabs {
         // The map lock is held across the build, so racing builders wait
         // for the one in flight instead of duplicating it. Under even
         // dispatch every shard wants the same bucket at the same moment,
-        // so the waiting worker has nothing else to build. The build
-        // itself fans out across the worker pool instead: it is one
-        // batched lattice sweep, a few tens of ms for the paper's
-        // 20×10×20 node in release builds.
+        // so the waiting worker has nothing else to build. The build is
+        // one batched lattice sweep, a few tens of ms for the paper's
+        // 20×10×20 node in release builds. It fans out across the worker
+        // pool only when the pool is idle (a node run): inside a fleet
+        // stage the pool is busy with the stage, so the sweep runs
+        // serially on the building shard's thread, under this lock,
+        // while every other shard that wants a slab waits.
         let mut map = self.slabs.lock();
         if let Some(s) = map.get(&bucket) {
             return Arc::clone(s);

@@ -16,8 +16,9 @@
 //!   not a thread spawn.
 //! * **Fixed chunk placement.** The calling thread runs chunk 0 and
 //!   chunk `i` always runs on worker `i`, so a caller that splits the
-//!   same data the same way every call (a fleet's shards) keeps each
-//!   worker's data and thread-locals warm.
+//!   same data the same way every call (a fleet's shards, one call per
+//!   segment of intervals) keeps each worker's data and thread-locals
+//!   warm from one call to the next.
 //! * **One caller at a time.** A stage started while the pool is busy —
 //!   a nested `par_iter` inside a job, or a second OS thread calling
 //!   concurrently — runs serially on its own thread, so nothing waits

@@ -293,3 +293,102 @@ fn multi_node_shards_stay_on_the_pinned_trajectory() {
         "node rows moved"
     );
 }
+
+#[test]
+fn segments_end_only_at_coupling_events() {
+    // Shards step whole segments between coupling events. Two regions, a
+    // budget event at 0 s, one at 12.5 s (applied at interval 13) and one
+    // past the end, and placement every 7 intervals over 50 intervals:
+    // segments end at 7, 13, 14, 21, 28, 35, 42, 49 and 50. The pins were
+    // recorded with a per-interval loop, so splitting the run into
+    // segments must not move a single bit of any node row.
+    use sturgeon::budget::{BudgetCap, BudgetEvent, BudgetLevel};
+    use sturgeon::obs::MetricsRegistry;
+    use sturgeon::placement::PlacementParams;
+    const SEED: u64 = 21;
+    const NODES: usize = 12;
+    let event = |at_s: f64, level: BudgetLevel, fraction: f64| BudgetEvent {
+        at_s,
+        level,
+        index: 0,
+        cap: BudgetCap::FractionOfNominal(fraction),
+    };
+    let params = FleetParams {
+        shards: 4,
+        regions: 2,
+        budget: Some(FleetBudget {
+            rows: 1,
+            events: vec![
+                event(0.0, BudgetLevel::Rack, 0.9),
+                event(12.5, BudgetLevel::Datacenter, 0.8),
+                event(80.0, BudgetLevel::Rack, 0.7),
+            ],
+        }),
+        placement: Some(PlacementParams {
+            interval_s: 7,
+            ..PlacementParams::default()
+        }),
+        ..FleetParams::default()
+    };
+    let hot = LoadProfile::FlashCrowd {
+        base: Box::new(LoadProfile::Constant { fraction: 0.35 }),
+        at_s: 10.0,
+        ramp_s: 5.0,
+        hold_s: 20.0,
+        decay_s: 5.0,
+        magnitude: 2.4,
+    };
+    let cool = LoadProfile::Constant { fraction: 0.35 };
+    let mut fleet = Fleet::new(pair(), NODES, params, SEED);
+    let r = fleet
+        .run_regional(&[hot, cool], 50)
+        .expect("two profiles, two regions");
+    let registry = MetricsRegistry::new();
+    fleet.export_metrics(&r, &registry);
+    assert_eq!(registry.counter("run.intervals"), NODES as u64 * 50);
+    assert_eq!(r.migrations, 2, "placement moved a different job count");
+    assert_eq!(
+        r.budget_reclaims, 9,
+        "the cap cuts reached the shards differently"
+    );
+    assert_eq!(
+        r.qos_rate.to_bits(),
+        0x3fef_7aef_42e9_d286,
+        "fleet qos {}",
+        r.qos_rate
+    );
+    assert_eq!(
+        r.total_be_throughput.to_bits(),
+        0x401a_ff16_e012_5446,
+        "fleet BE throughput {}",
+        r.total_be_throughput
+    );
+    assert_eq!(
+        r.mean_fleet_power_w.to_bits(),
+        0x4086_db5f_9d74_e255,
+        "fleet power {}",
+        r.mean_fleet_power_w
+    );
+    assert_eq!(
+        node_rows_fingerprint(&r),
+        0x8a77_2323_6ede_c5c8,
+        "node rows moved"
+    );
+    assert_eq!(registry.counter("fleet.segments"), 9);
+
+    // A dispatcher that reads last interval's shard latencies couples
+    // the shards every interval: one segment per interval.
+    let mut fleet = Fleet::new(pair(), 4, fleet_params(2, DispatchPolicy::LatencyAware), 7);
+    let r = fleet.run(LoadProfile::paper_fluctuating(80.0), 30);
+    let registry = MetricsRegistry::new();
+    fleet.export_metrics(&r, &registry);
+    assert_eq!(registry.counter("fleet.segments"), 30);
+
+    // Nothing couples an even-dispatch fleet without a budget tree or
+    // placement: one segment per run.
+    let mut fleet = Fleet::new(pair(), 4, fleet_params(2, DispatchPolicy::Even), 7);
+    let r = fleet.run(LoadProfile::paper_fluctuating(80.0), 30);
+    let registry = MetricsRegistry::new();
+    fleet.export_metrics(&r, &registry);
+    assert_eq!(registry.counter("fleet.segments"), 1);
+}
