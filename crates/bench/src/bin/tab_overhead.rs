@@ -110,8 +110,8 @@ fn main() {
         let search = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
         let (fast, fast_us) = timed_reps(&mut ran, 100, || search.best_config(qps));
         let (full, full_us) = timed_reps(&mut ran, 5, || search.exhaustive(qps));
-        // Cold: no memo attached, so every repetition pays the full
-        // latticed sweep.
+        // Cold: no memo attached, so every repetition re-runs the
+        // best-first search.
         let (pruned, pruned_us) = timed_reps(&mut ran, 200, || search.pruned(qps));
         let latticed = search.exhaustive_latticed(qps);
         ran.push(latticed.stats);
@@ -186,7 +186,7 @@ fn main() {
 
     println!("\n=> the O(N log N) search replaces the paper's 6.4 s exhaustive sweep with a");
     println!("   millisecond-scale search, exactly the §VII-E argument; the latticed pruned");
-    println!("   engine answers from flat slab envelopes with zero model calls in the inner");
-    println!("   loop, and a load revisiting a solved slab bracket is answered from the");
-    println!("   bracket memo.");
+    println!("   engine searches lazily filled slab envelopes best-first, with zero model");
+    println!("   calls in the inner loop, and a load revisiting a solved slab bracket is");
+    println!("   answered from the bracket memo.");
 }

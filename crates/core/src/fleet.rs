@@ -388,9 +388,9 @@ pub struct FleetResult {
     /// `ModelTables` constructions run on the shared predictor (0 until a
     /// pruned search needs them; 1 no matter how many shards search).
     pub table_builds: u64,
-    /// LS QPS-slab constructions run on the shared predictor's current
-    /// slab family (0 unless a pruned search ran; one per load bucket
-    /// visited).
+    /// LS QPS slabs allocated on the shared predictor's current slab
+    /// family (0 unless a pruned search ran; one per load bucket visited,
+    /// its cells filled lazily).
     pub slab_builds: u64,
     /// Configuration searches run across all shard controllers.
     pub searches: u64,
@@ -1258,7 +1258,7 @@ mod tests {
         assert!(r.searches >= 4, "every shard searches at least once");
         assert_eq!(r.nodes.len(), 16);
         // Constant load keeps every shard in the same few buckets, and the
-        // shared family builds each bucket once.
+        // shared family allocates each bucket once.
         assert!(r.slab_builds >= 1, "pruned searches build slabs");
         assert!(
             r.slab_builds <= 2,

@@ -34,8 +34,9 @@
 //! the heuristic differed in 12–17 of their 55 `SearchRan` lines, all
 //! in the `cache_hits`/`cache_misses` split (and so in the
 //! `CacheSnapshot` sums); `model_calls` and every other line matched.
-//! The pruned engine answers from slabs, so its fleet traces are
-//! byte-identical (`tests/observability.rs`).
+//! The pruned engine answers from slab cells whose values, and so its
+//! counters, do not depend on which shard filled them, so its fleet
+//! traces are byte-identical (`tests/observability.rs`).
 
 mod metrics;
 mod trace;

@@ -127,12 +127,12 @@ pub enum TraceEvent {
         t_s: f64,
         /// Candidate configurations fully evaluated.
         evaluated: usize,
-        /// `(F1, L1)` cells skipped by the admissible table bound.
+        /// `(C1, F1, L1)` cells cut by the admissible table bound.
         pruned_candidates: u64,
-        /// Whole C1 slices skipped outright.
+        /// Whole `(C1, L1)` cells cut by the bound.
         pruned_subspaces: u64,
         /// 1 when the outcome came from the cross-interval bracket memo
-        /// (nothing evaluated or pruned), 0 when the search swept.
+        /// (nothing evaluated or pruned), 0 when the search ran.
         frontier_reuses: u64,
     },
     /// The emitting controller's running prediction-cache totals after

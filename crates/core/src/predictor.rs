@@ -22,7 +22,6 @@ use crate::cache::{Family, PredictionCache, QueryMeter};
 use crate::profiler::{feature_row, ProfileDatasets, FEATURE_DIM};
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sturgeon_mlkit::{
@@ -342,25 +341,19 @@ impl PerfPowerPredictor {
                 return Arc::clone(tables);
             }
         }
-        let cores = cores_axis(1..spec.total_cores + 1);
-        let ways = ways_axis(spec);
+        let cores: Vec<f64> = (1..=spec.total_cores).map(f64::from).collect();
+        let ways: Vec<f64> = (1..=spec.total_llc_ways).map(f64::from).collect();
         let levels = &spec.freq_levels_ghz;
         let mut tput = vec![0.0; cores.len() * levels.len() * ways.len()];
         self.be_perf
-            .predict_grid(self.be_input_level, &cores, levels, &ways, None, &mut tput);
+            .predict_grid(self.be_input_level, &cores, levels, &ways, &mut tput);
         for t in &mut tput {
             *t = t.max(0.0);
         }
         // The BE power model is trained ways-masked: its ways feature is 0.
         let mut power = vec![0.0; cores.len() * levels.len()];
-        self.be_power.predict_grid(
-            self.be_input_level,
-            &cores,
-            levels,
-            &[0.0],
-            None,
-            &mut power,
-        );
+        self.be_power
+            .predict_grid(self.be_input_level, &cores, levels, &[0.0], &mut power);
         let margin = 1.0 + self.config.power_margin;
         for p in &mut power {
             *p = p.max(0.0) * margin;
@@ -381,93 +374,6 @@ impl PerfPowerPredictor {
     /// being served from the per-(generation, spec) cache).
     pub fn table_builds(&self) -> u64 {
         self.table_builds.load(Ordering::Relaxed)
-    }
-
-    /// One slab's `(feasible, power)` lattices over every `(C1, F1, L1)`
-    /// cell of `spec`, in row-major order: feasibility at `qps`, LS power
-    /// at `qps_power`. Each cell equals the compute path behind
-    /// [`ls_feasible`](Self::ls_feasible) / [`ls_power_w`](Self::ls_power_w)
-    /// bit for bit — domain check, guarded load, classifier + latency
-    /// veto, clamp and margin — without touching the prediction counter or
-    /// the memo cache.
-    ///
-    /// The C1 axis is split into `chunks` contiguous ranges swept on the
-    /// worker pool, and the parts are concatenated in C1 order, so the
-    /// result does not depend on `chunks`.
-    pub(crate) fn ls_lattice(
-        &self,
-        spec: &NodeSpec,
-        qps: f64,
-        qps_power: f64,
-        chunks: usize,
-    ) -> (Vec<bool>, Vec<f64>) {
-        let nc = spec.total_cores as usize;
-        let chunks = chunks.clamp(1, nc.max(1));
-        let parts = (0..chunks)
-            .map(|i| (i * nc / chunks) as u32 + 1..((i + 1) * nc / chunks) as u32 + 1)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|cores| self.ls_lattice_chunk(spec, cores, qps, qps_power))
-            .collect::<Vec<_>>();
-        let (mut feasible, mut power) = (Vec::new(), Vec::new());
-        for (f, p) in parts {
-            feasible.extend(f);
-            power.extend(p);
-        }
-        (feasible, power)
-    }
-
-    /// [`ls_lattice`](Self::ls_lattice) for the C1 values in `cores`.
-    fn ls_lattice_chunk(
-        &self,
-        spec: &NodeSpec,
-        cores: std::ops::Range<u32>,
-        qps: f64,
-        qps_power: f64,
-    ) -> (Vec<bool>, Vec<f64>) {
-        let cores = cores_axis(cores);
-        let ways = ways_axis(spec);
-        let levels = &spec.freq_levels_ghz;
-        let cells = cores.len() * levels.len() * ways.len();
-        let mut power = vec![0.0; cells];
-        self.ls_power
-            .predict_grid(qps_power, &cores, levels, &ways, None, &mut power);
-        let margin = 1.0 + self.config.power_margin;
-        for p in &mut power {
-            *p = p.max(0.0) * margin;
-        }
-        let mut feasible = vec![false; cells];
-        if qps > 1.1 * self.max_trained_qps {
-            return (feasible, power);
-        }
-        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
-        let mut x = [guarded, 0.0, 0.0, 0.0];
-        let mut label = feasible.iter_mut();
-        for &c in &cores {
-            x[1] = c;
-            for &f in levels {
-                x[2] = f;
-                for &w in &ways {
-                    x[3] = w;
-                    *label.next().expect("one label per cell") = self.ls_qos.predict_label(&x);
-                }
-            }
-        }
-        // The latency veto only runs where the classifier approved, like
-        // the `&&` of the point path.
-        let mut latency = vec![0.0; cells];
-        self.ls_latency.predict_grid(
-            guarded,
-            &cores,
-            levels,
-            &ways,
-            Some(&feasible),
-            &mut latency,
-        );
-        for (ok, &ms) in feasible.iter_mut().zip(&latency) {
-            *ok = *ok && ms <= self.qos_target_ms;
-        }
-        (feasible, power)
     }
 
     /// The QPS-slab family for `spec` with the given power-load headroom
@@ -505,21 +411,17 @@ impl PerfPowerPredictor {
         fresh
     }
 
-    /// The slab for one bucket of the family, built on first use by one
-    /// batched sweep of the LS models over the full `(C1, F1, L1)` lattice
-    /// (see [`ls_lattice`](Self::ls_lattice)), split across
-    /// `rayon::current_num_threads()` workers when the pool is idle. Inside
-    /// a fleet stage the pool is busy, so the sweep runs serially under the
-    /// family's map lock (see [`LsSlabs::slab`]). Neither the build nor
-    /// later lookups advance the prediction counter or touch the memo
-    /// cache.
+    /// The slab for one bucket of the family, allocated empty on first
+    /// use. Its cells are filled one at a time by
+    /// [`slab_feasible`](Self::slab_feasible) and
+    /// [`slab_ls_power_w`](Self::slab_ls_power_w), outside any lock.
     ///
     /// `slabs` must be this predictor's current family for `spec`, as
     /// returned by [`ls_slabs`](Self::ls_slabs) since the last retrain:
-    /// the build runs the models as they are now, so a family kept across
-    /// [`retrain`](Self::retrain) would store new-model slabs under its old
-    /// generation, and a family for another spec would get wrong-sized
-    /// slabs. Debug builds assert both.
+    /// fills run the models as they are now, so a family kept across
+    /// [`retrain`](Self::retrain) would store new-model cells under its
+    /// old generation, and a family for another spec would index wrongly.
+    /// Debug builds assert both.
     pub fn ls_slab(&self, spec: &NodeSpec, slabs: &LsSlabs, bucket: u64) -> Arc<LsSlab> {
         debug_assert_eq!(
             slabs.generation(),
@@ -527,23 +429,79 @@ impl PerfPowerPredictor {
             "slab family from another training generation"
         );
         debug_assert!(slabs.matches(spec), "slab family for another node spec");
-        slabs.slab(spec, bucket, |qps, qps_power| {
-            self.ls_lattice(spec, qps, qps_power, rayon::current_num_threads())
+        slabs.slab(bucket)
+    }
+
+    /// How many LS slabs were allocated across the current family (map
+    /// hits excluded). Resets when the family is invalidated by retrain or
+    /// a spec/headroom change.
+    pub fn slab_builds(&self) -> u64 {
+        self.slabs.lock().as_ref().map_or(0, |s| s.builds())
+    }
+
+    /// Slab cell: does `<cores, level, ways>` meet QoS at the slab center?
+    /// Equals [`ls_feasible`](Self::ls_feasible) at [`LsSlab::qps`] bit
+    /// for bit; a fill advances neither the prediction counter nor the
+    /// memo cache.
+    pub fn slab_feasible(
+        &self,
+        spec: &NodeSpec,
+        slab: &LsSlab,
+        cores: u32,
+        level: usize,
+        ways: u32,
+    ) -> bool {
+        slab.feasible(cores, level, ways, || {
+            self.raw_ls_feasible(cores, spec.freq_ghz(level), ways, slab.qps())
         })
     }
 
-    /// How many LS slab constructions actually ran across the current
-    /// family (map hits excluded). Resets when the family is invalidated
-    /// by retrain or a spec/headroom change.
-    pub fn slab_builds(&self) -> u64 {
-        self.slabs.lock().as_ref().map_or(0, |s| s.builds())
+    /// Slab cell: LS power of `<cores, level, ways>`, equal to
+    /// [`ls_power_w`](Self::ls_power_w) at [`LsSlab::qps_power`] bit for
+    /// bit; a fill advances neither the prediction counter nor the memo
+    /// cache.
+    pub fn slab_ls_power_w(
+        &self,
+        spec: &NodeSpec,
+        slab: &LsSlab,
+        cores: u32,
+        level: usize,
+        ways: u32,
+    ) -> f64 {
+        slab.ls_power_w(cores, level, ways, || {
+            self.raw_ls_power_w(cores, spec.freq_ghz(level), ways, slab.qps_power())
+        })
+    }
+
+    /// The feasibility compute path shared by [`ls_feasible`](Self::ls_feasible)
+    /// and slab fills: domain check, guarded load, classifier plus
+    /// latency veto.
+    fn raw_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
+        if qps > 1.1 * self.max_trained_qps {
+            // Never extrapolate a QoS promise beyond the profiled domain.
+            return false;
+        }
+        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
+        let x = feature_row(guarded, cores, freq_ghz, ways);
+        // Dual check: the classifier answers the paper's yes/no question,
+        // and the instance-based latency regressor vetoes feasible islands
+        // the tree may hallucinate far from any training sample.
+        self.ls_qos.predict_label(&x) && self.ls_latency.predict(&x) <= self.qos_target_ms
+    }
+
+    /// The LS-power compute path shared by [`ls_power_w`](Self::ls_power_w)
+    /// and slab fills: clamp and margin.
+    fn raw_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
+        self.ls_power
+            .predict(&feature_row(qps, cores, freq_ghz, ways))
+            .max(0.0)
+            * (1.0 + self.config.power_margin)
     }
 
     /// Does `<cores, freq, ways>` meet the LS QoS target at `qps`?
     pub fn ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
         self.count();
         if qps > 1.1 * self.max_trained_qps {
-            // Never extrapolate a QoS promise beyond the profiled domain.
             // Cheap domain check — not worth a cache slot.
             return false;
         }
@@ -553,15 +511,7 @@ impl PerfPowerPredictor {
         self.count();
         self.cache
             .get_or_compute(Family::LsFeasible, cores, freq_ghz, ways, qps, || {
-                let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(self.max_trained_qps);
-                let x = feature_row(guarded, cores, freq_ghz, ways);
-                // Dual check: the classifier answers the paper's yes/no
-                // question, and the instance-based latency regressor vetoes
-                // feasible islands the tree may hallucinate far from any
-                // training sample.
-                let ok = self.ls_qos.predict_label(&x)
-                    && self.ls_latency.predict(&x) <= self.qos_target_ms;
-                f64::from(u8::from(ok))
+                f64::from(u8::from(self.raw_ls_feasible(cores, freq_ghz, ways, qps)))
             })
             != 0.0
     }
@@ -571,10 +521,7 @@ impl PerfPowerPredictor {
         self.count();
         self.cache
             .get_or_compute(Family::LsPower, cores, freq_ghz, ways, qps, || {
-                self.ls_power
-                    .predict(&feature_row(qps, cores, freq_ghz, ways))
-                    .max(0.0)
-                    * (1.0 + self.config.power_margin)
+                self.raw_ls_power_w(cores, freq_ghz, ways, qps)
             })
     }
 
@@ -634,16 +581,6 @@ impl PerfPowerPredictor {
             qps,
         ) && self.total_power_w(config, spec, qps) <= budget_w
     }
-}
-
-/// Core counts `cores` as a model feature axis.
-fn cores_axis(cores: std::ops::Range<u32>) -> Vec<f64> {
-    cores.map(f64::from).collect()
-}
-
-/// LLC way counts `1..=total_llc_ways` as a model feature axis.
-fn ways_axis(spec: &NodeSpec) -> Vec<f64> {
-    (1..=spec.total_llc_ways).map(f64::from).collect()
 }
 
 /// Fig. 6 / Fig. 7 reproduction: scores every model family on held-out
@@ -799,11 +736,9 @@ mod tests {
             * (1.0 + p.config.power_margin)
     }
 
-    #[test]
-    fn ls_slabs_equal_a_per_cell_sweep_for_every_bucket_and_split() {
-        // A small node keeps the per-cell reference sweep of every bucket
-        // affordable in debug builds; 8 cores still split unevenly into
-        // 3 and 7 chunks.
+    /// A small node keeps per-cell reference sweeps of every bucket
+    /// affordable in debug builds.
+    fn small_node() -> (NodeSpec, PerfPowerPredictor) {
         let spec = NodeSpec {
             total_cores: 8,
             freq_levels_ghz: vec![1.2, 1.5, 1.8, 2.1],
@@ -818,58 +753,109 @@ mod tests {
             InterferenceParams::none(),
             0,
         );
-        let p = predictor(&e);
-        let spec = &spec;
-        let slabs = p.ls_slabs(spec, 0.08);
+        (spec, predictor(&e))
+    }
+
+    /// Every `(C1, F1, L1)` cell of `spec`.
+    fn cells(spec: &NodeSpec) -> Vec<(u32, usize, u32)> {
+        let mut out = Vec::new();
+        for c in 1..=spec.total_cores {
+            for level in 0..spec.freq_level_count() {
+                out.extend((1..=spec.total_llc_ways).map(|w| (c, level, w)));
+            }
+        }
+        out
+    }
+
+    /// One slab's cells, filled in `order`, as `(feasible, power bits)`
+    /// in lattice order.
+    fn fill(
+        p: &PerfPowerPredictor,
+        spec: &NodeSpec,
+        slab: &LsSlab,
+        order: &[(u32, usize, u32)],
+    ) -> Vec<(bool, u64)> {
+        for &(c, level, w) in order {
+            p.slab_feasible(spec, slab, c, level, w);
+            p.slab_ls_power_w(spec, slab, c, level, w);
+        }
+        let read = |&(c, level, w): &(u32, usize, u32)| {
+            (
+                p.slab_feasible(spec, slab, c, level, w),
+                p.slab_ls_power_w(spec, slab, c, level, w).to_bits(),
+            )
+        };
+        cells(spec).iter().map(read).collect()
+    }
+
+    #[test]
+    fn lazy_slab_cells_equal_the_per_cell_model_call_for_every_bucket() {
+        let (spec, p) = small_node();
+        let slabs = p.ls_slabs(&spec, 0.08);
+        p.reset_prediction_count();
         let mut feasible_cells = 0;
         for bucket in 0..=slabs.max_bucket() {
             let qps = slabs.center(bucket);
             let qps_power = qps * (1.0 + slabs.headroom());
-            let mut want_feasible = Vec::new();
-            let mut want_power = Vec::new();
-            for c in 1..=spec.total_cores {
-                for &ghz in &spec.freq_levels_ghz {
-                    for w in 1..=spec.total_llc_ways {
-                        want_feasible.push(raw_ls_feasible(&p, c, ghz, w, qps));
-                        want_power.push(raw_ls_power_w(&p, c, ghz, w, qps_power).to_bits());
-                    }
-                }
-            }
-            feasible_cells += want_feasible.iter().filter(|&&ok| ok).count();
-            let want = LsSlab::build(
-                spec,
-                bucket,
-                qps,
-                qps_power,
-                &want_feasible,
-                want_power.iter().map(|&b| f64::from_bits(b)).collect(),
+            let want: Vec<(bool, u64)> = cells(&spec)
+                .into_iter()
+                .map(|(c, level, w)| {
+                    let ghz = spec.freq_ghz(level);
+                    (
+                        raw_ls_feasible(&p, c, ghz, w, qps),
+                        raw_ls_power_w(&p, c, ghz, w, qps_power).to_bits(),
+                    )
+                })
+                .collect();
+            feasible_cells += want.iter().filter(|(ok, _)| *ok).count();
+            let slab = p.ls_slab(&spec, &slabs, bucket);
+            assert_eq!(
+                fill(&p, &spec, &slab, &cells(&spec)),
+                want,
+                "bucket {bucket}"
             );
-            let served = p.ls_slab(spec, &slabs, bucket);
-            for chunks in [1, 2, 3, 7] {
-                let (feasible, power) = p.ls_lattice(spec, qps, qps_power, chunks);
-                assert_eq!(feasible, want_feasible, "bucket {bucket}, {chunks} chunks");
-                let bits: Vec<u64> = power.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, want_power, "bucket {bucket}, {chunks} chunks");
-            }
-            for c in 1..=spec.total_cores {
-                for level in 0..spec.freq_level_count() {
-                    assert_eq!(served.feas_row(c, level), want.feas_row(c, level));
-                    let got: Vec<u64> = served
-                        .power_row(c, level)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    let exp: Vec<u64> = want
-                        .power_row(c, level)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    assert_eq!(got, exp, "bucket {bucket}, C1 {c}, F1 {level}");
-                }
-            }
         }
         assert_eq!(p.slab_builds(), slabs.max_bucket() + 1);
+        assert_eq!(p.prediction_count(), 0, "slab fills must not count");
+        assert!(p.cache().is_empty(), "slab fills must bypass the memo");
         assert!(feasible_cells > 0, "the sweep must cover feasible cells");
+    }
+
+    #[test]
+    fn racing_fills_of_one_bucket_equal_a_serial_fill() {
+        let (spec, p) = small_node();
+        let slabs = p.ls_slabs(&spec, 0.08);
+        let bucket = slabs.max_bucket() / 2;
+        let qps = slabs.center(bucket);
+        let serial = LsSlab::new(&spec, qps, qps * (1.0 + slabs.headroom()));
+        let want = fill(&p, &spec, &serial, &cells(&spec));
+        let shared = p.ls_slab(&spec, &slabs, bucket);
+        // Four threads fill the shared bucket at once: forward, backward
+        // and two interleaved strides, so every cell is raced on.
+        let forward = cells(&spec);
+        let backward: Vec<_> = forward.iter().rev().copied().collect();
+        let stride = |k: usize| {
+            let mut v: Vec<_> = forward.iter().skip(k).step_by(2).copied().collect();
+            v.extend(forward.iter().skip(1 - k).step_by(2));
+            v
+        };
+        let orders = [forward.clone(), backward, stride(0), stride(1)];
+        let start = std::sync::Barrier::new(orders.len());
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = orders
+                .iter()
+                .map(|order| {
+                    let (p, spec, shared, start) = (&p, &spec, &shared, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        fill(p, spec, shared, order)
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), want);
+            }
+        });
     }
 
     #[test]

@@ -20,36 +20,43 @@
 //! ## The frontier-pruned engine ([`ConfigSearch::pruned`])
 //!
 //! The heuristic above is fast but inexact: it only visits minimal-LS
-//! frontier points. The pruned engine runs a fully *latticed* sweep — the
-//! inner loop makes zero virtual predictor calls — via three layers:
+//! frontier points. The pruned engine returns the latticed oracle's exact
+//! answer with zero virtual predictor calls, via three layers:
 //!
 //! 1. **dense BE tables** ([`ModelTables`]): the QPS-independent BE
 //!    throughput and BE power models are flattened per (re)train into
 //!    contiguous arrays, so the inner loop's model calls become loads and
-//!    admissible throughput upper bounds per `(C2, L2)` cell come free;
-//! 2. **QPS-slab lattices** ([`crate::tables::LsSlabs`]): the
-//!    QPS-dependent LS feasibility and LS power models are flattened into
-//!    per-quantized-load slabs; a search at load `q` takes the two slabs
-//!    whose centers bracket `q` and scans their conservative *envelope* —
-//!    feasibility is the AND of the bracketing bitsets (never
-//!    optimistically interpolated) and LS power the pointwise `max` of
-//!    the bracketing rows. At a slab center the bracket degenerates and
-//!    every lattice value is bit-identical to the live model call, so the
-//!    engine equals [`ConfigSearch::exhaustive_serial`] there; at every
-//!    load it is bit-identical to the envelope oracle
+//!    admissible throughput upper bounds come free;
+//! 2. **lazy QPS-slab lattices** ([`crate::tables::LsSlabs`]): the
+//!    QPS-dependent LS feasibility and LS power models are answered per
+//!    quantized load bucket, one cell at a time — a cell runs the raw
+//!    model path on its first read and is stored, so a bucket costs only
+//!    the cells some search read. A search at load `q` takes the two
+//!    slabs whose centers bracket `q` and reads their conservative
+//!    *envelope*: feasibility is the AND of the two cells (never
+//!    optimistically interpolated) and LS power their `max`. At a slab
+//!    center the bracket degenerates and every value is bit-identical to
+//!    the live model call, so the engine equals
+//!    [`ConfigSearch::exhaustive_serial`] there; at every load it is
+//!    bit-identical to the envelope oracle
 //!    [`ConfigSearch::exhaustive_latticed`];
-//! 3. **branch-and-bound over the flats**: each C1 slice is scanned in
-//!    the oracle's exact order — envelope-feasible cells iterated straight
-//!    off the bitset words, per-cell admissible bounds from the BE table —
-//!    skipping cells that provably cannot become the slice's earliest
-//!    argmax, and whole slices whose envelope has no feasible cell
-//!    ([`SearchStats::pruned_candidates`] /
-//!    [`SearchStats::pruned_subspaces`]).
+//! 3. **best-first over `(C1, L1)` cells**: each cell's admissible bound
+//!    is the best BE throughput over the F2 levels whose power fits the
+//!    guarded budget with zero LS power. Cells are visited in descending
+//!    bound order, F1 ascending within a cell, and the search stops at the
+//!    first cell whose bound is below the incumbent. Envelope cells it
+//!    never reaches are never filled ([`SearchStats::pruned_candidates`]
+//!    counts the `(C1, F1, L1)` cells cut by the bound,
+//!    [`SearchStats::pruned_subspaces`] the `(C1, L1)` cells).
 //!
-//! Exactness argument (vs the envelope oracle): a cell is skipped only
-//! when its admissible BE bound cannot beat its slice's running best, so
-//! every slice returns its earliest argmax, and the C1-ordered fold with
-//! strict-`>` first-wins reproduces the oracle's global tie-break.
+//! Exactness argument (vs the envelope oracle, whose strict-`>` scan keeps
+//! the first `(C1, F1, L1)` in lexicographic order with the highest
+//! throughput): a candidate's throughput never exceeds its cell's bound,
+//! because LS power is non-negative and float addition is monotone. The
+//! incumbent keeps the highest throughput, and the lexicographically
+//! first position among equals. A cell is cut only when its bound is
+//! below the incumbent, or equal to it with every remaining position
+//! after the incumbent's; neither can hold the oracle's answer.
 //!
 //! On top sits one cross-interval **bracket memo** ([`FrontierCache`],
 //! attached with [`ConfigSearch::with_frontiers`]). The oracle reads the
@@ -63,6 +70,7 @@ use crate::cache::{BracketKey, FrontierCache, QueryMeter};
 use crate::predictor::PerfPowerPredictor;
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sturgeon_simnode::{Allocation, NodeSpec, PairConfig};
@@ -143,10 +151,11 @@ pub struct SearchStats {
     pub cache_hits: u64,
     /// Of `model_calls`, queries that ran the underlying models.
     pub cache_misses: u64,
-    /// Pruned engine only: lattice cells skipped because their admissible
-    /// table bound proved they cannot win.
+    /// Pruned engine only: `(C1, F1, L1)` cells never evaluated because
+    /// their `(C1, L1)` cell's admissible table bound proved they cannot
+    /// win.
     pub pruned_candidates: u64,
-    /// Pruned engine only: whole C1 slices skipped by their slice bound.
+    /// Pruned engine only: whole `(C1, L1)` cells cut by their bound.
     pub pruned_subspaces: u64,
     /// Pruned engine only: 1 when the outcome came from the attached
     /// [`FrontierCache`] memo instead of a sweep.
@@ -165,10 +174,6 @@ pub struct SearchOutcome {
     /// Instrumentation.
     pub stats: SearchStats,
 }
-
-/// Per-C1-slice outcome of the pruned sweep:
-/// `(slice best, evaluated, pruned cells, whole slice skipped)`.
-type SliceResult = (Option<(PairConfig, f64)>, usize, u64, bool);
 
 /// Pruning counters accumulated by the frontier-pruned engine.
 #[derive(Debug, Clone, Copy, Default)]
@@ -523,25 +528,6 @@ impl<'p> ConfigSearch<'p> {
         (best, candidates)
     }
 
-    /// In-C1-order reduction shared by the exhaustive and pruned sweeps:
-    /// keeps the serial path's first-best-wins tie-breaking (strict `>`),
-    /// so every engine returns the identical configuration.
-    fn reduce_slices(
-        slices: impl IntoIterator<Item = (Option<(PairConfig, f64)>, usize)>,
-    ) -> (Option<(PairConfig, f64)>, usize) {
-        let mut best: Option<(PairConfig, f64)> = None;
-        let mut candidates = 0usize;
-        for (slice_best, slice_candidates) in slices {
-            candidates += slice_candidates;
-            if let Some((cfg, t)) = slice_best {
-                if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                    best = Some((cfg, t));
-                }
-            }
-        }
-        (best, candidates)
-    }
-
     fn exhaustive_impl(&self, qps: f64, parallel: bool) -> SearchOutcome {
         let started = Instant::now();
         // Same drifted-load power check as the fast path, so both searches
@@ -563,11 +549,18 @@ impl<'p> ConfigSearch<'p> {
         } else {
             (1..=self.max_c1()).map(metered).collect()
         };
-        let queries = slices
-            .iter()
-            .fold(QueryMeter::default(), |sum, slice| sum + slice.2);
-        let (best, candidates) =
-            Self::reduce_slices(slices.into_iter().map(|(best, n, _)| (best, n)));
+        // Reduce in C1 order with the serial path's first-best-wins
+        // tie-break (strict `>`), so both paths return the same config.
+        let (mut best, mut candidates, mut queries) = (None, 0usize, QueryMeter::default());
+        for (slice_best, slice_candidates, slice_queries) in slices {
+            candidates += slice_candidates;
+            queries = queries + slice_queries;
+            if let Some((cfg, t)) = slice_best {
+                if best.as_ref().is_none_or(|&(_, bt)| t > bt) {
+                    best = Some((cfg, t));
+                }
+            }
+        }
         Self::outcome(started, queries, best, candidates, PruneTally::default())
     }
 
@@ -605,60 +598,66 @@ impl<'p> ConfigSearch<'p> {
             .find(|&f2| base + tables.be_power_w(c2, f2) <= budget)
     }
 
-    /// The two slabs bracketing a load (the same `Arc` twice when the
-    /// bracket degenerates at a slab center).
-    fn bracket_slabs(&self, slabs: &LsSlabs, bracket: (u64, u64)) -> (Arc<LsSlab>, Arc<LsSlab>) {
+    /// The envelope of the two slabs bracketing `qps` (the same slab
+    /// twice when the bracket degenerates at a slab center).
+    fn envelope(&self, slabs: &LsSlabs, bracket: (u64, u64)) -> Envelope<'_> {
         let (k_lo, k_hi) = bracket;
-        let lo = self.predictor.ls_slab(&self.spec, slabs, k_lo);
-        let hi = if k_hi == k_lo {
-            Arc::clone(&lo)
-        } else {
-            self.predictor.ls_slab(&self.spec, slabs, k_hi)
-        };
-        (lo, hi)
+        Envelope {
+            predictor: self.predictor,
+            spec: &self.spec,
+            lo: self.predictor.ls_slab(&self.spec, slabs, k_lo),
+            hi: self.predictor.ls_slab(&self.spec, slabs, k_hi),
+        }
+    }
+
+    /// Evaluates one envelope cell as both latticed engines do: `None`
+    /// unless it is envelope-feasible and some F2 fits the budget, else
+    /// the candidate with its table BE throughput.
+    fn latticed_candidate(
+        &self,
+        env: &Envelope<'_>,
+        tables: &ModelTables,
+        (c1, f1, l1): (u32, usize, u32),
+    ) -> Option<(PairConfig, f64)> {
+        if !env.feasible(c1, f1, l1) {
+            return None;
+        }
+        let c2 = self.spec.total_cores - c1;
+        let f2 = self.lattice_f2(c2, env.ls_power_w(c1, f1, l1), tables)?;
+        let l2 = self.spec.total_llc_ways - l1;
+        let be = Allocation::new(c2, f2, l2);
+        let t = tables.be_throughput(c2, f2, l2);
+        Some((PairConfig::new(Allocation::new(c1, f1, l1), be), t))
     }
 
     /// The envelope oracle: an unpruned serial sweep of every
     /// `<C1, F1, L1>` cell under the exact slab-envelope semantics the
-    /// pruned engine uses — AND-of-bitsets feasibility, max-of-rows LS
-    /// power, table `F2*`. This is the bit-identity reference for
-    /// [`pruned`](Self::pruned) at *arbitrary* loads; at a slab-center
-    /// load it is additionally bit-identical to
-    /// [`exhaustive_serial`](Self::exhaustive_serial), because there the
-    /// bracket degenerates and every envelope value equals the live model
-    /// call it was flattened from.
+    /// pruned engine uses — AND feasibility, max LS power, table `F2*`.
+    /// This is the bit-identity reference for [`pruned`](Self::pruned) at
+    /// *arbitrary* loads; at a slab-center load it is additionally
+    /// bit-identical to [`exhaustive_serial`](Self::exhaustive_serial),
+    /// because there the bracket degenerates and every envelope value
+    /// equals the live model call. It reads (and fills) the same lazy
+    /// slab cells as the pruned engine.
     pub fn exhaustive_latticed(&self, qps: f64) -> SearchOutcome {
         let meter = self.meter();
         let tables = self.predictor.model_tables(&self.spec);
         let slabs = self
             .predictor
             .ls_slabs(&self.spec, self.params.power_load_headroom);
-        let (lo, hi) = self.bracket_slabs(&slabs, slabs.bracket(qps));
-        let top = self.spec.max_freq_level();
+        let env = self.envelope(&slabs, slabs.bracket(qps));
         let mut best: Option<(PairConfig, f64)> = None;
         let mut candidates = 0usize;
         for c1 in 1..=self.max_c1() {
-            let c2 = self.spec.total_cores - c1;
-            for f1 in 0..=top {
+            for f1 in 0..=self.spec.max_freq_level() {
                 for l1 in 1..=self.max_l1() {
-                    if !(lo.feasible(c1, f1, l1) && hi.feasible(c1, f1, l1)) {
-                        continue;
-                    }
-                    let ls_w = lo.ls_power_w(c1, f1, l1).max(hi.ls_power_w(c1, f1, l1));
-                    let Some(f2) = self.lattice_f2(c2, ls_w, &tables) else {
+                    let Some((cfg, t)) = self.latticed_candidate(&env, &tables, (c1, f1, l1))
+                    else {
                         continue;
                     };
                     candidates += 1;
-                    let l2 = self.spec.total_llc_ways - l1;
-                    let t = tables.be_throughput(c2, f2, l2);
                     if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                        best = Some((
-                            PairConfig::new(
-                                Allocation::new(c1, f1, l1),
-                                Allocation::new(c2, f2, l2),
-                            ),
-                            t,
-                        ));
+                        best = Some((cfg, t));
                     }
                 }
             }
@@ -666,93 +665,58 @@ impl<'p> ConfigSearch<'p> {
         self.finish(meter, best, candidates, PruneTally::default())
     }
 
-    /// One C1 slice of the latticed sweep: the oracle's exact `(F1, L1)`
-    /// scan order over the slab envelope, read straight off the
-    /// bracketing slab rows — feasibility word `lo & hi`, LS power
-    /// `max(lo, hi)`, exactly as
-    /// [`exhaustive_latticed`](Self::exhaustive_latticed) reads each cell.
-    /// Feasible cells are iterated off the bitset words and skipped when
-    /// their admissible BE bound is `<=` the slice's best so far (an
-    /// earlier in-order survivor already ties or beats it, and the oracle
-    /// breaks ties by strict `>` first-wins). A slice whose envelope has
-    /// no feasible cell is skipped whole.
-    fn latticed_slice(
-        &self,
-        c1: u32,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        tables: &ModelTables,
-    ) -> SliceResult {
-        let top = self.spec.max_freq_level();
-        let wpr = lo.words_per_row();
-        let c2 = self.spec.total_cores - c1;
-        let max_l1 = self.max_l1() as usize;
-        // Per-word mask keeping only the L1 <= max_l1 bits in play.
-        let word_mask = |k: usize| -> u64 {
-            let lo_bit = k * 64;
-            if max_l1 <= lo_bit {
-                0
-            } else if max_l1 - lo_bit >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << (max_l1 - lo_bit)) - 1
-            }
-        };
-        let any_feasible = (0..=top).any(|f1| {
-            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
-            (0..wpr).any(|k| lw[k] & hw[k] & word_mask(k) != 0)
-        });
-        if !any_feasible {
-            return (None, 0, 0, true);
-        }
-        let mut best: Option<(PairConfig, f64)> = None;
-        let mut evaluated = 0usize;
-        let mut pruned = 0u64;
-        for f1 in 0..=top {
-            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
-            let (lp, hp) = (lo.power_row(c1, f1), hi.power_row(c1, f1));
-            for k in 0..wpr {
-                let mut word = lw[k] & hw[k] & word_mask(k);
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let l1 = (k * 64 + bit + 1) as u32;
-                    let l2 = self.spec.total_llc_ways - l1;
-                    let bound = tables.max_tput_any_freq(c2, l2);
-                    if best.as_ref().is_some_and(|(_, bt)| bound <= *bt) {
-                        pruned += 1;
-                        continue;
-                    }
-                    let i = l1 as usize - 1;
-                    let Some(f2) = self.lattice_f2(c2, lp[i].max(hp[i]), tables) else {
-                        continue;
-                    };
-                    evaluated += 1;
-                    let t = tables.be_throughput(c2, f2, l2);
-                    if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                        best = Some((
-                            PairConfig::new(
-                                Allocation::new(c1, f1, l1),
-                                Allocation::new(c2, f2, l2),
-                            ),
-                            t,
-                        ));
+    /// Every `(C1, L1)` cell that can hold a candidate, with its
+    /// admissible bound: the best BE throughput over the F2 levels whose
+    /// power fits the guarded budget with zero LS power. Sorted by
+    /// descending bound, ties in `(C1, L1)` order. Also returns how many
+    /// cells have no such F2 at all.
+    fn bounded_cells(&self, tables: &ModelTables) -> (Vec<(f64, u32, u32)>, u64) {
+        let budget = self.guarded_budget();
+        let mut cells = Vec::with_capacity((self.max_c1() * self.max_l1()) as usize);
+        let mut hopeless = 0u64;
+        let mut bounds: Vec<f64> = Vec::new();
+        for c1 in 1..=self.max_c1() {
+            let c2 = self.spec.total_cores - c1;
+            // Fold the throughput rows of every F2 that fits, `(static + 0)
+            // + be`: LS power is never negative. Indexed by `L2 - 1`.
+            bounds.clear();
+            for f2 in 0..=self.spec.max_freq_level() {
+                if tables.static_power_w() + tables.be_power_w(c2, f2) > budget {
+                    continue;
+                }
+                let row = tables.be_throughput_row(c2, f2);
+                if bounds.is_empty() {
+                    bounds.extend_from_slice(row);
+                } else {
+                    for (b, &t) in bounds.iter_mut().zip(row) {
+                        *b = b.max(t);
                     }
                 }
             }
+            if bounds.is_empty() {
+                hopeless += u64::from(self.max_l1());
+                continue;
+            }
+            for l1 in 1..=self.max_l1() {
+                // `+ 0.0` turns a clamped -0.0 into 0.0, so the bits of
+                // these non-negative bounds sort like their values.
+                let bound = bounds[(self.spec.total_llc_ways - l1 - 1) as usize] + 0.0;
+                cells.push((bound, c1, l1));
+            }
         }
-        (best, evaluated, pruned, false)
+        cells.sort_unstable_by_key(|&(bound, c1, l1)| (Reverse(bound.to_bits()), c1, l1));
+        (cells, hopeless)
     }
 
-    /// The latticed, frontier-pruned engine: zero virtual model calls in
-    /// the inner loop, bit-identical to
+    /// The latticed, frontier-pruned engine: a best-first search over the
+    /// lazy slab envelope, bit-identical to
     /// [`exhaustive_latticed`](Self::exhaustive_latticed) at every load
     /// (and to [`exhaustive_serial`](Self::exhaustive_serial) at slab
-    /// centers), with per-cell/per-slice pruning and, when a
+    /// centers), reading only the cells its bound cannot rule out; when a
     /// [`FrontierCache`] is attached, one exact memo entry per slab
-    /// bracket and budget — see the module docs. The whole sweep is a few
-    /// thousand contiguous loads, far below the cost of fanning out to a
-    /// thread pool, so it runs serially.
+    /// bracket and budget — see the module docs. It runs serially: a
+    /// search reads a few hundred cells, far below the cost of fanning
+    /// out to a thread pool.
     pub fn pruned(&self, qps: f64) -> SearchOutcome {
         let meter = self.meter();
         let slabs = self
@@ -775,19 +739,84 @@ impl<'p> ConfigSearch<'p> {
             return self.finish(meter, best, 0, tally);
         }
         let tables = self.predictor.model_tables(&self.spec);
-        let (lo, hi) = self.bracket_slabs(&slabs, bracket);
-        let mut tally = PruneTally::default();
-        let (best, candidates) = Self::reduce_slices((1..=self.max_c1()).map(|c1| {
-            let (slice_best, evaluated, cells, skipped) =
-                self.latticed_slice(c1, &lo, &hi, &tables);
-            tally.cells += cells;
-            tally.slices += u64::from(skipped);
-            (slice_best, evaluated)
-        }));
+        let env = self.envelope(&slabs, bracket);
+        let levels = self.spec.freq_level_count() as u64;
+        let (cells, hopeless) = self.bounded_cells(&tables);
+        let mut tally = PruneTally {
+            cells: hopeless * levels,
+            slices: hopeless,
+            ..PruneTally::default()
+        };
+        let mut best: Option<(PairConfig, f64)> = None;
+        let mut candidates = 0usize;
+        let position = |cfg: &PairConfig| (cfg.ls.cores, cfg.ls.freq_level, cfg.ls.llc_ways);
+        for (i, &(bound, c1, l1)) in cells.iter().enumerate() {
+            if best.as_ref().is_some_and(|(_, bt)| bound < *bt) {
+                let rest = (cells.len() - i) as u64;
+                tally.cells += rest * levels;
+                tally.slices += rest;
+                break;
+            }
+            let dead = env.known_infeasible(c1, l1);
+            for f1 in 0..=self.spec.max_freq_level() {
+                // No later F1 of this cell can beat the incumbent, and at
+                // equal throughput the incumbent comes first.
+                if best
+                    .as_ref()
+                    .is_some_and(|(cfg, bt)| bound <= *bt && position(cfg) < (c1, f1, l1))
+                {
+                    tally.cells += levels - f1 as u64;
+                    tally.slices += u64::from(f1 == 0);
+                    break;
+                }
+                if dead >> (2 * f1) & 1 != 0 {
+                    continue;
+                }
+                let Some((cfg, t)) = self.latticed_candidate(&env, &tables, (c1, f1, l1)) else {
+                    continue;
+                };
+                candidates += 1;
+                if best
+                    .as_ref()
+                    .is_none_or(|(inc, bt)| t > *bt || (t == *bt && position(&cfg) < position(inc)))
+                {
+                    best = Some((cfg, t));
+                }
+            }
+        }
         if let Some(fc) = self.frontiers {
             fc.insert(key, best);
         }
         self.finish(meter, best, candidates, tally)
+    }
+}
+
+/// The conservative envelope of the two slabs bracketing a load, read
+/// cell by cell (filling each cell on first read).
+struct Envelope<'a> {
+    predictor: &'a PerfPowerPredictor,
+    spec: &'a NodeSpec,
+    lo: Arc<LsSlab>,
+    hi: Arc<LsSlab>,
+}
+
+impl Envelope<'_> {
+    /// Feasible at both bracketing centers (never optimistic).
+    fn feasible(&self, c1: u32, f1: usize, l1: u32) -> bool {
+        let cell = |slab| self.predictor.slab_feasible(self.spec, slab, c1, f1, l1);
+        cell(&self.lo) && cell(&self.hi)
+    }
+
+    /// Levels of column `(c1, l1)` already known to be envelope-infeasible
+    /// (see [`LsSlab::known_infeasible`]).
+    fn known_infeasible(&self, c1: u32, l1: u32) -> u64 {
+        self.lo.known_infeasible(c1, l1) | self.hi.known_infeasible(c1, l1)
+    }
+
+    /// The larger of the two bracketing centers' LS power.
+    fn ls_power_w(&self, c1: u32, f1: usize, l1: u32) -> f64 {
+        let cell = |slab| self.predictor.slab_ls_power_w(self.spec, slab, c1, f1, l1);
+        cell(&self.lo).max(cell(&self.hi))
     }
 }
 

@@ -7,18 +7,19 @@
 //! `cores × levels × ways` points (4 000 on the paper's Table II node) —
 //! that can be flattened once per (re)train into contiguous `Vec<f64>`
 //! arrays indexed arithmetically. The search inner loop then costs a
-//! couple of loads instead of a boxed-model evaluation, and admissible
-//! per-`(C2, L2)` / per-`C2` throughput maxima computed alongside give the
-//! branch-and-bound sweep its pruning bounds.
+//! couple of loads instead of a boxed-model evaluation; the pruned search
+//! folds its admissible bounds from the throughput rows, and a per-C2
+//! prefix maximum computed alongside bounds the heuristic's early stop.
 //!
 //! Every table entry is produced by the *same* compute path as the
 //! predictor's public methods (same feature vector, same `.max(0.0)`
 //! clamp, same power margin), so a lookup is bit-identical to the model
 //! call it replaces — the equivalence proofs in `search.rs` rely on this.
-//! The predictor fills whole lattices through `Regressor::predict_grid`,
+//! The predictor fills the BE lattices through `Regressor::predict_grid`,
 //! which makes one point query per cell (each a KD-tree walk for the KNN
-//! models), so every entry is bit-identical to the point query; this
-//! module only packs them and derives the bounds.
+//! models), so every entry is bit-identical to the point query; the LS
+//! slabs ([`LsSlab`]) are filled one cell at a time by the point paths
+//! themselves. This module only stores the values and derives the bounds.
 //!
 //! Tables carry the predictor's training `generation`; retraining bumps
 //! the generation, which invalidates cached tables the same way it clears
@@ -29,6 +30,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sturgeon_simnode::NodeSpec;
+
+/// True when `spec` has this `(C, F, L)` lattice, frequencies bit for bit.
+fn same_lattice(cores: u32, ways: u32, freqs_ghz: &[f64], spec: &NodeSpec) -> bool {
+    cores == spec.total_cores
+        && ways == spec.total_llc_ways
+        && freqs_ghz.len() == spec.freq_levels_ghz.len()
+        && freqs_ghz
+            .iter()
+            .zip(&spec.freq_levels_ghz)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+}
 
 /// Flattened QPS-independent model lattices plus pruning bounds.
 ///
@@ -47,16 +59,10 @@ pub struct ModelTables {
     be_tput: Vec<f64>,
     /// BE partition power (margin included, ways-masked), `[(c-1)·levels + f]`.
     be_power: Vec<f64>,
-    /// `max_f` of `be_tput`, `[(c-1)·ways + (w-1)]` — the admissible bound
-    /// for one `(C2, L2)` cell whatever frequency the power budget allows.
-    tput_max_freq: Vec<f64>,
-    /// `max_{f,w}` of `be_tput`, `[c-1]` — the admissible bound for a whole
-    /// C2 slice.
-    slice_max_tput: Vec<f64>,
-    /// Prefix maximum of `slice_max_tput`: `[c-1]` bounds every slice with
-    /// *at most* `c` BE cores. Model noise means `slice_max_tput` itself
-    /// need not be monotone in cores, so early-stop rules over "all
-    /// remaining (smaller-C2) slices" must use this.
+    /// Prefix maximum over C2 slices of `max_{f,w}` `be_tput`: `[c-1]`
+    /// bounds every slice with *at most* `c` BE cores. Model noise means
+    /// a slice's own maximum need not be monotone in cores, so early-stop
+    /// rules over "all remaining (smaller-C2) slices" must use this.
     slice_max_prefix: Vec<f64>,
 }
 
@@ -86,21 +92,10 @@ impl ModelTables {
             "one BE throughput per cell"
         );
         assert_eq!(be_power.len(), nc * n_levels, "one BE power per (C2, F2)");
-        let mut tput_max_freq = vec![0.0; nc * nw];
-        let mut slice_max_tput = vec![0.0; nc];
-        for (ci, slice) in be_tput.chunks(n_levels * nw).enumerate() {
-            let mut slice_max = 0.0f64;
-            for row in slice.chunks(nw) {
-                for (cell, &t) in tput_max_freq[ci * nw..(ci + 1) * nw].iter_mut().zip(row) {
-                    if t > *cell {
-                        *cell = t;
-                    }
-                    slice_max = slice_max.max(t);
-                }
-            }
-            slice_max_tput[ci] = slice_max;
-        }
-        let mut slice_max_prefix = slice_max_tput.clone();
+        let mut slice_max_prefix: Vec<f64> = be_tput
+            .chunks(n_levels * nw)
+            .map(|slice| slice.iter().fold(0.0f64, |max, &t| max.max(t)))
+            .collect();
         for i in 1..slice_max_prefix.len() {
             slice_max_prefix[i] = slice_max_prefix[i].max(slice_max_prefix[i - 1]);
         }
@@ -113,8 +108,6 @@ impl ModelTables {
             static_power_w,
             be_tput,
             be_power,
-            tput_max_freq,
-            slice_max_tput,
             slice_max_prefix,
         }
     }
@@ -132,15 +125,12 @@ impl ModelTables {
 
     /// True when the tables cover exactly this node's lattice.
     pub fn matches(&self, spec: &NodeSpec) -> bool {
-        self.total_cores == spec.total_cores
-            && self.total_ways == spec.total_llc_ways
-            && self.n_levels == spec.freq_level_count()
-            && self.freq_levels_ghz.len() == spec.freq_levels_ghz.len()
-            && self
-                .freq_levels_ghz
-                .iter()
-                .zip(&spec.freq_levels_ghz)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        same_lattice(
+            self.total_cores,
+            self.total_ways,
+            &self.freq_levels_ghz,
+            spec,
+        )
     }
 
     #[inline]
@@ -159,26 +149,18 @@ impl ModelTables {
         self.be_tput[self.idx3(cores, level, ways)]
     }
 
+    /// The BE throughput row at `(cores, level)`, indexed by `ways - 1`.
+    #[inline]
+    pub fn be_throughput_row(&self, cores: u32, level: usize) -> &[f64] {
+        let start = self.idx3(cores, level, 1);
+        &self.be_tput[start..start + self.total_ways as usize]
+    }
+
     /// BE partition power at `(cores, level)`, margin included —
     /// bit-identical to `predictor.be_power_w(cores, spec.freq_ghz(level), _)`.
     #[inline]
     pub fn be_power_w(&self, cores: u32, level: usize) -> f64 {
         self.be_power[(cores - 1) as usize * self.n_levels + level]
-    }
-
-    /// Admissible throughput upper bound for a `(C2, L2)` cell: the
-    /// maximum over every frequency level. No feasible candidate in the
-    /// cell can exceed it, whatever F2 the power frontier picks.
-    #[inline]
-    pub fn max_tput_any_freq(&self, cores: u32, ways: u32) -> f64 {
-        self.tput_max_freq[(cores - 1) as usize * self.total_ways as usize + (ways - 1) as usize]
-    }
-
-    /// Admissible throughput upper bound for a whole C2 slice: the maximum
-    /// over every `(F2, L2)`.
-    #[inline]
-    pub fn slice_max_tput(&self, cores: u32) -> f64 {
-        self.slice_max_tput[(cores - 1) as usize]
     }
 
     /// Admissible throughput upper bound over *every* slice with at most
@@ -190,129 +172,142 @@ impl ModelTables {
     }
 }
 
-/// One QPS slab: the LS-side model lattices frozen at a single quantized
-/// load point (the slab "center", `bucket · quantum`).
+/// One QPS slab: the LS-side model lattices at a single quantized load
+/// point (the slab "center", `bucket · quantum`), filled cell by cell.
 ///
 /// The LS queries of the predictor — QoS feasibility of `<C1, F1, L1>`
 /// and LS partition power — depend on the offered load, so unlike the BE
 /// lattices of [`ModelTables`] they cannot be flattened once per retrain.
-/// Instead the load axis is quantized into buckets and each bucket's
-/// lattice is built lazily (see [`LsSlabs`]). A slab stores:
+/// Instead the load axis is quantized into buckets (see [`LsSlabs`]) and
+/// each bucket's cells are computed on first read, so a search pays only
+/// for the cells it looks at. Per `(C1, F1, L1)` cell a slab stores:
 ///
-/// * **feasibility** as a bitset — one bit per `(C1, F1, L1)` cell, the
-///   L1 (ways) axis packed into `words_per_row` `u64` words per
-///   `(C1, F1)` row so a whole row can be masked branch-free; built at
-///   `qps = center`.
-/// * **LS power** as a flat `f64` array over the same lattice; built at
+/// * **feasibility** as a 2-bit code (unknown, infeasible, feasible),
+///   32 cells to an atomic word, taken at `qps = center`;
+/// * **LS power** as atomic `!bits` (0 = unknown: `!bits == 0` only for
+///   an all-ones NaN, which no clamped power takes), taken at
 ///   `qps = center · (1 + power_load_headroom)` — the exact load the
 ///   search's power check uses — so a lookup at slab-center load is
 ///   bit-identical to the live `ls_power_w` call it replaces.
-#[derive(Debug, Clone)]
+///
+/// A miss runs the caller's fill for that one cell and stores it. Fills
+/// are pure functions of the cell, so threads racing on a cell compute
+/// and write identical bits, and no lock is held while a model runs.
+/// `Relaxed` ordering suffices: a cell publishes only its own bits.
+#[derive(Debug)]
 pub struct LsSlab {
-    bucket: u64,
     qps: f64,
     qps_power: f64,
     n_levels: usize,
     total_ways: u32,
-    words_per_row: usize,
-    feas: Vec<u64>,
-    power: Vec<f64>,
+    feas: Vec<AtomicU64>,
+    power: Vec<AtomicU64>,
 }
 
+/// Feasibility codes: 0 means the cell is not filled yet.
+const INFEASIBLE: u64 = 1;
+const FEASIBLE: u64 = 2;
+
 impl LsSlab {
-    /// Packs one sweep of the full `(C1, F1, L1)` lattice of `spec` into a
-    /// slab. `feasible` (taken at `qps`) and `power` (taken at
-    /// `qps_power`) are in `(C1, F1, L1)` row-major order and must come
-    /// from the predictor's exact compute paths (domain check, guarded
-    /// load, clamps and margins included) for lookups to be bit-identical
-    /// to live calls at the slab centers.
-    ///
-    /// # Panics
-    /// If either lattice does not have one entry per cell of `spec`.
-    pub fn build(
-        spec: &NodeSpec,
-        bucket: u64,
-        qps: f64,
-        qps_power: f64,
-        feasible: &[bool],
-        power: Vec<f64>,
-    ) -> Self {
-        let nw = spec.total_llc_ways as usize;
-        let rows = spec.total_cores as usize * spec.freq_level_count();
-        assert_eq!(feasible.len(), rows * nw, "one feasibility bit per cell");
-        assert_eq!(power.len(), rows * nw, "one LS power per cell");
-        let words_per_row = nw.div_ceil(64);
-        let mut feas_words = vec![0u64; rows * words_per_row];
-        for (words, cells) in feas_words
-            .chunks_mut(words_per_row)
-            .zip(feasible.chunks(nw))
-        {
-            for (wi, _) in cells.iter().enumerate().filter(|(_, &ok)| ok) {
-                words[wi / 64] |= 1u64 << (wi % 64);
-            }
-        }
+    /// An empty slab over the full `(C1, F1, L1)` lattice of `spec`:
+    /// feasibility will be taken at `qps`, power at `qps_power`.
+    pub(crate) fn new(spec: &NodeSpec, qps: f64, qps_power: f64) -> Self {
+        let cells =
+            spec.total_cores as usize * spec.freq_level_count() * spec.total_llc_ways as usize;
+        let zeroed = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
-            bucket,
             qps,
             qps_power,
             n_levels: spec.freq_level_count(),
             total_ways: spec.total_llc_ways,
-            words_per_row,
-            feas: feas_words,
-            power,
+            feas: zeroed(cells.div_ceil(32)),
+            power: zeroed(cells),
         }
     }
 
-    /// The quantized bucket index this slab was built for.
-    pub fn bucket(&self) -> u64 {
-        self.bucket
-    }
-
-    /// The slab-center load the feasibility lattice was built at.
+    /// The slab-center load feasibility is taken at.
     pub fn qps(&self) -> f64 {
         self.qps
     }
 
-    /// The headroom-inflated load the power lattice was built at.
+    /// The headroom-inflated load LS power is taken at.
     pub fn qps_power(&self) -> f64 {
         self.qps_power
     }
 
-    /// `u64` words per `(C1, F1)` feasibility row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
+    /// Cells are stored `(C1, L1, F1)`-major, so the F1 levels of one
+    /// `(C1, L1)` column are adjacent.
+    #[inline]
+    fn cell(&self, cores: u32, level: usize, ways: u32) -> usize {
+        debug_assert!(level < self.n_levels);
+        debug_assert!((1..=self.total_ways).contains(&ways));
+        ((cores - 1) as usize * self.total_ways as usize + (ways - 1) as usize) * self.n_levels
+            + level
     }
 
-    /// The packed feasibility words for one `(C1, F1)` row; bit `w-1` is
-    /// set when `<cores, level, w>` meets QoS at the slab center.
+    /// The levels of column `(cores, ways)` already known to miss QoS:
+    /// bit `2·level` is set for each. Reads only filled cells (0 when a
+    /// column has more than 32 levels), so it can skip a cell, never
+    /// decide one.
     #[inline]
-    pub fn feas_row(&self, cores: u32, level: usize) -> &[u64] {
-        let row = ((cores - 1) as usize * self.n_levels + level) * self.words_per_row;
-        &self.feas[row..row + self.words_per_row]
+    pub(crate) fn known_infeasible(&self, cores: u32, ways: u32) -> u64 {
+        if self.n_levels > 32 {
+            return 0;
+        }
+        let bit = 2 * self.cell(cores, 0, ways);
+        let (word, shift) = (bit / 64, bit % 64);
+        let mut codes = self.feas[word].load(Ordering::Relaxed) >> shift;
+        if shift + 2 * self.n_levels > 64 {
+            codes |= self.feas[word + 1].load(Ordering::Relaxed) << (64 - shift);
+        }
+        let column = u64::MAX >> (64 - 2 * self.n_levels);
+        codes & !(codes >> 1) & 0x5555_5555_5555_5555 & column
     }
 
-    /// The LS power (W, margin included) row for one `(C1, F1)` cell,
-    /// indexed by `ways - 1`.
+    /// Does `<cores, level, ways>` meet QoS at the slab center? A miss
+    /// stores `fill()`, which must be the predictor's feasibility compute
+    /// path at [`qps`](Self::qps).
     #[inline]
-    pub fn power_row(&self, cores: u32, level: usize) -> &[f64] {
-        let nw = self.total_ways as usize;
-        let row = ((cores - 1) as usize * self.n_levels + level) * nw;
-        &self.power[row..row + nw]
+    pub(crate) fn feasible(
+        &self,
+        cores: u32,
+        level: usize,
+        ways: u32,
+        fill: impl FnOnce() -> bool,
+    ) -> bool {
+        let i = self.cell(cores, level, ways);
+        let (word, shift) = (&self.feas[i / 32], (i % 32) * 2);
+        match (word.load(Ordering::Relaxed) >> shift) & 3 {
+            0 => {
+                let ok = fill();
+                let code = if ok { FEASIBLE } else { INFEASIBLE };
+                word.fetch_or(code << shift, Ordering::Relaxed);
+                ok
+            }
+            code => code == FEASIBLE,
+        }
     }
 
-    /// Point feasibility lookup — bit-identical to
-    /// `predictor.ls_feasible(cores, spec.freq_ghz(level), ways, self.qps())`.
+    /// LS power (W, margin included) of `<cores, level, ways>`. A miss
+    /// stores `fill()`, which must be the predictor's LS-power compute
+    /// path at [`qps_power`](Self::qps_power).
     #[inline]
-    pub fn feasible(&self, cores: u32, level: usize, ways: u32) -> bool {
-        let wi = (ways - 1) as usize;
-        self.feas_row(cores, level)[wi / 64] & (1u64 << (wi % 64)) != 0
-    }
-
-    /// Point power lookup — bit-identical to
-    /// `predictor.ls_power_w(cores, spec.freq_ghz(level), ways, self.qps_power())`.
-    #[inline]
-    pub fn ls_power_w(&self, cores: u32, level: usize, ways: u32) -> f64 {
-        self.power_row(cores, level)[(ways - 1) as usize]
+    pub(crate) fn ls_power_w(
+        &self,
+        cores: u32,
+        level: usize,
+        ways: u32,
+        fill: impl FnOnce() -> f64,
+    ) -> f64 {
+        let cell = &self.power[self.cell(cores, level, ways)];
+        match cell.load(Ordering::Relaxed) {
+            0 => {
+                let w = fill();
+                cell.store(!w.to_bits(), Ordering::Relaxed);
+                w
+            }
+            bits => f64::from_bits(!bits),
+        }
     }
 }
 
@@ -323,7 +318,7 @@ impl LsSlab {
 /// A load `q` is *bracketed* by the two slabs whose centers surround it
 /// (`floor` and `ceil` of `q / quantum`); the search then uses the
 /// conservative envelope across the bracket — feasibility is the AND of
-/// the two bitsets (never optimistic: a cell must meet QoS at *both*
+/// the two feasibility codes (never optimistic: a cell must meet QoS at *both*
 /// surrounding centers) and LS power the pointwise `max` of the two
 /// lattices. At a slab center the bracket degenerates to one slab and
 /// every envelope lookup is bit-identical to the live model call. The
@@ -335,10 +330,7 @@ pub struct LsSlabs {
     quantum: f64,
     headroom: f64,
     max_bucket: u64,
-    total_cores: u32,
-    total_ways: u32,
-    n_levels: usize,
-    freq_levels_ghz: Vec<f64>,
+    spec: NodeSpec,
     slabs: Mutex<HashMap<u64, Arc<LsSlab>>>,
     builds: AtomicU64,
 }
@@ -363,10 +355,7 @@ impl LsSlabs {
             quantum,
             headroom,
             max_bucket,
-            total_cores: spec.total_cores,
-            total_ways: spec.total_llc_ways,
-            n_levels: spec.freq_level_count(),
-            freq_levels_ghz: spec.freq_levels_ghz.clone(),
+            spec: spec.clone(),
             slabs: Mutex::new(HashMap::new()),
             builds: AtomicU64::new(0),
         }
@@ -389,15 +378,13 @@ impl LsSlabs {
 
     /// True when the slabs cover exactly this node's lattice.
     pub fn matches(&self, spec: &NodeSpec) -> bool {
-        self.total_cores == spec.total_cores
-            && self.total_ways == spec.total_llc_ways
-            && self.n_levels == spec.freq_level_count()
-            && self.freq_levels_ghz.len() == spec.freq_levels_ghz.len()
-            && self
-                .freq_levels_ghz
-                .iter()
-                .zip(&spec.freq_levels_ghz)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        let own = &self.spec;
+        same_lattice(
+            own.total_cores,
+            own.total_llc_ways,
+            &own.freq_levels_ghz,
+            spec,
+        )
     }
 
     /// The slab-center load of a bucket.
@@ -421,42 +408,20 @@ impl LsSlabs {
         self.max_bucket
     }
 
-    /// Returns the slab for `bucket`, building it on first use from one
-    /// lattice sweep: `sweep(qps, qps_power)` is handed the slab center and
-    /// the headroom-inflated center and returns the `(feasible, power)`
-    /// lattices [`LsSlab::build`] packs.
-    pub fn slab(
-        &self,
-        spec: &NodeSpec,
-        bucket: u64,
-        sweep: impl FnOnce(f64, f64) -> (Vec<bool>, Vec<f64>),
-    ) -> Arc<LsSlab> {
-        // The map lock is held across the build, so racing builders wait
-        // for the one in flight instead of duplicating it. Under even
-        // dispatch every shard wants the same bucket at the same moment,
-        // so the waiting worker has nothing else to build. The build is
-        // one batched lattice sweep, a few tens of ms for the paper's
-        // 20×10×20 node in release builds. It fans out across the worker
-        // pool only when the pool is idle (a node run): inside a fleet
-        // stage the pool is busy with the stage, so the sweep runs
-        // serially on the building shard's thread, under this lock,
-        // while every other shard that wants a slab waits.
+    /// Returns the slab for `bucket`, allocating it empty on first use.
+    /// The map lock is held only to fetch or insert that empty slab; its
+    /// cells fill lazily outside any lock, so no model ever runs under it.
+    pub fn slab(&self, bucket: u64) -> Arc<LsSlab> {
         let mut map = self.slabs.lock();
-        if let Some(s) = map.get(&bucket) {
-            return Arc::clone(s);
-        }
-        let qps = self.center(bucket);
-        let qps_power = qps * (1.0 + self.headroom);
-        let (feasible, power) = sweep(qps, qps_power);
-        let built = Arc::new(LsSlab::build(
-            spec, bucket, qps, qps_power, &feasible, power,
-        ));
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        map.insert(bucket, Arc::clone(&built));
-        built
+        let slab = map.entry(bucket).or_insert_with(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            let qps = self.center(bucket);
+            Arc::new(LsSlab::new(&self.spec, qps, qps * (1.0 + self.headroom)))
+        });
+        Arc::clone(slab)
     }
 
-    /// How many slab constructions actually ran (as opposed to map hits).
+    /// How many slabs were allocated (as opposed to map hits).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
@@ -614,23 +579,15 @@ mod tests {
         // An arbitrary non-monotone function: bounds must still dominate.
         let f = |c: u32, g: f64, w: u32| ((c * 31 + w * 17) as f64 * g).sin().abs() * 10.0;
         let t = tables(&spec, 0, 0.0, f, |_, _| 0.0);
+        // The prefix bound is the maximum over every smaller-or-equal slice.
+        let mut upto = 0.0f64;
         for c in 1..=4u32 {
-            let mut slice_max = 0.0f64;
             for level in 0..3usize {
                 for w in 1..=3u32 {
-                    let v = t.be_throughput(c, level, w);
-                    assert!(t.max_tput_any_freq(c, w) >= v);
-                    assert!(t.slice_max_tput(c) >= v);
-                    slice_max = slice_max.max(v);
+                    upto = upto.max(t.be_throughput(c, level, w));
                 }
             }
-            assert_eq!(t.slice_max_tput(c), slice_max);
-        }
-        // The prefix bound dominates every smaller-or-equal slice.
-        for c in 1..=4u32 {
-            for smaller in 1..=c {
-                assert!(t.slice_max_tput_upto(c) >= t.slice_max_tput(smaller));
-            }
+            assert_eq!(t.slice_max_tput_upto(c), upto);
         }
     }
 
@@ -649,31 +606,39 @@ mod tests {
     #[test]
     fn ls_slab_stores_feasibility_bits_and_power_for_every_cell() {
         let spec = small_spec();
-        let ways = [1, 2, 3];
-        let slab = LsSlab::build(
-            &spec,
-            3,
-            30.0,
-            32.4,
-            &sweep(&spec, &ways, |c, _g, w| (c + w) % 2 == 0),
-            sweep(&spec, &ways, |c, g, w| c as f64 * 10.0 + g + w as f64 * 0.1),
-        );
-        assert_eq!(slab.bucket(), 3);
-        assert_eq!(slab.words_per_row(), 1);
-        for c in 1..=4u32 {
-            for (level, &ghz) in spec.freq_levels_ghz.iter().enumerate() {
-                for w in 1..=3u32 {
-                    assert_eq!(slab.feasible(c, level, w), (c + w) % 2 == 0);
-                    assert_eq!(
-                        slab.ls_power_w(c, level, w),
-                        c as f64 * 10.0 + ghz + w as f64 * 0.1
-                    );
+        let slab = LsSlab::new(&spec, 30.0, 32.4);
+        assert_eq!((slab.qps(), slab.qps_power()), (30.0, 32.4));
+        // C1 = 1 draws 0 W, which must still read as a stored cell.
+        let power = |c: u32, g: f64, w: u32| (c - 1) as f64 * 10.0 + g + w as f64 * 0.1;
+        for pass in 0..2 {
+            for c in 1..=4u32 {
+                for (level, &ghz) in spec.freq_levels_ghz.iter().enumerate() {
+                    for w in 1..=3u32 {
+                        let ok = (c + w) % 2 == 0;
+                        let p = if c == 1 { 0.0 } else { power(c, ghz, w) };
+                        let got = slab.feasible(c, level, w, || {
+                            assert_eq!(pass, 0, "feasibility refilled");
+                            ok
+                        });
+                        assert_eq!(got, ok);
+                        let got = slab.ls_power_w(c, level, w, || {
+                            assert_eq!(pass, 0, "power refilled");
+                            p
+                        });
+                        assert_eq!(got.to_bits(), p.to_bits());
+                    }
                 }
-                // Row accessors expose the same cells the point lookups read.
-                assert_eq!(slab.power_row(c, level).len(), 3);
-                assert_eq!(slab.feas_row(c, level).len(), 1);
             }
         }
+        // Known-infeasible levels per column; column (4, 2) straddles two
+        // words. An unfilled column knows nothing.
+        for c in 1..=4u32 {
+            for w in 1..=3u32 {
+                let want = if (c + w) % 2 == 0 { 0 } else { 0b01_01_01 };
+                assert_eq!(slab.known_infeasible(c, w), want, "column ({c}, {w})");
+            }
+        }
+        assert_eq!(LsSlab::new(&spec, 1.0, 1.0).known_infeasible(4, 2), 0);
     }
 
     #[test]
@@ -697,26 +662,14 @@ mod tests {
     #[test]
     fn slabs_build_lazily_and_share_arcs() {
         let spec = small_spec();
-        let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
+        let slabs = LsSlabs::new(&spec, 0, 10.0, 0.5, 400.0);
         assert_eq!(slabs.builds(), 0);
-        let ways = [1, 2, 3];
-        let build = |q: f64, q_power: f64| {
-            assert_eq!(q, q_power, "headroom 0 builds power at the center");
-            (
-                sweep(&spec, &ways, |_, _, _| true),
-                sweep(&spec, &ways, |_, _, _| q),
-            )
-        };
-        let a = slabs.slab(&spec, 2, build);
+        let a = slabs.slab(2);
         assert_eq!(slabs.builds(), 1);
-        let b = slabs.slab(&spec, 2, |_, _| {
-            unreachable!("second request must hit the map")
-        });
+        let b = slabs.slab(2);
         assert_eq!(slabs.builds(), 1, "second request must hit the map");
         assert!(Arc::ptr_eq(&a, &b));
-        // The power lattice was built at the slab center (headroom 0).
-        assert_eq!(a.qps(), 20.0);
-        assert_eq!(a.ls_power_w(1, 0, 1), 20.0);
+        assert_eq!((a.qps(), a.qps_power()), (20.0, 30.0));
     }
 
     #[test]

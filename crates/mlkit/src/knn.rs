@@ -663,23 +663,14 @@ mod tests {
         rng: &mut StdRng,
     ) -> Result<(), TestCaseError> {
         let (x0, x1, x2, x3) = axes(rng);
-        let cells = x1.len() * x2.len() * x3.len();
-        let mask: Vec<bool> = (0..cells).map(|_| rng.gen_range(0..3) != 0).collect();
-        for mask in [None, Some(mask.as_slice())] {
-            let mut out = vec![f64::NAN; cells];
-            model.predict_grid(x0, &x1, &x2, &x3, mask, &mut out);
-            let mut cell = 0;
-            for &a in &x1 {
-                for &b in &x2 {
-                    for &c in &x3 {
-                        if mask.is_none_or(|m| m[cell]) {
-                            let want = model.predict(&[x0, a, b, c]);
-                            prop_assert_eq!(out[cell].to_bits(), want.to_bits());
-                        } else {
-                            prop_assert!(out[cell].is_nan(), "masked cell {} written", cell);
-                        }
-                        cell += 1;
-                    }
+        let mut out = vec![f64::NAN; x1.len() * x2.len() * x3.len()];
+        model.predict_grid(x0, &x1, &x2, &x3, &mut out);
+        let mut cell = out.iter();
+        for &a in &x1 {
+            for &b in &x2 {
+                for &c in &x3 {
+                    let want = model.predict(&[x0, a, b, c]);
+                    prop_assert_eq!(cell.next().unwrap().to_bits(), want.to_bits());
                 }
             }
         }
@@ -866,7 +857,7 @@ mod tests {
         // the target of the lowest such row.
         let row = &data.x[7];
         let mut out = [0.0];
-        m.predict_grid(row[0], &row[1..2], &row[2..3], &row[3..4], None, &mut out);
+        m.predict_grid(row[0], &row[1..2], &row[2..3], &row[3..4], &mut out);
         assert_eq!(out[0].to_bits(), m.predict(row).to_bits());
         assert!(data
             .x

@@ -119,38 +119,22 @@ pub trait Regressor {
 
     /// Predicts over the lattice `[x0, a, b, c]` for every `a` in `x1`,
     /// `b` in `x2` and `c` in `x3`, row-major: `out[(i·|x2| + j)·|x3| + k]`
-    /// receives `predict(&[x0, x1[i], x2[j], x3[k]])`, bit for bit. Cells
-    /// whose `mask` entry is `false` are not evaluated and keep their
-    /// value in `out`.
+    /// receives `predict(&[x0, x1[i], x2[j], x3[k]])`, bit for bit.
     ///
     /// # Panics
-    /// If `out` (or `mask`) does not hold exactly one entry per cell.
-    fn predict_grid(
-        &self,
-        x0: f64,
-        x1: &[f64],
-        x2: &[f64],
-        x3: &[f64],
-        mask: Option<&[bool]>,
-        out: &mut [f64],
-    ) {
+    /// If `out` does not hold exactly one entry per cell.
+    fn predict_grid(&self, x0: f64, x1: &[f64], x2: &[f64], x3: &[f64], out: &mut [f64]) {
         let cells = x1.len() * x2.len() * x3.len();
         assert_eq!(out.len(), cells, "predict_grid: one output per cell");
-        if let Some(m) = mask {
-            assert_eq!(m.len(), cells, "predict_grid: one mask entry per cell");
-        }
         let mut row = [x0, 0.0, 0.0, 0.0];
-        let mut cell = 0;
+        let mut cell = out.iter_mut();
         for &a in x1 {
             row[1] = a;
             for &b in x2 {
                 row[2] = b;
                 for &c in x3 {
                     row[3] = c;
-                    if mask.is_none_or(|m| m[cell]) {
-                        out[cell] = self.predict(&row);
-                    }
-                    cell += 1;
+                    *cell.next().expect("one output per cell") = self.predict(&row);
                 }
             }
         }

@@ -65,6 +65,35 @@ fn pruned_matches_envelope_oracle_on_pinned_production_setup() {
 }
 
 #[test]
+fn pruned_matches_envelope_oracle_under_tight_budgets() {
+    // Tight budgets are where the bound order differs most from C1 order:
+    // the budget, not LS feasibility, decides which cells can win.
+    let (predictor, setup) = shared_predictor();
+    for budget_frac in [0.6, 0.7, 0.8, 0.9, 1.0] {
+        let search = ConfigSearch::new(
+            predictor,
+            setup.spec().clone(),
+            budget_frac * setup.budget_w(),
+            SearchParams::default(),
+        );
+        for frac in [0.1, 0.25, 0.4, 0.55, 0.7, 0.85] {
+            let qps = frac * setup.peak_qps();
+            let full = search.exhaustive_latticed(qps);
+            let pruned = search.pruned(qps);
+            let tag = format!("budget {budget_frac}, load {frac}");
+            assert_eq!(pruned.best, full.best, "{tag}: config mismatch");
+            assert_eq!(
+                pruned.predicted_throughput.to_bits(),
+                full.predicted_throughput.to_bits(),
+                "{tag}: throughput bits differ"
+            );
+            assert!(pruned.stats.candidates <= full.stats.candidates, "{tag}");
+            assert_eq!(pruned.stats.model_calls, 0, "{tag}");
+        }
+    }
+}
+
+#[test]
 fn pruned_matches_live_oracle_at_slab_centers() {
     let (predictor, setup) = shared_predictor();
     let params = SearchParams::default();
@@ -338,12 +367,12 @@ proptest! {
                     let ghz = spec.freq_ghz(f);
                     for w in 1..=spec.total_llc_ways {
                         prop_assert_eq!(
-                            slab.feasible(c, f, w),
+                            p.slab_feasible(&spec, slab, c, f, w),
                             p.ls_feasible(c, ghz, w, center),
                             "feasibility differs at bucket {} cell ({}, {}, {})", k, c, f, w
                         );
                         prop_assert_eq!(
-                            slab.ls_power_w(c, f, w).to_bits(),
+                            p.slab_ls_power_w(&spec, slab, c, f, w).to_bits(),
                             p.ls_power_w(c, ghz, w, center_power).to_bits(),
                             "LS power bits differ at bucket {} cell ({}, {}, {})", k, c, f, w
                         );
@@ -353,16 +382,18 @@ proptest! {
         }
         // (2) follows structurally (the envelope is AND / max of the two
         // slabs just verified); spot-check the composition anyway.
+        let feasible = |slab, c, f, w| p.slab_feasible(&spec, slab, c, f, w);
+        let power = |slab, c, f, w| p.slab_ls_power_w(&spec, slab, c, f, w);
         for c in 1..=spec.total_cores {
             for w in 1..=spec.total_llc_ways {
                 let f = spec.max_freq_level();
-                let env_feasible = lo.feasible(c, f, w) && hi.feasible(c, f, w);
+                let env_feasible = feasible(&lo, c, f, w) && feasible(&hi, c, f, w);
                 if env_feasible {
-                    prop_assert!(lo.feasible(c, f, w) && hi.feasible(c, f, w));
+                    prop_assert!(feasible(&lo, c, f, w) && feasible(&hi, c, f, w));
                 }
-                let env_power = lo.ls_power_w(c, f, w).max(hi.ls_power_w(c, f, w));
-                prop_assert!(env_power >= lo.ls_power_w(c, f, w));
-                prop_assert!(env_power >= hi.ls_power_w(c, f, w));
+                let env_power = power(&lo, c, f, w).max(power(&hi, c, f, w));
+                prop_assert!(env_power >= power(&lo, c, f, w));
+                prop_assert!(env_power >= power(&hi, c, f, w));
             }
         }
 
