@@ -8,7 +8,6 @@ use std::hint::black_box;
 use sturgeon::predictor::{make_classifier, make_regressor};
 use sturgeon::prelude::*;
 use sturgeon::profiler::ProfilerConfig;
-use sturgeon_mlkit::{GbrtRegressor, Regressor};
 
 fn bench_prediction(c: &mut Criterion) {
     let pair = ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace);
@@ -31,12 +30,6 @@ fn bench_prediction(c: &mut Criterion) {
             b.iter(|| black_box(reg.predict(black_box(&[5.0, 8.0, 1.8, 10.0]))))
         });
     }
-    // Extension family: gradient-boosted trees (O(depth) prediction).
-    let mut gbrt = GbrtRegressor::default();
-    gbrt.fit(&datasets.be_throughput).expect("fit succeeds");
-    group.bench_function("regressor_GBRT", |b| {
-        b.iter(|| black_box(gbrt.predict(black_box(&[5.0, 8.0, 1.8, 10.0]))))
-    });
     group.finish();
 
     // The composed predictor operations the search actually issues — with

@@ -23,11 +23,10 @@
 //! hash picks the shard and is the shard maps' `BuildHasher`, so a
 //! lookup hashes with a few multiplies rather than std's SipHash.
 //!
-//! The cache is `Send + Sync` (sharded `parking_lot::Mutex` maps, atomic
-//! counters) so the parallel sweeps of the search layer can share one
-//! instance across worker threads. Its atomic counters are totals over
-//! every thread; per-search accounting reads the per-thread
-//! `QueryMeter` instead, which no other thread can disturb.
+//! The cache is `Send + Sync` (sharded `parking_lot::Mutex` maps) so the
+//! parallel sweeps of the search layer can share one instance across
+//! worker threads. It keeps no counters of its own: hits and misses go to
+//! the per-thread `QueryMeter`, which no other thread can disturb.
 //!
 //! [`FrontierCache`] is the pruned search engine's cross-interval memo
 //! of whole search outcomes.

@@ -160,12 +160,6 @@ pub fn run_summary_json(result: &RunResult) -> String {
     serde_json::to_string_pretty(&RunSummary::from(result)).expect("summary serializes")
 }
 
-/// Serializes a batch of run summaries as a JSON array.
-pub fn batch_summary_json(results: &[RunResult]) -> String {
-    let summaries: Vec<RunSummary> = results.iter().map(RunSummary::from).collect();
-    serde_json::to_string_pretty(&summaries).expect("summaries serialize")
-}
-
 /// Renders a telemetry log as CSV (one row per interval) — the raw
 /// material of Fig. 11-style time-series plots.
 pub fn telemetry_csv(log: &TelemetryLog) -> String {
@@ -240,15 +234,6 @@ mod tests {
         assert_eq!(v["faults_seen"], 0);
         assert_eq!(v["retries"], 0);
         assert_eq!(v["safe_mode_entries"], 0);
-    }
-
-    #[test]
-    fn batch_json_is_an_array() {
-        let r = sample_run();
-        let json = batch_summary_json(&[r]);
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert!(v.is_array());
-        assert_eq!(v.as_array().unwrap().len(), 1);
     }
 
     #[test]

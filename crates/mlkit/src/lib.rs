@@ -16,6 +16,10 @@
 //! * [`mlp::MlpRegressor`] / [`mlp::MlpClassifier`] — multi-layer perceptron
 //! * [`svm::SvmClassifier`] / [`svm::SvmRegressor`] — linear SVM via SGD
 //!
+//! Beyond the paper's families, [`forest`] adds random forests (exposed
+//! to the predictor as one more model kind) and [`mf`] the matrix
+//! factorization behind cold-start co-runner scoring.
+//!
 //! All models implement the common [`model::Regressor`] or
 //! [`model::Classifier`] traits so the predictor can swap families per
 //! application, exactly as the paper stores "all offline-trained models on
@@ -45,7 +49,6 @@
 //! ```
 
 pub mod forest;
-pub mod gbrt;
 pub mod knn;
 pub mod lasso;
 pub mod linear;
@@ -54,14 +57,11 @@ pub mod metrics;
 pub mod mf;
 pub mod mlp;
 pub mod model;
-pub mod naive_bayes;
 pub mod preprocess;
 pub mod svm;
 pub mod tree;
-pub mod validation;
 
 pub use forest::{ForestParams, RandomForestClassifier, RandomForestRegressor};
-pub use gbrt::{GbrtParams, GbrtRegressor};
 pub use knn::{KnnClassifier, KnnRegressor};
 pub use lasso::Lasso;
 pub use linear::LinearRegression;
@@ -70,10 +70,6 @@ pub use metrics::{accuracy, mean_absolute_error, mean_squared_error, r2_score};
 pub use mf::{MatrixFactorization, MfCell, MfParams};
 pub use mlp::{MlpClassifier, MlpRegressor};
 pub use model::{Classifier, Dataset, MlError, Regressor};
-pub use naive_bayes::GaussianNb;
 pub use preprocess::{train_test_split, Standardizer};
 pub use svm::{SvmClassifier, SvmRegressor};
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor};
-pub use validation::{
-    cross_validate_classifier, cross_validate_regressor, ConfusionMatrix, CvScore,
-};

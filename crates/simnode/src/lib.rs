@@ -31,7 +31,6 @@
 pub mod actuator;
 pub mod alloc;
 pub mod audit;
-pub mod energy;
 pub mod faults;
 pub mod power;
 pub mod spec;
@@ -40,7 +39,6 @@ pub mod telemetry;
 pub use actuator::{CacheAllocator, CoreAllocator, FrequencyDriver, PowerMeter, SimActuators};
 pub use alloc::{Allocation, ConfigError, PairConfig};
 pub use audit::{ActuationOutcome, AuditEntry, AuditLog};
-pub use energy::{EnergyMeter, PowerWindow};
 pub use faults::{
     ActuationFault, FaultInjector, FaultPlan, FaultStats, FaultyActuators, IntervalFault,
     TelemetryFault,

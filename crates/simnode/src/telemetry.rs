@@ -110,11 +110,6 @@ impl TelemetryLog {
     pub fn peak_power_w(&self) -> f64 {
         self.samples.iter().map(|s| s.power_w).fold(0.0, f64::max)
     }
-
-    /// Highest p95 latency observed in any interval.
-    pub fn worst_p95_ms(&self) -> f64 {
-        self.samples.iter().map(|s| s.p95_ms).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +171,6 @@ mod tests {
         log.push(sample(1.0, 10.0, 1.0, 120.0, 0.5));
         log.push(sample(2.0, 10.0, 1.0, 95.0, 0.5));
         assert_eq!(log.peak_power_w(), 120.0);
-        assert_eq!(log.worst_p95_ms(), 5.0);
     }
 
     #[test]

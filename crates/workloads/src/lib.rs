@@ -30,7 +30,6 @@
 
 pub mod be;
 pub mod catalog;
-pub mod counters;
 pub mod env;
 pub mod interference;
 pub mod loadgen;
@@ -41,7 +40,6 @@ pub mod queueing;
 
 pub use be::{BeAppModel, BeAppParams};
 pub use catalog::{be_apps, ls_services, BeAppId, LsServiceId};
-pub use counters::{be_counters, ls_counters, CounterSample};
 pub use env::{CoLocationEnv, Observation};
 pub use interference::{InterferenceModel, InterferenceParams, JitterChain};
 pub use loadgen::LoadProfile;

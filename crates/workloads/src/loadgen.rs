@@ -137,22 +137,6 @@ impl LoadProfile {
         }
     }
 
-    /// Parses a trace from newline-separated fractions (comments with `#`
-    /// and blank lines ignored) — the format dumped by fleet telemetry
-    /// exports. Returns `None` when no valid sample is present.
-    pub fn trace_from_text(text: &str, dt_s: f64) -> Option<Self> {
-        let samples: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .filter_map(|l| l.parse::<f64>().ok())
-            .collect();
-        if samples.is_empty() || dt_s <= 0.0 {
-            return None;
-        }
-        Some(LoadProfile::Trace { samples, dt_s })
-    }
-
     /// Canonical lowercase profile name, used by trace/metrics labels.
     pub fn name(&self) -> &'static str {
         match self {
@@ -370,21 +354,6 @@ mod tests {
         assert!((p.fraction_at(15.0) - 0.6).abs() < 1e-12);
         // Past the end: hold the last sample.
         assert!((p.fraction_at(100.0) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_from_text_skips_comments_and_garbage() {
-        let text = "# fleet export\n0.2\n\n0.5\nnot-a-number\n0.9\n";
-        let p = LoadProfile::trace_from_text(text, 60.0).expect("parses");
-        match &p {
-            LoadProfile::Trace { samples, dt_s } => {
-                assert_eq!(samples, &vec![0.2, 0.5, 0.9]);
-                assert_eq!(*dt_s, 60.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(LoadProfile::trace_from_text("# only comments\n", 60.0).is_none());
-        assert!(LoadProfile::trace_from_text("0.5", 0.0).is_none());
     }
 
     #[test]

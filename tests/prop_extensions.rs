@@ -1,12 +1,9 @@
 //! Property-based tests over the extension modules: multi-application
-//! configurations, resctrl/cpuset rendering, hardware counters, energy
-//! accounting, and the trace load profile.
+//! configurations, resctrl/cpuset rendering, and the trace load profile.
 
 use proptest::prelude::*;
 use sturgeon_simnode::audit::{cpuset_lists, resctrl_schemata};
-use sturgeon_simnode::{Allocation, EnergyMeter, NodeSpec, PairConfig};
-use sturgeon_workloads::catalog::{be_app, ls_service, BeAppId, LsServiceId};
-use sturgeon_workloads::counters::{be_counters, ls_counters};
+use sturgeon_simnode::{Allocation, NodeSpec, PairConfig};
 use sturgeon_workloads::loadgen::LoadProfile;
 use sturgeon_workloads::multienv::MultiConfig;
 
@@ -89,49 +86,6 @@ proptest! {
         };
         let fits = cfg.total_cores() <= s.total_cores && cfg.total_ways() <= s.total_llc_ways;
         prop_assert_eq!(cfg.validate(&s).is_ok(), fits);
-    }
-
-    #[test]
-    fn counters_always_consistent(
-        cores in 1u32..20,
-        level in 0usize..10,
-        ways in 1u32..20,
-        frac in 0.05f64..0.95,
-    ) {
-        let s = spec();
-        let be = be_app(BeAppId::Facesim);
-        let alloc = Allocation::new(cores, level, ways);
-        let c = be_counters(&s, &be, &alloc);
-        prop_assert!(c.llc_misses <= c.llc_references);
-        prop_assert!(c.instructions <= 4 * c.cycles, "IPC {}", c.ipc());
-        prop_assert!((0.0..=1.0).contains(&c.llc_miss_ratio()));
-
-        let ls = ls_service(LsServiceId::Xapian);
-        let q = frac * ls.params.peak_qps;
-        let c = ls_counters(&s, &ls, &alloc, q);
-        prop_assert!(c.llc_misses <= c.llc_references);
-        prop_assert!(c.instructions <= 4 * c.cycles.max(1));
-    }
-
-    #[test]
-    fn energy_meter_wrap_recovery_is_exact(
-        powers in proptest::collection::vec(1.0f64..200.0, 1..40),
-    ) {
-        // Wrap must exceed any single step (the differencing convention
-        // can only recover one wrap per read pair), yet be small enough
-        // that multi-step sequences cross it repeatedly.
-        let mut m = EnergyMeter::with_wrap(250_000_000); // 250 J
-        let mut prev = m.energy_uj();
-        for &p in &powers {
-            m.accumulate(p, 1.0);
-            let now = m.energy_uj();
-            let recovered = m.power_from_counters(prev, now, 1.0);
-            // Exact up to µJ rounding.
-            prop_assert!((recovered - p).abs() < 1e-3, "p={p} recovered={recovered}");
-            prev = now;
-        }
-        let total: f64 = powers.iter().sum();
-        prop_assert!((m.total_joules() - total).abs() < 1e-3 * powers.len() as f64);
     }
 
     #[test]

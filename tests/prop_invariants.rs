@@ -195,37 +195,55 @@ fn shared_predictor() -> &'static (PerfPowerPredictor, ExperimentSetup) {
     })
 }
 
+/// The search property at load `frac` of peak: a returned configuration
+/// validates, its predicted power at the drift-headroom load stays within
+/// budget, and ground-truth power agrees within a small tolerance.
+fn check_search_output(frac: f64) -> Result<(), TestCaseError> {
+    let (predictor, setup) = shared_predictor();
+    let qps = frac * setup.peak_qps();
+    let search = ConfigSearch::new(
+        predictor,
+        setup.spec().clone(),
+        setup.budget_w(),
+        SearchParams::default(),
+    );
+    let out = search.best_config(qps);
+    if let Some(cfg) = out.best {
+        prop_assert!(cfg.validate(setup.spec()).is_ok());
+        // The search's contract: predicted power at the drift-headroom
+        // load stays within budget (KNN power is not monotone in QPS,
+        // so the raw-load prediction can wiggle slightly above).
+        let guard = qps * (1.0 + SearchParams::default().power_load_headroom);
+        prop_assert!(predictor.total_power_w(&cfg, setup.spec(), guard) <= setup.budget_w() + 1e-9);
+        // And ground truth agrees within a small tolerance.
+        let truth = setup.env().total_power(&cfg, qps);
+        prop_assert!(
+            truth <= 1.03 * setup.budget_w(),
+            "truth {} vs budget {}",
+            truth,
+            setup.budget_w()
+        );
+        prop_assert!(out.predicted_throughput >= 0.0);
+    }
+    Ok(())
+}
+
+/// Loads at which the search property once failed; replayed on every run.
+#[test]
+fn search_output_holds_at_recorded_failure_loads() {
+    for frac in [0.7948138675650949, 0.37237554585257643] {
+        if let Err(e) = check_search_output(frac) {
+            panic!("frac = {frac}: {e}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn search_output_always_valid_and_within_predicted_budget(frac in 0.1f64..0.8) {
-        let (predictor, setup) = shared_predictor();
-        let qps = frac * setup.peak_qps();
-        let search = ConfigSearch::new(
-            predictor,
-            setup.spec().clone(),
-            setup.budget_w(),
-            SearchParams::default(),
-        );
-        let out = search.best_config(qps);
-        if let Some(cfg) = out.best {
-            prop_assert!(cfg.validate(setup.spec()).is_ok());
-            // The search's contract: predicted power at the drift-headroom
-            // load stays within budget (KNN power is not monotone in QPS,
-            // so the raw-load prediction can wiggle slightly above).
-            let guard = qps * (1.0 + SearchParams::default().power_load_headroom);
-            prop_assert!(
-                predictor.total_power_w(&cfg, setup.spec(), guard) <= setup.budget_w() + 1e-9
-            );
-            // And ground truth agrees within a small tolerance.
-            let truth = setup.env().total_power(&cfg, qps);
-            prop_assert!(
-                truth <= 1.03 * setup.budget_w(),
-                "truth {} vs budget {}", truth, setup.budget_w()
-            );
-            prop_assert!(out.predicted_throughput >= 0.0);
-        }
+        check_search_output(frac)?;
     }
 
     #[test]
