@@ -187,7 +187,7 @@ fn shard_index(key: &Key) -> usize {
 
 /// A sharded, thread-safe memo table from exact query keys to
 /// predicted values. Hits and misses are counted per thread
-/// ([`QueryMeter`]), so each search reports its own.
+/// (`QueryMeter`), so each search reports its own.
 pub struct PredictionCache {
     shards: Vec<Mutex<ShardMap>>,
     enabled: AtomicBool,

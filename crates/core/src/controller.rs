@@ -169,12 +169,6 @@ pub struct SturgeonController {
     pruned_candidates_total: u64,
     pruned_subspaces_total: u64,
     frontier_reuses_total: u64,
-    /// Running prediction-cache hits and misses of this controller's own
-    /// searches (the `CacheSnapshot` totals). Summed from per-search
-    /// stats, so they never count another controller's queries against
-    /// a shared predictor.
-    cache_hits_total: u64,
-    cache_misses_total: u64,
     /// True while the placement layer has parked the BE side (no job
     /// assigned): the controller holds the power-feasible all-LS safe
     /// configuration instead of optimizing a throughput nobody counts.
@@ -232,8 +226,6 @@ impl SturgeonController {
             pruned_candidates_total: 0,
             pruned_subspaces_total: 0,
             frontier_reuses_total: 0,
-            cache_hits_total: 0,
-            cache_misses_total: 0,
             be_idle: false,
         }
     }
@@ -439,8 +431,6 @@ impl SturgeonController {
         self.pruned_candidates_total += outcome.stats.pruned_candidates;
         self.pruned_subspaces_total += outcome.stats.pruned_subspaces;
         self.frontier_reuses_total += outcome.stats.frontier_reuses;
-        self.cache_hits_total += outcome.stats.cache_hits;
-        self.cache_misses_total += outcome.stats.cache_misses;
         self.warm_hint = outcome.best.map(|cfg| (cfg, qps));
         self.last_search_stats = Some(outcome.stats);
         self.last_search_qps = Some(qps);
@@ -478,27 +468,14 @@ impl SturgeonController {
                 qps,
                 reason,
                 model_calls: outcome.stats.model_calls,
-                cache_hits: outcome.stats.cache_hits,
-                cache_misses: outcome.stats.cache_misses,
                 candidates: outcome.stats.candidates,
+                pruned_candidates: outcome.stats.pruned_candidates,
+                pruned_subspaces: outcome.stats.pruned_subspaces,
+                frontier_reuses: outcome.stats.frontier_reuses,
                 chosen: outcome.best,
                 predicted_throughput: outcome.predicted_throughput,
                 predicted_power_w: self.predictor.total_power_w(&config, &self.spec, qps),
                 fallback: outcome.best.is_none(),
-            });
-            if self.params.search.strategy == SearchStrategy::FrontierPruned {
-                self.trace.push(TraceEvent::SearchPruned {
-                    t_s,
-                    evaluated: outcome.stats.candidates,
-                    pruned_candidates: outcome.stats.pruned_candidates,
-                    pruned_subspaces: outcome.stats.pruned_subspaces,
-                    frontier_reuses: outcome.stats.frontier_reuses,
-                });
-            }
-            self.trace.push(TraceEvent::CacheSnapshot {
-                t_s,
-                hits: self.cache_hits_total,
-                misses: self.cache_misses_total,
             });
         }
         config

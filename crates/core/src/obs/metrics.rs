@@ -314,17 +314,19 @@ impl MetricsRegistry {
             }
             TraceEvent::SearchRan {
                 model_calls,
-                cache_hits,
-                cache_misses,
                 candidates,
+                pruned_candidates,
+                pruned_subspaces,
+                frontier_reuses,
                 fallback,
                 ..
             } => {
                 self.inc("search.runs");
                 self.add("search.model_calls", *model_calls);
                 self.add("search.candidates", *candidates as u64);
-                self.add("predictor.cache_hits", *cache_hits);
-                self.add("predictor.cache_misses", *cache_misses);
+                self.add("search.pruned_candidates", *pruned_candidates);
+                self.add("search.pruned_subspaces", *pruned_subspaces);
+                self.add("search.frontier_reuses", *frontier_reuses);
                 if *fallback {
                     self.inc("search.fallbacks");
                 }
@@ -362,21 +364,6 @@ impl MetricsRegistry {
                 for class in classes {
                     self.add(&format!("faults.{class}"), 1);
                 }
-            }
-            TraceEvent::SearchPruned {
-                pruned_candidates,
-                pruned_subspaces,
-                frontier_reuses,
-                ..
-            } => {
-                self.inc("search.pruned_runs");
-                self.add("search.pruned_candidates", *pruned_candidates);
-                self.add("search.pruned_subspaces", *pruned_subspaces);
-                self.add("search.frontier_reuses", *frontier_reuses);
-            }
-            TraceEvent::CacheSnapshot { hits, misses, .. } => {
-                self.set_gauge("predictor.cache_hit_total", *hits as f64);
-                self.set_gauge("predictor.cache_miss_total", *misses as f64);
             }
             TraceEvent::BudgetReclaimed { reclaimed_w, .. } => {
                 self.inc("budget.reclaims");

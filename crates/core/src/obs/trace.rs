@@ -52,12 +52,15 @@ pub enum TraceEvent {
         reason: SearchReason,
         /// Prediction queries consumed (cached or not).
         model_calls: u64,
-        /// Of `model_calls`, answered from the prediction memo cache.
-        cache_hits: u64,
-        /// Of `model_calls`, answered by running the models.
-        cache_misses: u64,
         /// Candidate configurations fully evaluated.
         candidates: usize,
+        /// Pruned engine only (0 under the heuristic): `(C1, F1, L1)`
+        /// cells cut by the admissible table bound.
+        pruned_candidates: u64,
+        /// Pruned engine only: whole `(C1, L1)` cells cut by the bound.
+        pruned_subspaces: u64,
+        /// Pruned engine only: 1 when the bracket memo answered.
+        frontier_reuses: u64,
         /// The configuration the controller will install (`None` only
         /// when even all-to-LS cannot meet QoS and the fallback applies).
         chosen: Option<PairConfig>,
@@ -118,32 +121,6 @@ pub enum TraceEvent {
         t_s: f64,
         /// Active fault classes (e.g. `"telemetry_dropout"`).
         classes: Vec<&'static str>,
-    },
-    /// The frontier-pruned engine's accounting for one search: how much
-    /// of the configuration space the table bounds eliminated. Emitted
-    /// right after `SearchRan` when the pruned strategy is active.
-    SearchPruned {
-        /// Interval timestamp (s).
-        t_s: f64,
-        /// Candidate configurations fully evaluated.
-        evaluated: usize,
-        /// `(C1, F1, L1)` cells cut by the admissible table bound.
-        pruned_candidates: u64,
-        /// Whole `(C1, L1)` cells cut by the bound.
-        pruned_subspaces: u64,
-        /// 1 when the outcome came from the cross-interval bracket memo
-        /// (nothing evaluated or pruned), 0 when the search ran.
-        frontier_reuses: u64,
-    },
-    /// The emitting controller's running prediction-cache totals after
-    /// a search, summed over its own searches only.
-    CacheSnapshot {
-        /// Interval timestamp (s).
-        t_s: f64,
-        /// Cache hits across this controller's searches so far.
-        hits: u64,
-        /// Cache misses across this controller's searches so far.
-        misses: u64,
     },
     /// A budget-tree cap changed and the reclaimed apportionment was
     /// pushed into the node controllers.
@@ -210,8 +187,6 @@ impl TraceEvent {
             TraceEvent::ActuationRetry { .. } => "ActuationRetry",
             TraceEvent::ConfigApplied { .. } => "ConfigApplied",
             TraceEvent::FaultInjected { .. } => "FaultInjected",
-            TraceEvent::SearchPruned { .. } => "SearchPruned",
-            TraceEvent::CacheSnapshot { .. } => "CacheSnapshot",
             TraceEvent::BudgetReclaimed { .. } => "BudgetReclaimed",
             TraceEvent::BeMigrated { .. } => "BeMigrated",
             TraceEvent::ColdStartPredicted { .. } => "ColdStartPredicted",
@@ -219,8 +194,9 @@ impl TraceEvent {
         }
     }
 
-    /// Every variant name, in a stable order (the validator's schema).
-    pub fn kinds() -> [&'static str; 14] {
+    /// Every variant name, in a stable order (`trace_validate` keeps one
+    /// example event of each as its schema).
+    pub fn kinds() -> [&'static str; 12] {
         [
             "TelemetrySample",
             "SearchRan",
@@ -230,8 +206,6 @@ impl TraceEvent {
             "ActuationRetry",
             "ConfigApplied",
             "FaultInjected",
-            "SearchPruned",
-            "CacheSnapshot",
             "BudgetReclaimed",
             "BeMigrated",
             "ColdStartPredicted",
@@ -250,8 +224,6 @@ impl TraceEvent {
             | TraceEvent::ActuationRetry { t_s, .. }
             | TraceEvent::ConfigApplied { t_s, .. }
             | TraceEvent::FaultInjected { t_s, .. }
-            | TraceEvent::SearchPruned { t_s, .. }
-            | TraceEvent::CacheSnapshot { t_s, .. }
             | TraceEvent::BudgetReclaimed { t_s, .. }
             | TraceEvent::BeMigrated { t_s, .. }
             | TraceEvent::ColdStartPredicted { t_s, .. }
@@ -337,11 +309,6 @@ impl RingSink {
     /// Buffered events of one kind (see [`TraceEvent::kind`]).
     pub fn count_of(&self, kind: &str) -> usize {
         self.events.iter().filter(|e| e.kind() == kind).count()
-    }
-
-    /// Drops all buffered events (the drop counter is untouched).
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -471,6 +438,6 @@ mod tests {
     #[test]
     fn every_kind_is_listed() {
         assert!(TraceEvent::kinds().contains(&sample(0.0).kind()));
-        assert_eq!(TraceEvent::kinds().len(), 14);
+        assert_eq!(TraceEvent::kinds().len(), 12);
     }
 }

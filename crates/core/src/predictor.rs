@@ -540,7 +540,7 @@ impl PerfPowerPredictor {
     ///
     /// The `ways` argument is accepted for feature-layout symmetry but
     /// ignored: the model is trained with the LLC column masked (see
-    /// [`mask_ways`]), mirroring the paper's §V-A per-model feature
+    /// `mask_ways`), mirroring the paper's §V-A per-model feature
     /// selection — a BE app's power draw is set by its pinned cores and
     /// frequency, not its cache partition. The cache key normalizes `ways`
     /// to 0 for the same reason, so every way count hits one entry.

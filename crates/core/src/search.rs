@@ -147,9 +147,12 @@ pub struct SearchStats {
     pub candidates: usize,
     /// Wall-clock duration of the search.
     pub duration: Duration,
-    /// Of `model_calls`, queries answered from the prediction memo cache.
+    /// Of this search's queries, those answered from the prediction
+    /// memo cache. Under a predictor shared across threads the hit/miss
+    /// split depends on their interleaving, so it is never traced; it
+    /// stays for the single-threaded ledgers (`tab_overhead`, perfbench).
     pub cache_hits: u64,
-    /// Of `model_calls`, queries that ran the underlying models.
+    /// Of this search's queries, those that ran the underlying models.
     pub cache_misses: u64,
     /// Pruned engine only: `(C1, F1, L1)` cells never evaluated because
     /// their `(C1, L1)` cell's admissible table bound proved they cannot

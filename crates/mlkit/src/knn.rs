@@ -12,7 +12,7 @@
 //! key `(dist2, row)`, and predictions aggregate them in that order, so
 //! no visiting order can change a bit of a prediction.
 //!
-//! The tree ([`KdTree`]) is built over the standardized rows on the first
+//! The tree (`KdTree`) is built over the standardized rows on the first
 //! query after a fit (a [`LazyLock`], so fitting stays as cheap as copying
 //! the data). Each node records the box bounding its rows and splits them
 //! on its widest feature: at the middle of the box when that leaves each

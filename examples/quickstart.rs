@@ -81,8 +81,8 @@ fn main() {
     );
 
     // 5. What the observability layer saw: the searches the controller
-    //    ran, the balancer's harvest/revert steps, predictor cache hits —
-    //    all without touching the control trajectory.
+    //    ran, the balancer's harvest/revert steps, per-interval telemetry
+    //    — all without touching the control trajectory.
     println!("\n== decision trace (last {} events kept) ==", trace.len());
     for kind in TraceEvent::kinds() {
         let n = trace.count_of(kind);

@@ -215,10 +215,10 @@ fn builder_reports_invalid_runs_instead_of_panicking() {
     assert_eq!(r.overload_fraction, 0.0);
 }
 
-/// A pruned fleet of three shards, traced through the manifest runner
-/// (shard 0's events); returns the raw JSONL bytes.
-fn traced_fleet_bytes() -> Vec<u8> {
-    let scenario = Scenario::from_toml_str(
+/// A fleet of three shards on the given search engine, traced through
+/// the manifest runner (shard 0's events); returns the raw JSONL bytes.
+fn traced_fleet_bytes(search: &str) -> Vec<u8> {
+    let scenario = Scenario::from_toml_str(&format!(
         r#"
 name = "traced-fleet"
 seed = 42
@@ -229,7 +229,7 @@ ls = "memcached"
 be = "raytrace"
 
 [controller]
-search = "pruned"
+search = "{search}"
 
 [load]
 profile = "diurnal"
@@ -240,8 +240,8 @@ day_s = 60
 [fleet]
 nodes = 48
 shards = 3
-"#,
-    )
+"#
+    ))
     .expect("manifest parses");
     let mut sink = JsonlSink::new(Vec::new());
     scenario
@@ -253,10 +253,13 @@ shards = 3
 #[test]
 fn traced_fleet_is_byte_identical_across_runs() {
     // The other shards step concurrently with the traced one against a
-    // shared predictor; nothing they do may leak into shard 0's trace.
-    let a = traced_fleet_bytes();
-    let b = traced_fleet_bytes();
-    let text = std::str::from_utf8(&a).expect("JSONL is UTF-8");
-    assert!(text.contains("\"SearchRan\"") && text.contains("\"CacheSnapshot\""));
-    assert_eq!(a, b, "pinned-seed fleet traces must be byte-identical");
+    // shared predictor and prediction cache; nothing they do may leak
+    // into shard 0's trace, on either engine.
+    for search in ["pruned", "heuristic"] {
+        let a = traced_fleet_bytes(search);
+        let b = traced_fleet_bytes(search);
+        let text = std::str::from_utf8(&a).expect("JSONL is UTF-8");
+        assert!(text.contains("\"SearchRan\"") && !text.contains("cache_"));
+        assert_eq!(a, b, "{search}: fleet traces must be byte-identical");
+    }
 }
