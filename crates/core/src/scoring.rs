@@ -42,6 +42,7 @@ use crate::profiler::{features, ProfileDatasets, ProfilerConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use sturgeon_mlkit::{Dataset, MatrixFactorization, MfCell, MfParams};
 use sturgeon_simnode::power::{PartitionLoad, PowerModel};
 use sturgeon_simnode::{Allocation, NodeSpec};
@@ -342,8 +343,7 @@ impl ColdStartPredictor {
         };
         let rows = matrix.apps.len();
         let cols = matrix.configs.len();
-        let fit_plane = |metric: ScoreMetric,
-                         seed_offset: u64|
+        let fit_plane = |(metric, seed_offset): (ScoreMetric, u64)|
          -> Result<(MatrixFactorization, PlaneFit), SturgeonError> {
             let mut mf = MatrixFactorization::new(MfParams {
                 seed: mf_params.seed.wrapping_add(seed_offset),
@@ -358,9 +358,20 @@ impl ColdStartPredictor {
             };
             Ok((mf, fit))
         };
-        let (tput_mf, tput_fit) = fit_plane(ScoreMetric::Throughput, 0)?;
-        let (ipc_mf, ipc_fit) = fit_plane(ScoreMetric::Ipc, 1)?;
-        let (power_mf, power_fit) = fit_plane(ScoreMetric::Power, 2)?;
+        // The planes are independent serial fits, each with its own
+        // seed, so fitting them across the pool gives the same bits at
+        // any worker count. Results come back in plane order, so the
+        // first failing plane's error is the one returned.
+        let planes: Vec<_> = vec![
+            (ScoreMetric::Throughput, 0),
+            (ScoreMetric::Ipc, 1),
+            (ScoreMetric::Power, 2),
+        ]
+        .into_par_iter()
+        .map(fit_plane)
+        .collect::<Result<_, _>>()?;
+        let [(tput_mf, tput_fit), (ipc_mf, ipc_fit), (power_mf, power_fit)]: [_; 3] =
+            planes.try_into().expect("three planes in, three fits out");
         Ok(Self {
             matrix,
             tput_mf,
@@ -894,6 +905,45 @@ mod tests {
         }
         let rmse_cold = (se_cf / count as f64).sqrt();
         assert!(rmse_cold < 0.15, "cold-row rmse {rmse_cold}");
+    }
+
+    #[test]
+    fn parallel_plane_fits_equal_serial_fits() {
+        let p = params();
+        let m = ProfileMatrix::build(&spec(), &PowerModel::default(), &p).unwrap();
+        let cf = ColdStartPredictor::fit(m.clone(), &p).unwrap();
+        let (rows, cols) = (m.apps().len(), m.configs().len());
+        let planes = [
+            (ScoreMetric::Throughput, 0, &cf.tput_mf),
+            (ScoreMetric::Ipc, 1, &cf.ipc_mf),
+            (ScoreMetric::Power, 2, &cf.power_mf),
+        ];
+        for (metric, seed_offset, fitted) in planes {
+            let mut serial = MatrixFactorization::new(MfParams {
+                latent_dim: p.latent_dim,
+                seed: p.seed + seed_offset,
+                ..MfParams::default()
+            })
+            .unwrap();
+            let observed = m.observed_cells(metric);
+            serial.fit(rows, cols, &observed).unwrap();
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(
+                        fitted.predict(r, c).to_bits(),
+                        serial.predict(r, c).to_bits(),
+                        "{metric:?} cell ({r}, {c})"
+                    );
+                }
+            }
+            let fit = cf.plane_fit(metric);
+            let hidden = m.hidden_cells(metric);
+            assert_eq!(
+                fit.rmse_observed.to_bits(),
+                serial.rmse(&observed).to_bits()
+            );
+            assert_eq!(fit.rmse_heldout.to_bits(), serial.rmse(&hidden).to_bits());
+        }
     }
 
     #[test]

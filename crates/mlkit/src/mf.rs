@@ -14,7 +14,10 @@
 //! latent vectors, trained by plain SGD over the observed cells. Training
 //! is fully deterministic for a given seed: factor initialization and the
 //! per-epoch visit order both come from one seeded RNG, and no parallelism
-//! is involved — two fits with identical inputs are bit-identical.
+//! is involved within one fit — two fits with identical inputs are
+//! bit-identical. Callers may run independent fits concurrently;
+//! `sturgeon::scoring::ColdStartPredictor` fits its three metric planes
+//! that way, each with its own seed.
 
 use crate::model::MlError;
 use rand::rngs::StdRng;
@@ -147,21 +150,20 @@ impl MatrixFactorization {
             order.shuffle(&mut rng);
             for &ix in &order {
                 let (r, c, v) = cells[ix];
-                let (pr, qc) = (r * k, c * k);
-                let dot: f64 = (0..k)
-                    .map(|d| self.row_factors[pr + d] * self.col_factors[qc + d])
-                    .sum();
+                let p = &mut self.row_factors[r * k..(r + 1) * k];
+                let q = &mut self.col_factors[c * k..(c + 1) * k];
+                let dot: f64 = p.iter().zip(q.iter()).map(|(a, b)| a * b).sum();
                 let err = v - (self.mean + self.row_bias[r] + self.col_bias[c] + dot);
                 if !err.is_finite() {
                     return Err(MlError::Numerical("SGD diverged (non-finite error)".into()));
                 }
                 self.row_bias[r] += lr * (err - reg * self.row_bias[r]);
                 self.col_bias[c] += lr * (err - reg * self.col_bias[c]);
-                for d in 0..k {
-                    let pf = self.row_factors[pr + d];
-                    let qf = self.col_factors[qc + d];
-                    self.row_factors[pr + d] += lr * (err * qf - reg * pf);
-                    self.col_factors[qc + d] += lr * (err * pf - reg * qf);
+                // Both old values are read before either is updated.
+                for (pd, qd) in p.iter_mut().zip(q.iter_mut()) {
+                    let (pf, qf) = (*pd, *qd);
+                    *pd += lr * (err * qf - reg * pf);
+                    *qd += lr * (err * pf - reg * qf);
                 }
             }
         }
@@ -281,6 +283,22 @@ mod tests {
         };
         assert_eq!(fit(7), fit(7), "same seed must be bit-identical");
         assert_ne!(fit(7), fit(8), "different seeds must differ");
+    }
+
+    #[test]
+    fn predictions_are_pinned() {
+        // Every predicted cell of the default fit on the 12×40 matrix,
+        // folded into one value. A change to the SGD kernel that moves
+        // any bit (operation order, update order, RNG use) changes it.
+        let cells = synthetic(12, 40);
+        let mut mf = MatrixFactorization::new(MfParams::default()).unwrap();
+        mf.fit(12, 40, &cells).unwrap();
+        let fold = (0..12)
+            .flat_map(|r| (0..40).map(move |c| (r, c)))
+            .fold(0u64, |h, (r, c)| {
+                (h ^ mf.predict(r, c).to_bits()).wrapping_mul(0x0100_0000_01B3)
+            });
+        assert_eq!(fold, 0x16ee_7e25_7eae_1fc8, "fold {fold:#018x}");
     }
 
     #[test]

@@ -90,18 +90,18 @@ fn uniform_u64_below<R: RngCore>(rng: &mut R, n: u64) -> u64 {
     if n == 0 {
         return rng.next_u64();
     }
-    // Lemire-style rejection keeps the draw unbiased for any span.
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let x = rng.next_u64();
-        let (hi, lo) = {
-            let wide = (x as u128) * (n as u128);
-            ((wide >> 64) as u64, wide as u64)
-        };
-        if lo >= threshold {
-            return hi;
+    // Lemire's nearly divisionless rejection keeps the draw unbiased for
+    // any span. The threshold `2⁶⁴ mod n` is below `n`, so a low word at
+    // or above `n` is accepted without computing it: the 64-bit `%` runs
+    // only on the rare draw whose low word falls below `n`.
+    let mut wide = (rng.next_u64() as u128) * (n as u128);
+    if (wide as u64) < n {
+        let threshold = n.wrapping_neg() % n;
+        while (wide as u64) < threshold {
+            wide = (rng.next_u64() as u128) * (n as u128);
         }
     }
+    (wide >> 64) as u64
 }
 
 /// Uniform `f64` in `[0, 1)` from the top 53 bits.
@@ -263,7 +263,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{uniform_u64_below, Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -305,6 +305,48 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((hits as f64 / 10_000.0 - 0.25).abs() < 0.02);
+    }
+
+    /// Reference bounded draw: the rejection threshold computed up front
+    /// on every call, then tested against every draw.
+    fn below_eager_threshold(rng: &mut StdRng, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let wide = (rng.next_u64() as u128) * (n as u128);
+            if wide as u64 >= threshold {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_threshold_draws_equal_eager_threshold_draws() {
+        let mut spans = vec![
+            1,
+            2,
+            3,
+            7,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        let mut pick = StdRng::seed_from_u64(11);
+        spans.extend((0..1_000).map(|_| pick.gen::<u64>() >> pick.gen_range(0u32..64)));
+        for n in spans.into_iter().filter(|&n| n > 0) {
+            let mut lazy = StdRng::seed_from_u64(n ^ 0x5EED);
+            let mut eager = lazy.clone();
+            for _ in 0..1_000 {
+                assert_eq!(
+                    uniform_u64_below(&mut lazy, n),
+                    below_eager_threshold(&mut eager, n),
+                    "n = {n}"
+                );
+            }
+            // Equal draw counts keep the two streams in lockstep.
+            assert_eq!(lazy.next_u64(), eager.next_u64(), "n = {n}");
+        }
     }
 
     #[test]
