@@ -204,7 +204,7 @@ struct Shard {
     /// Global index of the shard's first node.
     first_node: usize,
     /// Per-node OS-jitter chains (node `n` seeded `seed + n`), stepped
-    /// under the environment model's interference parameters.
+    /// under the environment model's sojourn law.
     jitter: Vec<JitterChain>,
     /// Per-node running sums of in-target queries.
     sum_in_target_qps: Vec<f64>,
@@ -295,11 +295,11 @@ impl Shard {
         // evaluation.
         let quiet = env.observe(t_s, &config, qps, &invariants, 1.0);
         let quiet_in_target = quiet.qps * quiet.in_target_fraction;
-        let params = env.interference_params();
+        let law = env.sojourn_law();
         let mut sums = ObsSums::default();
         let mut spiking = 0u64;
         for (chain, in_target) in self.jitter.iter_mut().zip(&mut self.sum_in_target_qps) {
-            let jitter = chain.step(params);
+            let jitter = chain.step(law);
             if jitter == 1.0 {
                 *in_target += quiet_in_target;
                 sums.add(&quiet);

@@ -44,7 +44,9 @@
 //!    is the best BE throughput over the F2 levels whose power fits the
 //!    guarded budget with zero LS power. Cells are visited in descending
 //!    bound order, F1 ascending within a cell, and the search stops at the
-//!    first cell whose bound is below the incumbent. Envelope cells it
+//!    first cell whose bound is below the incumbent. The sorted order
+//!    depends only on the tables, the guarded budget and the `C1`/`L1`
+//!    limits, so the tables memoize it per budget. Envelope cells it
 //!    never reaches are never filled ([`SearchStats::pruned_candidates`]
 //!    counts the `(C1, F1, L1)` cells cut by the bound,
 //!    [`SearchStats::pruned_subspaces`] the `(C1, L1)` cells).
@@ -70,7 +72,6 @@ use crate::cache::{BracketKey, FrontierCache, QueryMeter};
 use crate::predictor::PerfPowerPredictor;
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use rayon::prelude::*;
-use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sturgeon_simnode::{Allocation, NodeSpec, PairConfig};
@@ -668,49 +669,6 @@ impl<'p> ConfigSearch<'p> {
         self.finish(meter, best, candidates, PruneTally::default())
     }
 
-    /// Every `(C1, L1)` cell that can hold a candidate, with its
-    /// admissible bound: the best BE throughput over the F2 levels whose
-    /// power fits the guarded budget with zero LS power. Sorted by
-    /// descending bound, ties in `(C1, L1)` order. Also returns how many
-    /// cells have no such F2 at all.
-    fn bounded_cells(&self, tables: &ModelTables) -> (Vec<(f64, u32, u32)>, u64) {
-        let budget = self.guarded_budget();
-        let mut cells = Vec::with_capacity((self.max_c1() * self.max_l1()) as usize);
-        let mut hopeless = 0u64;
-        let mut bounds: Vec<f64> = Vec::new();
-        for c1 in 1..=self.max_c1() {
-            let c2 = self.spec.total_cores - c1;
-            // Fold the throughput rows of every F2 that fits, `(static + 0)
-            // + be`: LS power is never negative. Indexed by `L2 - 1`.
-            bounds.clear();
-            for f2 in 0..=self.spec.max_freq_level() {
-                if tables.static_power_w() + tables.be_power_w(c2, f2) > budget {
-                    continue;
-                }
-                let row = tables.be_throughput_row(c2, f2);
-                if bounds.is_empty() {
-                    bounds.extend_from_slice(row);
-                } else {
-                    for (b, &t) in bounds.iter_mut().zip(row) {
-                        *b = b.max(t);
-                    }
-                }
-            }
-            if bounds.is_empty() {
-                hopeless += u64::from(self.max_l1());
-                continue;
-            }
-            for l1 in 1..=self.max_l1() {
-                // `+ 0.0` turns a clamped -0.0 into 0.0, so the bits of
-                // these non-negative bounds sort like their values.
-                let bound = bounds[(self.spec.total_llc_ways - l1 - 1) as usize] + 0.0;
-                cells.push((bound, c1, l1));
-            }
-        }
-        cells.sort_unstable_by_key(|&(bound, c1, l1)| (Reverse(bound.to_bits()), c1, l1));
-        (cells, hopeless)
-    }
-
     /// The latticed, frontier-pruned engine: a best-first search over the
     /// lazy slab envelope, bit-identical to
     /// [`exhaustive_latticed`](Self::exhaustive_latticed) at every load
@@ -744,10 +702,11 @@ impl<'p> ConfigSearch<'p> {
         let tables = self.predictor.model_tables(&self.spec);
         let env = self.envelope(&slabs, bracket);
         let levels = self.spec.freq_level_count() as u64;
-        let (cells, hopeless) = self.bounded_cells(&tables);
+        let order = tables.cell_order(self.guarded_budget(), self.max_c1(), self.max_l1());
+        let cells = &order.cells;
         let mut tally = PruneTally {
-            cells: hopeless * levels,
-            slices: hopeless,
+            cells: order.hopeless * levels,
+            slices: order.hopeless,
             ..PruneTally::default()
         };
         let mut best: Option<(PairConfig, f64)> = None;
@@ -828,6 +787,7 @@ mod tests {
     use super::*;
     use crate::predictor::{PerfPowerPredictor, PredictorConfig};
     use crate::profiler::{Profiler, ProfilerConfig};
+    use std::cmp::Reverse;
     use sturgeon_simnode::{NodeSpec, PowerModel};
     use sturgeon_workloads::catalog::{be_app, ls_service, BeAppId, LsServiceId};
     use sturgeon_workloads::env::CoLocationEnv;
@@ -1288,6 +1248,130 @@ mod tests {
                 assert_eq!(got, serial_b, "heuristic stats leaked");
             }
         });
+    }
+
+    /// The cell order as the pruned engine computed it on every bracket
+    /// memo miss before [`ModelTables`] memoized it.
+    fn reference_cell_order(
+        tables: &ModelTables,
+        spec: &NodeSpec,
+        budget: f64,
+        max_c1: u32,
+        max_l1: u32,
+    ) -> (Vec<(u64, u32, u32)>, u64) {
+        let mut cells = Vec::new();
+        let mut hopeless = 0u64;
+        for c1 in 1..=max_c1 {
+            let c2 = spec.total_cores - c1;
+            let mut bounds: Vec<f64> = Vec::new();
+            for f2 in 0..=spec.max_freq_level() {
+                if tables.static_power_w() + tables.be_power_w(c2, f2) > budget {
+                    continue;
+                }
+                let row = tables.be_throughput_row(c2, f2);
+                if bounds.is_empty() {
+                    bounds.extend_from_slice(row);
+                } else {
+                    for (b, &t) in bounds.iter_mut().zip(row) {
+                        *b = b.max(t);
+                    }
+                }
+            }
+            if bounds.is_empty() {
+                hopeless += u64::from(max_l1);
+                continue;
+            }
+            for l1 in 1..=max_l1 {
+                let bound = bounds[(spec.total_llc_ways - l1 - 1) as usize] + 0.0;
+                cells.push((bound, c1, l1));
+            }
+        }
+        cells.sort_by_key(|&(bound, c1, l1)| (Reverse(bound.to_bits()), c1, l1));
+        (bound_bits(&cells), hopeless)
+    }
+
+    fn bound_bits(cells: &[(f64, u32, u32)]) -> Vec<(u64, u32, u32)> {
+        cells
+            .iter()
+            .map(|&(b, c1, l1)| (b.to_bits(), c1, l1))
+            .collect()
+    }
+
+    #[test]
+    fn memoized_cell_order_equals_a_fresh_computation() {
+        let (env, mut p) = setup();
+        let spec = env.spec().clone();
+        let params = SearchParams::default();
+        let guard = 1.0 - params.power_guard;
+        let default_limits = (
+            spec.total_cores - params.min_be_cores,
+            spec.total_llc_ways - params.min_be_ways,
+        );
+        let limits = [default_limits, (12, 15), (spec.total_cores - 1, 1)];
+        // Guarded budgets from 0.6 to 1.0 of the node budget, plus one
+        // below static power, where no cell has an affordable F2.
+        let mut budgets: Vec<f64> = [0.6, 0.7, 0.8, 0.9, 0.95, 1.0]
+            .iter()
+            .map(|f| f * env.budget_w() * guard)
+            .collect();
+        let hopeless_budget = 0.5 * env.static_power_w();
+        budgets.push(hopeless_budget);
+        let check = |tables: &ModelTables| {
+            let mut orders = Vec::new();
+            for &(max_c1, max_l1) in &limits {
+                for &budget in &budgets {
+                    let first = tables.cell_order(budget, max_c1, max_l1);
+                    let (cells, hopeless) =
+                        reference_cell_order(tables, &spec, budget, max_c1, max_l1);
+                    assert_eq!(
+                        bound_bits(&first.cells),
+                        cells,
+                        "budget {budget}, limits {max_c1}/{max_l1}"
+                    );
+                    assert_eq!(first.hopeless, hopeless);
+                    if budget == hopeless_budget {
+                        assert!(cells.is_empty());
+                        assert_eq!(hopeless, u64::from(max_c1 * max_l1));
+                    }
+                    // The second read is the memo's entry.
+                    assert!(Arc::ptr_eq(
+                        &first,
+                        &tables.cell_order(budget, max_c1, max_l1)
+                    ));
+                    orders.push((cells, hopeless));
+                }
+            }
+            orders
+        };
+        let tables = p.model_tables(&spec);
+        let before = check(&tables);
+        // Default limits at the full guarded budget: some cell is affordable.
+        assert!(before[5].1 < u64::from(default_limits.0 * default_limits.1));
+        // Churning budgets wipe the bounded memo; orders stay exact.
+        for i in 0..100 {
+            let budget = env.budget_w() * (0.5 + 0.005 * f64::from(i));
+            let order = tables.cell_order(budget, default_limits.0, default_limits.1);
+            let (cells, _) =
+                reference_cell_order(&tables, &spec, budget, default_limits.0, default_limits.1);
+            assert_eq!(bound_bits(&order.cells), cells);
+        }
+        assert_eq!(check(&tables), before);
+        // A retrain gets new tables, whose orders come from the new models.
+        let d = Profiler::new(
+            &env,
+            ProfilerConfig {
+                ls_samples_per_load: 120,
+                ls_load_fractions: vec![0.15, 0.3, 0.5, 0.8],
+                be_samples: 300,
+                seed: 11,
+            },
+        )
+        .collect()
+        .unwrap();
+        p.retrain(&d).unwrap();
+        let retrained = p.model_tables(&spec);
+        assert!(!Arc::ptr_eq(&tables, &retrained));
+        assert_ne!(check(&retrained), before, "the retrain changed no order");
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! the prediction memo cache.
 
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,12 +43,35 @@ fn same_lattice(cores: u32, ways: u32, freqs_ghz: &[f64], spec: &NodeSpec) -> bo
             .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// The `(C1, L1)` cells a pruned search visits, in the order it visits
+/// them, for one guarded budget and one pair of `C1`/`L1` limits.
+#[derive(Debug)]
+pub(crate) struct CellOrder {
+    /// `(bound, C1, L1)` for every cell that some F2 level makes
+    /// affordable with zero LS power; the bound is the best BE throughput
+    /// over those levels. Sorted by descending bound, ties in `(C1, L1)`
+    /// order.
+    pub(crate) cells: Vec<(f64, u32, u32)>,
+    /// Cells with no affordable F2 level at all.
+    pub(crate) hopeless: u64,
+}
+
+/// Memo key of a [`CellOrder`]: guarded-budget bits, `C1` and `L1` limits.
+type CellOrderKey = (u64, u32, u32);
+
+/// Bound on memoized cell orders. A fleet's shards share a few budgets;
+/// hitting it means the budget churns every interval, so the map is wiped
+/// rather than grown.
+const CELL_ORDER_CAP: usize = 64;
+
 /// Flattened QPS-independent model lattices plus pruning bounds.
 ///
 /// Built by [`crate::predictor::PerfPowerPredictor::model_tables`]; the
 /// search layer only reads it (through an `Arc`, shared across rayon
-/// workers without locking).
-#[derive(Debug, Clone)]
+/// workers). The lattices are immutable; the only lock guards the
+/// pruned search's memo of cell orders, which a retrain drops with the
+/// tables.
+#[derive(Debug)]
 pub struct ModelTables {
     generation: u64,
     total_cores: u32,
@@ -64,6 +88,8 @@ pub struct ModelTables {
     /// a slice's own maximum need not be monotone in cores, so early-stop
     /// rules over "all remaining (smaller-C2) slices" must use this.
     slice_max_prefix: Vec<f64>,
+    /// Memoized [`CellOrder`]s (see [`cell_order`](Self::cell_order)).
+    cell_orders: Mutex<HashMap<CellOrderKey, Arc<CellOrder>>>,
 }
 
 impl ModelTables {
@@ -109,6 +135,7 @@ impl ModelTables {
             be_tput,
             be_power,
             slice_max_prefix,
+            cell_orders: Mutex::default(),
         }
     }
 
@@ -169,6 +196,66 @@ impl ModelTables {
     #[inline]
     pub fn slice_max_tput_upto(&self, cores: u32) -> f64 {
         self.slice_max_prefix[(cores - 1) as usize]
+    }
+
+    /// The pruned search's [`CellOrder`] under `guarded_budget_w` with LS
+    /// cores in `1..=max_c1` and LS ways in `1..=max_l1`. It depends on
+    /// nothing else these tables do not hold, so it is computed once per
+    /// key and shared; threads racing on a new key compute equal orders.
+    pub(crate) fn cell_order(
+        &self,
+        guarded_budget_w: f64,
+        max_c1: u32,
+        max_l1: u32,
+    ) -> Arc<CellOrder> {
+        let key = (guarded_budget_w.to_bits(), max_c1, max_l1);
+        if let Some(order) = self.cell_orders.lock().get(&key) {
+            return Arc::clone(order);
+        }
+        let order = Arc::new(self.sorted_cells(guarded_budget_w, max_c1, max_l1));
+        let mut orders = self.cell_orders.lock();
+        if orders.len() >= CELL_ORDER_CAP {
+            orders.clear();
+        }
+        orders.insert(key, Arc::clone(&order));
+        order
+    }
+
+    fn sorted_cells(&self, guarded_budget_w: f64, max_c1: u32, max_l1: u32) -> CellOrder {
+        let mut cells = Vec::with_capacity((max_c1 * max_l1) as usize);
+        let mut hopeless = 0u64;
+        let mut bounds: Vec<f64> = Vec::new();
+        for c1 in 1..=max_c1 {
+            let c2 = self.total_cores - c1;
+            // Fold the throughput rows of every F2 that fits, `(static + 0)
+            // + be`: LS power is never negative. Indexed by `L2 - 1`.
+            bounds.clear();
+            for f2 in 0..self.n_levels {
+                if self.static_power_w + self.be_power_w(c2, f2) > guarded_budget_w {
+                    continue;
+                }
+                let row = self.be_throughput_row(c2, f2);
+                if bounds.is_empty() {
+                    bounds.extend_from_slice(row);
+                } else {
+                    for (b, &t) in bounds.iter_mut().zip(row) {
+                        *b = b.max(t);
+                    }
+                }
+            }
+            if bounds.is_empty() {
+                hopeless += u64::from(max_l1);
+                continue;
+            }
+            for l1 in 1..=max_l1 {
+                // `+ 0.0` turns a clamped -0.0 into 0.0, so the bits of
+                // these non-negative bounds sort like their values.
+                let bound = bounds[(self.total_ways - l1 - 1) as usize] + 0.0;
+                cells.push((bound, c1, l1));
+            }
+        }
+        cells.sort_unstable_by_key(|&(bound, c1, l1)| (Reverse(bound.to_bits()), c1, l1));
+        CellOrder { cells, hopeless }
     }
 }
 

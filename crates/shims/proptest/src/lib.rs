@@ -232,7 +232,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
@@ -360,7 +360,6 @@ macro_rules! __proptest_impl {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::Strategy as _;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

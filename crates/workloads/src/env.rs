@@ -8,7 +8,7 @@
 //! predictor trains on *profiled samples* of it, never on its equations.
 
 use crate::be::BeAppModel;
-use crate::interference::{InterferenceModel, InterferenceParams};
+use crate::interference::{InterferenceModel, InterferenceParams, SojournLaw};
 use crate::ls::{LsLatency, LsServiceModel};
 use sturgeon_simnode::power::{PartitionLoad, PowerModel};
 use sturgeon_simnode::{NodeSpec, PairConfig};
@@ -46,6 +46,10 @@ pub struct Observation {
 pub struct StepInvariants {
     /// Ground-truth package power (W) — interference-free by definition.
     pub power_w: f64,
+    /// The LS allocation's pre-interference mean service time (ms),
+    /// `S_base · (f_max / f)^γ · cache_inflation(w)`: a node with a jitter
+    /// spike scales it by its own multiplier instead of recomputing it.
+    pub ls_service_ms: f64,
     /// BE throughput normalized to its whole-node solo run.
     pub be_throughput_norm: f64,
     /// BE IPC proxy.
@@ -102,18 +106,13 @@ impl CoLocationEnv {
     /// load and maximum frequency — the budget definition.
     fn ls_solo_peak_power(spec: &NodeSpec, power: &PowerModel, ls: &LsServiceModel) -> f64 {
         let f = spec.max_freq_ghz();
-        let lat = ls.latency(
-            spec.total_cores,
-            f,
-            spec.total_llc_ways,
-            ls.params.peak_qps,
-            1.0,
-        );
+        let service_ms = ls.base_service_ms(f, spec.total_llc_ways);
+        let rho = ls.utilization_at(spec.total_cores, service_ms, ls.params.peak_qps);
         let load = PartitionLoad {
             cores: spec.total_cores,
             freq_ghz: f,
             activity: ls.params.activity,
-            utilization: ls.power_utilization(lat.utilization),
+            utilization: ls.power_utilization(rho),
         };
         power.node_power_w(&[load])
     }
@@ -139,10 +138,10 @@ impl CoLocationEnv {
         &self.be
     }
 
-    /// The interference process's parameters: a homogeneous shard steps
-    /// each node's [`crate::interference::JitterChain`] under these.
-    pub fn interference_params(&self) -> &InterferenceParams {
-        self.interference.params()
+    /// The interference process's sojourn law: a homogeneous shard steps
+    /// each node's [`crate::interference::JitterChain`] under it.
+    pub fn sojourn_law(&self) -> &SojournLaw {
+        self.interference.law()
     }
 
     /// The ground-truth power model.
@@ -157,12 +156,20 @@ impl CoLocationEnv {
 
     /// LS partition power (W) at a configuration and load, interference-free.
     pub fn ls_partition_power(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
-        let lat = self.ls.latency(cores, freq_ghz, ways, qps, 1.0);
+        let service_ms = self.ls.base_service_ms(freq_ghz, ways);
+        self.ls_power_at(cores, freq_ghz, service_ms, qps)
+    }
+
+    /// [`ls_partition_power`](Self::ls_partition_power) given the
+    /// allocation's pre-interference service time: power reads only the
+    /// utilization, which needs no Erlang-C evaluation.
+    fn ls_power_at(&self, cores: u32, freq_ghz: f64, service_ms: f64, qps: f64) -> f64 {
+        let rho = self.ls.utilization_at(cores, service_ms, qps);
         self.power.partition_power_w(&PartitionLoad {
             cores,
             freq_ghz,
             activity: self.ls.params.activity,
-            utilization: self.ls.power_utilization(lat.utilization),
+            utilization: self.ls.power_utilization(rho),
         })
     }
 
@@ -184,13 +191,17 @@ impl CoLocationEnv {
 
     /// Ground-truth total power at a configuration and load (W).
     pub fn total_power(&self, config: &PairConfig, qps: f64) -> f64 {
+        let ls_f = config.ls.freq_ghz(&self.spec);
+        let service_ms = self.ls.base_service_ms(ls_f, config.ls.llc_ways);
+        self.total_power_at(config, service_ms, qps)
+    }
+
+    /// [`total_power`](Self::total_power) given the LS allocation's
+    /// pre-interference service time.
+    fn total_power_at(&self, config: &PairConfig, ls_service_ms: f64, qps: f64) -> f64 {
+        let ls_f = config.ls.freq_ghz(&self.spec);
         self.static_power_w()
-            + self.ls_partition_power(
-                config.ls.cores,
-                config.ls.freq_ghz(&self.spec),
-                config.ls.llc_ways,
-                qps,
-            )
+            + self.ls_power_at(config.ls.cores, ls_f, ls_service_ms, qps)
             + self.be_partition_power(config.be.cores, config.be.freq_ghz(&self.spec))
     }
 
@@ -216,8 +227,12 @@ impl CoLocationEnv {
         let additive_ms = self
             .interference
             .additive_ms(be_traffic, ls_ways_fraction, sensitivity);
+        let ls_service_ms = self
+            .ls
+            .base_service_ms(config.ls.freq_ghz(&self.spec), config.ls.llc_ways);
         StepInvariants {
-            power_w: self.total_power(config, qps),
+            power_w: self.total_power_at(config, ls_service_ms, qps),
+            ls_service_ms,
             be_throughput_norm: self.be.normalized_throughput(
                 config.be.cores,
                 be_f,
@@ -226,10 +241,9 @@ impl CoLocationEnv {
             be_ipc: self.be.ipc(config.be.cores, be_f, config.be.llc_ways),
             bw_multiplier,
             additive_ms,
-            quiet: self.ls.latency_disturbed(
+            quiet: self.ls.latency_at(
                 config.ls.cores,
-                config.ls.freq_ghz(&self.spec),
-                config.ls.llc_ways,
+                ls_service_ms,
                 qps,
                 bw_multiplier,
                 additive_ms,
@@ -256,10 +270,10 @@ impl CoLocationEnv {
 
     /// The observation of an interval ending at `t_s` on a node whose
     /// OS jitter is `jitter`. Only a node whose jitter is not 1.0
-    /// evaluates its own latency; a quiet one replays
-    /// `invariants.quiet`. Reads nothing that differs between nodes, so
-    /// one model serves every node of a homogeneous shard, each with its
-    /// own jitter process.
+    /// evaluates its own latency, from the stored service time scaled by
+    /// its multiplier; a quiet one replays `invariants.quiet`. Reads
+    /// nothing that differs between nodes, so one model serves every node
+    /// of a homogeneous shard, each with its own jitter process.
     pub fn observe(
         &self,
         t_s: f64,
@@ -274,10 +288,9 @@ impl CoLocationEnv {
         let lat = if jitter == 1.0 {
             invariants.quiet
         } else {
-            self.ls.latency_disturbed(
+            self.ls.latency_at(
                 config.ls.cores,
-                config.ls.freq_ghz(&self.spec),
-                config.ls.llc_ways,
+                invariants.ls_service_ms,
                 qps,
                 multiplier,
                 invariants.additive_ms,
@@ -302,16 +315,17 @@ impl CoLocationEnv {
     pub fn profile(&self, config: &PairConfig, qps: f64) -> Observation {
         let ls_f = config.ls.freq_ghz(&self.spec);
         let be_f = config.be.freq_ghz(&self.spec);
+        let service_ms = self.ls.base_service_ms(ls_f, config.ls.llc_ways);
         let lat = self
             .ls
-            .latency(config.ls.cores, ls_f, config.ls.llc_ways, qps, 1.0);
+            .latency_at(config.ls.cores, service_ms, qps, 1.0, 0.0);
         Observation {
             t_s: self.t_s,
             qps,
             p95_ms: lat.p95_ms,
             in_target_fraction: lat.in_target_fraction,
             ls_utilization: lat.utilization,
-            power_w: self.total_power(config, qps),
+            power_w: self.total_power_at(config, service_ms, qps),
             be_throughput_norm: self.be.normalized_throughput(
                 config.be.cores,
                 be_f,
@@ -496,7 +510,7 @@ mod tests {
             p95_ms: lat.p95_ms,
             in_target_fraction: lat.in_target_fraction,
             ls_utilization: lat.utilization,
-            power_w: e.total_power(config, qps),
+            power_w: reference_total_power(e, config, qps),
             be_throughput_norm: e.be().normalized_throughput(
                 config.be.cores,
                 be_f,
@@ -505,6 +519,33 @@ mod tests {
             be_ipc: e.be().ipc(config.be.cores, be_f, config.be.llc_ways),
             interference: d.multiplier,
         }
+    }
+
+    /// Total power the way `total_power` computed it before the
+    /// utilization-only helper: the LS utilization read off a full
+    /// latency evaluation.
+    fn reference_total_power(e: &CoLocationEnv, config: &PairConfig, qps: f64) -> f64 {
+        let ls_f = config.ls.freq_ghz(e.spec());
+        let lat = e
+            .ls()
+            .latency(config.ls.cores, ls_f, config.ls.llc_ways, qps, 1.0);
+        let ls_w = e.power_model().partition_power_w(&PartitionLoad {
+            cores: config.ls.cores,
+            freq_ghz: ls_f,
+            activity: e.ls().params.activity,
+            utilization: e.ls().power_utilization(lat.utilization),
+        });
+        e.static_power_w()
+            + ls_w
+            + e.be_partition_power(config.be.cores, config.be.freq_ghz(e.spec()))
+    }
+
+    fn latency_bits(l: &LsLatency) -> [u64; 3] {
+        [
+            l.p95_ms.to_bits(),
+            l.in_target_fraction.to_bits(),
+            l.utilization.to_bits(),
+        ]
     }
 
     fn obs_bits(o: &Observation) -> [u64; 9] {
@@ -567,6 +608,31 @@ mod tests {
                 // Up to 1.5× peak, so small LS partitions saturate often.
                 let qps = rng.gen_range(0.0..1.5) * peak;
                 let invariants = e.step_invariants(&config, qps);
+                // Power from the stored service time equals both the
+                // public path and the full-latency reference.
+                let power = reference_total_power(&e, &config, qps).to_bits();
+                prop_assert_eq!(invariants.power_w.to_bits(), power);
+                prop_assert_eq!(e.total_power(&config, qps).to_bits(), power);
+                // Any node's latency, quiet or spiking, scales the stored
+                // service time by its own multiplier exactly as a full
+                // evaluation at that multiplier does.
+                for jitter in [1.0, rng.gen_range(1.1..1.5)] {
+                    let seen = e.observe(f64::from(t), &config, qps, &invariants, jitter);
+                    let want = e.ls().latency_disturbed(
+                        config.ls.cores,
+                        config.ls.freq_ghz(e.spec()),
+                        config.ls.llc_ways,
+                        qps,
+                        invariants.bw_multiplier * jitter,
+                        invariants.additive_ms,
+                    );
+                    let seen = LsLatency {
+                        p95_ms: seen.p95_ms,
+                        in_target_fraction: seen.in_target_fraction,
+                        utilization: seen.ls_utilization,
+                    };
+                    prop_assert_eq!(latency_bits(&seen), latency_bits(&want), "jitter {}", jitter);
+                }
                 let got = e.step_with(&config, qps, &invariants);
                 let want = reference_step(&e, &mut twin, f64::from(t), &config, qps);
                 prop_assert_eq!(obs_bits(&got), obs_bits(&want), "interval {}", t);

@@ -92,8 +92,9 @@ impl Disturbance {
     }
 }
 
-/// One node's OS-jitter process: a two-state Markov chain sampled by
-/// sojourns, so the RNG is drawn only when a sojourn ends.
+/// The sojourn laws of the OS-jitter process, derived once from
+/// [`InterferenceParams`] so that a chain's draw pays no logarithm of a
+/// constant.
 ///
 /// Quiet and spike sojourns alternate. A quiet sojourn lasts
 /// Geometric0(p) intervals (possibly none), p = `spike_probability`. A
@@ -102,9 +103,70 @@ impl Disturbance {
 /// that starts it plus the intervals up to and including the one whose
 /// end draw succeeds. In distribution this is the chain that draws a
 /// start (quiet) or end (spike) Bernoulli every interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SojournLaw {
+    quiet: Geometric0,
+    spike_end: Geometric0,
+    magnitude: (f64, f64),
+}
+
+impl SojournLaw {
+    /// The law of the process `params` describes.
+    pub(crate) fn new(params: &InterferenceParams) -> Self {
+        Self {
+            quiet: Geometric0::new(params.spike_probability),
+            spike_end: Geometric0::new(params.spike_end_probability),
+            magnitude: params.spike_magnitude,
+        }
+    }
+}
+
+/// Failures before the first success of a Bernoulli(`p`) sequence, by
+/// inversion: `floor(ln U / ln(1 - p))` with U uniform on (0, 1].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Geometric0 {
+    /// `p <= 0` or NaN: the sojourn saturates at `u32::MAX` (a chain with
+    /// p = 0 stays quiet for 2³² − 1 intervals, 136 years of 1 s
+    /// intervals). Draws nothing.
+    Never,
+    /// `p >= 1`: every sojourn is 0. Draws nothing.
+    Certain,
+    /// `0 < p < 1`, holding `ln(1 - p)` as `ln_1p(-p)`.
+    Inversion(f64),
+}
+
+impl Geometric0 {
+    fn new(p: f64) -> Self {
+        if p.is_nan() || p <= 0.0 {
+            Self::Never
+        } else if p >= 1.0 {
+            Self::Certain
+        } else {
+            Self::Inversion((-p).ln_1p())
+        }
+    }
+
+    #[inline]
+    fn sample(self, rng: &mut StdRng) -> u32 {
+        match self {
+            Self::Never => u32::MAX,
+            Self::Certain => 0,
+            Self::Inversion(ln_q) => {
+                let u = 1.0 - rng.gen::<f64>();
+                // A float-to-int `as` saturates, which caps sojourns of
+                // tiny `p`.
+                (u.ln() / ln_q).floor() as u32
+            }
+        }
+    }
+}
+
+/// One node's OS-jitter process: a two-state Markov chain sampled by
+/// sojourns under a [`SojournLaw`], so the RNG is drawn only when a
+/// sojourn ends.
 ///
-/// The chain holds no parameters, so a fleet keeps one
-/// [`InterferenceParams`] and a 48-byte chain per node.
+/// The chain holds no parameters, so a fleet keeps one [`SojournLaw`]
+/// and a 48-byte chain per node.
 #[derive(Debug, Clone)]
 pub struct JitterChain {
     rng: StdRng,
@@ -128,12 +190,12 @@ impl JitterChain {
         }
     }
 
-    /// Advances one interval under `params` and returns its
-    /// multiplicative latency factor (1.0 when quiet).
+    /// Advances one interval under `law` and returns its multiplicative
+    /// latency factor (1.0 when quiet).
     #[inline]
-    pub fn step(&mut self, params: &InterferenceParams) -> f64 {
+    pub fn step(&mut self, law: &SojournLaw) -> f64 {
         if self.remaining == 0 {
-            self.next_sojourn(params);
+            self.next_sojourn(law);
         }
         self.remaining -= 1;
         self.level
@@ -143,47 +205,31 @@ impl JitterChain {
     /// `remaining` at 0.
     #[cold]
     #[inline(never)]
-    fn next_sojourn(&mut self, params: &InterferenceParams) {
+    fn next_sojourn(&mut self, law: &SojournLaw) {
         if self.spiking {
             self.spiking = false;
             self.level = 1.0;
-            self.remaining = geometric0(&mut self.rng, params.spike_probability);
+            self.remaining = law.quiet.sample(&mut self.rng);
             if self.remaining > 0 {
                 return;
             }
         }
-        let (lo, hi) = params.spike_magnitude;
+        let (lo, hi) = law.magnitude;
         self.level = if hi > lo {
             self.rng.gen_range(lo..hi)
         } else {
             lo
         };
-        self.remaining = geometric0(&mut self.rng, params.spike_end_probability).saturating_add(2);
+        self.remaining = law.spike_end.sample(&mut self.rng).saturating_add(2);
         self.spiking = true;
     }
-}
-
-/// Failures before the first success of a Bernoulli(`p`) sequence, by
-/// inversion: `floor(ln U / ln(1 - p))` with U uniform on (0, 1].
-/// Saturates at `u32::MAX`, which is also what `p <= 0` (or NaN)
-/// returns: a chain with p = 0 stays quiet for 2³² − 1 intervals, 136
-/// years of 1 s intervals.
-fn geometric0(rng: &mut StdRng, p: f64) -> u32 {
-    if p.is_nan() || p <= 0.0 {
-        return u32::MAX;
-    }
-    if p >= 1.0 {
-        return 0;
-    }
-    let u = 1.0 - rng.gen::<f64>();
-    // A float-to-int `as` saturates, which caps sojourns of tiny `p`.
-    (u.ln() / (-p).ln_1p()).floor() as u32
 }
 
 /// Stateful interference process; one per co-location run.
 #[derive(Debug, Clone)]
 pub struct InterferenceModel {
     params: InterferenceParams,
+    law: SojournLaw,
     jitter: JitterChain,
 }
 
@@ -192,6 +238,7 @@ impl InterferenceModel {
     pub fn new(params: InterferenceParams, seed: u64) -> Self {
         Self {
             params,
+            law: SojournLaw::new(&params),
             jitter: JitterChain::new(seed),
         }
     }
@@ -199,6 +246,11 @@ impl InterferenceModel {
     /// Parameters in force.
     pub fn params(&self) -> &InterferenceParams {
         &self.params
+    }
+
+    /// The OS-jitter sojourn law of the parameters in force.
+    pub(crate) fn law(&self) -> &SojournLaw {
+        &self.law
     }
 
     /// Deterministic component: LS service-time multiplier ≥ 1 induced by
@@ -222,7 +274,7 @@ impl InterferenceModel {
     /// Advances the OS-jitter process one interval and returns its
     /// multiplicative latency factor (1.0 when quiet).
     pub fn step_jitter(&mut self) -> f64 {
-        self.jitter.step(&self.params)
+        self.jitter.step(&self.law)
     }
 
     /// Deterministic additive tail-latency term (ms) from memory-system
@@ -507,6 +559,117 @@ mod tests {
         assert_eq!(ChainStats::histogram(&new.spike_runs, &SPIKE_EDGES)[0], 0.0);
     }
 
+    /// Geometric0(`p`) by inversion with `ln(1 - p)` taken on every draw,
+    /// as the sampler computed it before [`SojournLaw`] held the constant.
+    fn reference_geometric0(rng: &mut StdRng, p: f64) -> u32 {
+        if p.is_nan() || p <= 0.0 {
+            return u32::MAX;
+        }
+        if p >= 1.0 {
+            return 0;
+        }
+        let u = 1.0 - rng.gen::<f64>();
+        (u.ln() / (-p).ln_1p()).floor() as u32
+    }
+
+    /// The sojourn chain stepped straight from [`InterferenceParams`],
+    /// one `reference_geometric0` per sojourn.
+    struct PerDrawChain {
+        params: InterferenceParams,
+        rng: StdRng,
+        level: f64,
+        remaining: u32,
+        spiking: bool,
+    }
+
+    impl PerDrawChain {
+        fn new(params: InterferenceParams, seed: u64) -> Self {
+            Self {
+                params,
+                rng: StdRng::seed_from_u64(seed),
+                level: 1.0,
+                remaining: 0,
+                spiking: true,
+            }
+        }
+
+        fn step(&mut self) -> f64 {
+            if self.remaining == 0 {
+                if self.spiking {
+                    self.spiking = false;
+                    self.level = 1.0;
+                    self.remaining =
+                        reference_geometric0(&mut self.rng, self.params.spike_probability);
+                }
+                if self.remaining == 0 {
+                    let (lo, hi) = self.params.spike_magnitude;
+                    self.level = if hi > lo {
+                        self.rng.gen_range(lo..hi)
+                    } else {
+                        lo
+                    };
+                    self.remaining =
+                        reference_geometric0(&mut self.rng, self.params.spike_end_probability)
+                            .saturating_add(2);
+                    self.spiking = true;
+                }
+            }
+            self.remaining -= 1;
+            self.level
+        }
+    }
+
+    /// Steps `seeds` law-driven chains and their per-draw references for
+    /// `horizon` intervals each; returns the spike intervals seen.
+    fn assert_law_matches_reference(params: InterferenceParams, seeds: u64, horizon: usize) -> u64 {
+        let law = SojournLaw::new(&params);
+        let mut spikes = 0u64;
+        for seed in 0..seeds {
+            let mut chain = JitterChain::new(seed);
+            let mut reference = PerDrawChain::new(params, seed);
+            for t in 0..horizon {
+                let (got, want) = (chain.step(&law), reference.step());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{params:?}: seed {seed}, interval {t}"
+                );
+                spikes += u64::from(got != 1.0);
+            }
+        }
+        spikes
+    }
+
+    #[test]
+    fn law_stepped_chains_equal_the_per_draw_reference() {
+        let default = InterferenceParams::default();
+        let spikes = assert_law_matches_reference(default, 1_000, 10_000);
+        // About 3/52 of 10⁷ intervals spike.
+        assert!(
+            (500_000..650_000).contains(&spikes),
+            "{spikes} spike intervals"
+        );
+        // Degenerate probabilities keep their branches: p = 0 and NaN
+        // never end a sojourn, p = 1 ends every one at once; a tiny p
+        // saturates the inversion.
+        for p in [0.0, 1.0, f64::NAN, 1e-12] {
+            for params in [
+                InterferenceParams {
+                    spike_probability: p,
+                    ..default
+                },
+                InterferenceParams {
+                    spike_probability: 0.3,
+                    spike_end_probability: p,
+                    ..default
+                },
+            ] {
+                assert_law_matches_reference(params, 50, 10_000);
+            }
+        }
+        assert_law_matches_reference(InterferenceParams::none(), 50, 10_000);
+    }
+
     #[test]
     fn step_jitter_expands_its_sojourns() {
         let params = InterferenceParams {
@@ -522,11 +685,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut want = Vec::with_capacity(horizon + 64);
             while want.len() < horizon {
-                let quiet = geometric0(&mut rng, params.spike_probability);
+                let quiet = reference_geometric0(&mut rng, params.spike_probability);
                 want.extend(std::iter::repeat_n(1.0, quiet as usize));
                 let (lo, hi) = params.spike_magnitude;
                 let mag = rng.gen_range(lo..hi);
-                let spike = 2 + geometric0(&mut rng, params.spike_end_probability);
+                let spike = 2 + reference_geometric0(&mut rng, params.spike_end_probability);
                 want.extend(std::iter::repeat_n(mag, spike as usize));
             }
             want.truncate(horizon);

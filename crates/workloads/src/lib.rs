@@ -41,7 +41,7 @@ pub mod queueing;
 pub use be::{BeAppModel, BeAppParams};
 pub use catalog::{be_apps, ls_services, BeAppId, LsServiceId};
 pub use env::{CoLocationEnv, Observation};
-pub use interference::{InterferenceModel, InterferenceParams, JitterChain};
+pub use interference::{InterferenceModel, InterferenceParams, JitterChain, SojournLaw};
 pub use loadgen::LoadProfile;
 pub use ls::{LsServiceModel, LsServiceParams};
 pub use multienv::{LsObservation, MultiColocationEnv, MultiConfig, MultiObservation};

@@ -9,8 +9,10 @@
 //!
 //! The p95 response time combines a heavy-tail service component
 //! (`tail_mult · S`, approximating a lognormal service distribution) with
-//! the analytic M/M/c p95 queueing delay. Near saturation the queueing
-//! term explodes — the latency cliff that makes "just enough" resource
+//! the analytic M/M/c p95 queueing delay. The first three factors of `S`
+//! depend only on the allocation, so callers that replay one
+//! configuration compute them once. Near saturation the queueing term
+//! explodes — the latency cliff that makes "just enough" resource
 //! allocations (paper §V-B) well defined.
 
 use crate::queueing::MmcQueue;
@@ -81,14 +83,42 @@ impl LsServiceModel {
         1.0 + self.params.cache_penalty * deficit.powf(1.5)
     }
 
-    /// Mean per-query service time (ms) under the allocation and an
-    /// interference multiplier (1.0 = no interference).
-    pub fn service_time_ms(&self, freq_ghz: f64, ways: u32, interference: f64) -> f64 {
+    /// Mean per-query service time (ms) under the allocation before any
+    /// interference: `S_base · (f_max / f)^γ · cache_inflation(w)`. It
+    /// depends only on the configuration, so a caller that evaluates one
+    /// configuration at several loads or multipliers computes it once and
+    /// passes it to [`latency_at`](Self::latency_at) and
+    /// [`utilization_at`](Self::utilization_at).
+    pub(crate) fn base_service_ms(&self, freq_ghz: f64, ways: u32) -> f64 {
         let f = freq_ghz.max(1e-3);
         self.params.base_service_ms
             * (self.max_freq_ghz / f).powf(self.params.freq_exponent)
             * self.cache_inflation(ways)
-            * interference.max(1.0)
+    }
+
+    /// Mean per-query service time (ms) under the allocation and an
+    /// interference multiplier (1.0 = no interference).
+    pub fn service_time_ms(&self, freq_ghz: f64, ways: u32, interference: f64) -> f64 {
+        self.base_service_ms(freq_ghz, ways) * interference.max(1.0)
+    }
+
+    /// The M/M/c queue of `cores` servers, each with mean service time
+    /// `s_ms`, offered `qps`.
+    fn queue(cores: u32, s_ms: f64, qps: f64) -> MmcQueue {
+        MmcQueue {
+            servers: cores.max(1),
+            arrival_rate: qps.max(0.0),
+            service_rate: 1000.0 / s_ms, // per-core service rate, queries/s
+        }
+    }
+
+    /// Interference-free core utilization at `qps` given the allocation's
+    /// [`base_service_ms`](Self::base_service_ms): the `utilization` field
+    /// of [`latency`](Self::latency) at multiplier 1.0, without its
+    /// Erlang-C evaluation.
+    pub(crate) fn utilization_at(&self, cores: u32, base_service_ms: f64, qps: f64) -> f64 {
+        // `s · 1.0` is exactly `s`: the same queue the latency model builds.
+        Self::queue(cores, base_service_ms, qps).utilization()
     }
 
     /// Evaluates p95 latency and QoS attainment at an operating point
@@ -117,14 +147,24 @@ impl LsServiceModel {
         interference: f64,
         additive_ms: f64,
     ) -> LsLatency {
+        let base_service_ms = self.base_service_ms(freq_ghz, ways);
+        self.latency_at(cores, base_service_ms, qps, interference, additive_ms)
+    }
+
+    /// [`latency_disturbed`](Self::latency_disturbed) given the
+    /// allocation's [`base_service_ms`](Self::base_service_ms), so a caller
+    /// holding it pays no `powf`.
+    pub(crate) fn latency_at(
+        &self,
+        cores: u32,
+        base_service_ms: f64,
+        qps: f64,
+        interference: f64,
+        additive_ms: f64,
+    ) -> LsLatency {
         let additive_ms = additive_ms.max(0.0);
-        let s_ms = self.service_time_ms(freq_ghz, ways, interference);
-        let mu = 1000.0 / s_ms; // per-core service rate, queries/s
-        let queue = MmcQueue {
-            servers: cores.max(1),
-            arrival_rate: qps.max(0.0),
-            service_rate: mu,
-        };
+        let s_ms = base_service_ms * interference.max(1.0);
+        let queue = Self::queue(cores, s_ms, qps);
         let rho = queue.utilization();
         let target = self.params.qos_target_ms;
         if queue.is_saturated() {
@@ -383,6 +423,33 @@ mod tests {
             prop_assert_eq!(got.p95_ms.to_bits(), want.p95_ms.to_bits());
             prop_assert_eq!(got.in_target_fraction.to_bits(), want.in_target_fraction.to_bits());
             prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
+        }
+
+        #[test]
+        fn stored_service_time_matches_the_one_expression_path(
+            service in 0usize..3,
+            cores in 1u32..21,
+            level in 0usize..10,
+            ways in 1u32..21,
+            qps_frac in 0.0f64..1.5,
+            interference in 1.0f64..1.6,
+        ) {
+            let m = &ls_services()[service];
+            let freq_ghz = 1.2 + 0.1 * level as f64;
+            // The service time as one expression, before the
+            // pre-interference factor was split off.
+            let want = m.params.base_service_ms
+                * (m.max_freq_ghz / freq_ghz.max(1e-3)).powf(m.params.freq_exponent)
+                * m.cache_inflation(ways)
+                * interference.max(1.0);
+            let got = m.service_time_ms(freq_ghz, ways, interference);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            let qps = qps_frac * m.params.peak_qps;
+            let base = m.base_service_ms(freq_ghz, ways);
+            prop_assert_eq!(
+                m.utilization_at(cores, base, qps).to_bits(),
+                m.latency(cores, freq_ghz, ways, qps, 1.0).utilization.to_bits()
+            );
         }
     }
 }

@@ -138,18 +138,13 @@ impl MultiColocationEnv {
         let f = spec.max_freq_ghz();
         let mut loads = Vec::with_capacity(ls.len());
         for m in ls {
-            let lat = m.latency(
-                share_cores.max(1),
-                f,
-                share_ways.max(1),
-                m.params.peak_qps,
-                1.0,
-            );
+            let service_ms = m.base_service_ms(f, share_ways.max(1));
+            let rho = m.utilization_at(share_cores.max(1), service_ms, m.params.peak_qps);
             loads.push(PartitionLoad {
                 cores: share_cores.max(1),
                 freq_ghz: f,
                 activity: m.params.activity,
-                utilization: m.power_utilization(lat.utilization.min(1.0)),
+                utilization: m.power_utilization(rho.min(1.0)),
             });
         }
         power.node_power_w(&loads)
@@ -184,12 +179,12 @@ impl MultiColocationEnv {
     pub fn ls_partition_power(&self, idx: usize, alloc: &Allocation, qps: f64) -> f64 {
         let m = &self.ls[idx];
         let f = alloc.freq_ghz(&self.spec);
-        let lat = m.latency(alloc.cores, f, alloc.llc_ways, qps, 1.0);
+        let rho = m.utilization_at(alloc.cores, m.base_service_ms(f, alloc.llc_ways), qps);
         self.power.partition_power_w(&PartitionLoad {
             cores: alloc.cores,
             freq_ghz: f,
             activity: m.params.activity,
-            utilization: m.power_utilization(lat.utilization),
+            utilization: m.power_utilization(rho),
         })
     }
 
