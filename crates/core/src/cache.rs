@@ -2,8 +2,8 @@
 //! families.
 //!
 //! The control plane's searches — the §V-B binary search, the O(N⁴)
-//! exhaustive oracle, the balancer's candidate probes and the
-//! multi-application sweep — all re-query the same small resource lattice:
+//! exhaustive oracle and the balancer's candidate probes — all re-query
+//! the same small resource lattice:
 //! `(cores, freq-step, ways)` spans only a few thousand points per
 //! partition, and within one control interval the load is a single value.
 //! Every query still pays `Box<dyn Regressor>` dispatch plus a full KNN /

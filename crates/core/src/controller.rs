@@ -9,7 +9,6 @@
 use crate::balancer::{BalancerParams, ResourceBalancer};
 use crate::cache::FrontierCache;
 use crate::obs::{SearchReason, TraceEvent};
-use crate::online::{OnlineAdaptor, OnlineSample};
 use crate::predictor::PerfPowerPredictor;
 use crate::search::{ConfigSearch, SearchParams, SearchStats, SearchStrategy};
 use std::sync::Arc;
@@ -137,18 +136,14 @@ pub struct SturgeonController {
     last_search_config: Option<PairConfig>,
     last_search_stats: Option<SearchStats>,
     /// Seed for the warm-started search: the raw best configuration of the
-    /// last *successful* search and the load it was found at. Fallback and
-    /// adaptor-hardened configs are never used as seeds.
+    /// last *successful* search and the load it was found at. Fallback
+    /// configs are never used as seeds.
     warm_hint: Option<(PairConfig, f64)>,
     /// Search results that violated QoS immediately after being applied
     /// at the current load: the model was wrong about them, so they are
     /// not trusted again until the load changes.
     rejected: Vec<PairConfig>,
     searches: u64,
-    /// Optional online-adaptation loop (extension; see `crate::online`):
-    /// live observations refit a latency model that vetoes search results
-    /// the offline models mispredict under this node's real interference.
-    adaptor: Option<OnlineAdaptor>,
     /// Bit-pattern signature of the previous observation's measured
     /// channels, used to detect frozen telemetry.
     last_obs_sig: Option<(u64, u64, u64)>,
@@ -214,7 +209,6 @@ impl SturgeonController {
             warm_hint: None,
             rejected: Vec::new(),
             searches: 0,
-            adaptor: None,
             last_obs_sig: None,
             stale_streak: 0,
             stale_intervals: 0,
@@ -287,14 +281,6 @@ impl SturgeonController {
     /// besides safe mode.
     pub fn balancer_exhausted(&self) -> bool {
         self.balancer.is_exhausted()
-    }
-
-    /// Enables online adaptation (the "Sturgeon-OA" variant): live
-    /// telemetry continuously refits a latency model that double-checks
-    /// every search result against the node's *measured* regime.
-    pub fn with_adaptation(mut self, adaptor: OnlineAdaptor) -> Self {
-        self.adaptor = Some(adaptor);
-        self
     }
 
     /// The trained predictor (for inspection and the overhead benches).
@@ -436,31 +422,7 @@ impl SturgeonController {
         self.last_search_qps = Some(qps);
         self.searches += 1;
         self.balancer.reset();
-        let mut config = outcome.best.unwrap_or_else(|| self.fallback());
-
-        // Online-adaptation veto: when the adapted (measured-regime)
-        // latency model rejects the LS allocation, harden it — up to a few
-        // extra cores — before trusting it on the node.
-        if let Some(adaptor) = self.adaptor.as_mut() {
-            if adaptor.is_adapted() {
-                let mut hardened = 0;
-                while hardened < 3
-                    && config.be.cores > self.params.search.min_be_cores
-                    && !adaptor
-                        .corrected_feasible(
-                            qps,
-                            config.ls.cores,
-                            self.spec.freq_ghz(config.ls.freq_level),
-                            config.ls.llc_ways,
-                        )
-                        .unwrap_or(true)
-                {
-                    config.ls.cores += 1;
-                    config.be.cores -= 1;
-                    hardened += 1;
-                }
-            }
-        }
+        let config = outcome.best.unwrap_or_else(|| self.fallback());
         self.last_search_config = Some(config);
         if self.tracing {
             self.trace.push(TraceEvent::SearchRan {
@@ -593,19 +555,6 @@ impl ResourceController for SturgeonController {
         }
 
         let slack = (self.qos_target_ms - obs.p95_ms) / self.qos_target_ms;
-
-        // Feed the online adaptor every measured interval.
-        if let Some(adaptor) = self.adaptor.as_mut() {
-            let sample = OnlineSample {
-                qps: obs.qps,
-                cores: current.ls.cores,
-                freq_ghz: self.spec.freq_ghz(current.ls.freq_level),
-                ways: current.ls.llc_ways,
-                p95_ms: obs.p95_ms,
-            };
-            // Adaptation failures must never take the control loop down.
-            let _ = adaptor.observe(sample);
-        }
 
         // A materially different load always warrants a fresh prediction
         // (Algorithm 1 line 6): the predictor reacts faster and more

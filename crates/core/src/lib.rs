@@ -46,9 +46,7 @@ pub mod error;
 pub mod experiment;
 pub mod fleet;
 pub mod heracles;
-pub mod multi;
 pub mod obs;
-pub mod online;
 pub mod placement;
 pub mod predictor;
 pub mod profiler;
@@ -75,13 +73,9 @@ pub mod prelude {
     };
     pub use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
     pub use crate::heracles::{HeraclesController, HeraclesParams};
-    pub use crate::multi::{
-        MultiProfiler, MultiProfilerConfig, MultiSearch, MultiSturgeonController,
-    };
     pub use crate::obs::{
         JsonlSink, MetricsRegistry, NullSink, RingSink, SearchReason, TraceEvent, TraceSink,
     };
-    pub use crate::online::{OnlineAdaptor, OnlineAdaptorConfig, OnlineSample};
     pub use crate::placement::{
         co_runner_score, FleetView, PlacementAction, PlacementParams, PlacementPlan,
         PlacementScoring, ScoredPlacementEngine, UnitView,
@@ -99,7 +93,7 @@ pub mod prelude {
     pub use crate::search::{
         ConfigSearch, SearchOutcome, SearchParams, SearchStats, SearchStrategy,
     };
-    pub use crate::tables::{BeLattice, ModelTables};
+    pub use crate::tables::ModelTables;
     pub use sturgeon_simnode::{
         ActuationFault, Allocation, FaultInjector, FaultPlan, FaultStats, FaultyActuators,
         IntervalFault, NodeSpec, PairConfig, PowerModel, TelemetryFault,

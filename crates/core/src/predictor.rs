@@ -27,7 +27,7 @@ use std::sync::Arc;
 use sturgeon_mlkit::{
     Classifier, Dataset, DecisionTreeClassifier, DecisionTreeRegressor, KnnClassifier,
     KnnRegressor, LinearRegression, LogisticRegression, MlError, MlpClassifier, MlpRegressor,
-    RandomForestClassifier, RandomForestRegressor, Regressor, SvmClassifier, SvmRegressor,
+    Regressor, SvmClassifier, SvmRegressor,
 };
 use sturgeon_simnode::{NodeSpec, PairConfig};
 
@@ -45,9 +45,6 @@ pub enum ModelKind {
     /// "LR": logistic regression for classification, linear regression
     /// for regression (the paper's Fig. 6 caption makes the same split).
     Lr,
-    /// Random forest — not in the paper's Fig. 6/7 lineup; provided as an
-    /// extension (bagging smooths single-tree feasible-island artifacts).
-    RandomForest,
 }
 
 impl ModelKind {
@@ -70,7 +67,6 @@ impl ModelKind {
             ModelKind::Sv => "SV",
             ModelKind::Mlp => "MLP",
             ModelKind::Lr => "LR",
-            ModelKind::RandomForest => "RF",
         }
     }
 }
@@ -83,7 +79,6 @@ pub fn make_classifier(kind: ModelKind) -> Box<dyn Classifier + Send + Sync> {
         ModelKind::Sv => Box::new(SvmClassifier::default()),
         ModelKind::Mlp => Box::new(MlpClassifier::default()),
         ModelKind::Lr => Box::new(LogisticRegression::new()),
-        ModelKind::RandomForest => Box::new(RandomForestClassifier::default()),
     }
 }
 
@@ -95,7 +90,6 @@ pub fn make_regressor(kind: ModelKind) -> Box<dyn Regressor + Send + Sync> {
         ModelKind::Sv => Box::new(SvmRegressor::default()),
         ModelKind::Mlp => Box::new(MlpRegressor::default()),
         ModelKind::Lr => Box::new(LinearRegression::new()),
-        ModelKind::RandomForest => Box::new(RandomForestRegressor::default()),
     }
 }
 

@@ -341,7 +341,9 @@ pub struct ScenarioMetrics {
     pub node_intervals_per_s: Option<f64>,
     /// Fleet: the process's peak resident set (`VmHWM`, MiB) when the
     /// row finished; -1 where `/proc` is unavailable (the gate's
-    /// missing-data sentinel).
+    /// missing-data sentinel). It is a process-wide high-water mark, not
+    /// this run's own: when one process runs several manifests, a row
+    /// carries the largest footprint of any run before it too.
     pub peak_rss_mib: Option<f64>,
     /// Fleet: budget reclamation passes that changed at least one leaf
     /// cap (present only when the scenario has a `[budget]` table, so

@@ -25,13 +25,14 @@
 //!   row was never profiled.
 //! * [`SetScorer`] — a learned replacement for the closed-form
 //!   `co_runner_score(k, σ)`: per-app contention coefficients are
-//!   regressed from multi-application environment step outcomes, and
+//!   regressed from the contended throughput of BE co-runner sets, and
 //!   `score(S)` values a *heterogeneous* candidate set by its member
 //!   apps, not just its cardinality. The score is permutation-invariant
 //!   and monotonically decreasing in every member's σ by construction.
 //!
 //! Everything is deterministic for a given [`ScoringParams::seed`]: the
-//! mask, the factorization, and the regression all derive from it.
+//! mask and the factorization derive from it, and the set-scorer
+//! regression draws nothing random at all.
 
 use std::collections::BTreeMap;
 
@@ -46,12 +47,9 @@ use rayon::prelude::*;
 use sturgeon_mlkit::{Dataset, MatrixFactorization, MfCell, MfParams};
 use sturgeon_simnode::power::{PartitionLoad, PowerModel};
 use sturgeon_simnode::{Allocation, NodeSpec};
-use sturgeon_workloads::be::BeAppModel;
-use sturgeon_workloads::catalog::{
-    be_apps, extended_be_app, ls_service, ExtendedBeAppId, LsServiceId,
-};
+use sturgeon_workloads::be::{contended_throughput, BeAppModel};
+use sturgeon_workloads::catalog::{be_apps, extended_be_app, ExtendedBeAppId};
 use sturgeon_workloads::interference::InterferenceParams;
-use sturgeon_workloads::multienv::{MultiColocationEnv, MultiConfig};
 
 /// Number of online probe cells revealed for a fully-masked cold app —
 /// the few quick measurements admission control *can* afford before the
@@ -86,7 +84,8 @@ pub struct ScoringParams {
     /// App whose matrix row is fully hidden (bar [`PROBE_CELLS`] probes),
     /// simulating a never-profiled application. Catalog app name.
     pub masked_app: Option<String>,
-    /// Seed for masking, factorization and scorer training.
+    /// Seed for masking and factorization (set-scorer training is
+    /// seed-free).
     pub seed: u64,
 }
 
@@ -650,8 +649,8 @@ pub fn catalog_sigma(app: &str) -> f64 {
 
 /// Learned co-runner *set* scorer.
 ///
-/// Per-app contention coefficients `σ_a ∈ [0, 1]` are regressed from
-/// multi-application environment step outcomes; a candidate set `S` of
+/// Per-app contention coefficients `σ_a ∈ [0, 1]` are regressed from the
+/// contended throughput of BE co-runner sets; a candidate set `S` of
 /// `k` jobs is then valued
 ///
 /// ```text
@@ -683,14 +682,20 @@ impl SetScorer {
         }
     }
 
-    /// Trains the per-app coefficients from multi-env step outcomes.
+    /// Trains the per-app coefficients from contended BE throughput.
     ///
-    /// Every 2- and 3-app subset of the base catalog runs one interval on
-    /// an equal-partition node; the observed set efficiency
-    /// `e_S = mean_i(tput_i / solo_i)` implies a blended coefficient
-    /// `σ̄_S = (1/e_S − 1)/(k − 1)`, and the per-app coefficients solve
-    /// the ridge system `mean_{a∈S}(σ_a) ≈ σ̄_S` over all samples.
-    pub fn train(spec: &NodeSpec, power: &PowerModel, seed: u64) -> Result<Self, SturgeonError> {
+    /// Every 2- and 3-app subset of the base catalog shares an
+    /// equal-partition node (two cores and two ways left to the LS
+    /// service) at the default BE↔BE bandwidth coupling; the delivered
+    /// set efficiency `e_S = mean_i(tput_i / solo_i)` implies a blended
+    /// coefficient `σ̄_S = (1/e_S − 1)/(k − 1)`, and the per-app
+    /// coefficients solve the ridge system `mean_{a∈S}(σ_a) ≈ σ̄_S` over
+    /// all samples.
+    ///
+    /// The power model and seed are unused: the contention law
+    /// ([`contended_throughput`]) depends on neither power nor any random
+    /// draw, so training is a pure function of `spec`.
+    pub fn train(spec: &NodeSpec, _power: &PowerModel, _seed: u64) -> Result<Self, SturgeonError> {
         let models = be_apps();
         let names: Vec<String> = models.iter().map(|m| m.params.name.to_string()).collect();
         let n = models.len();
@@ -703,37 +708,22 @@ impl SetScorer {
                 }
             }
         }
-        // Quiet interference (no OS jitter) keeps the regression targets
-        // deterministic; the BE↔BE bandwidth coupling stays at default.
-        let quiet = InterferenceParams {
-            spike_probability: 0.0,
-            ..InterferenceParams::default()
-        };
-        let ls = vec![ls_service(LsServiceId::Memcached)];
+        let coupling = InterferenceParams::default().be_bw_coupling;
         let mut rows: Vec<(Vec<usize>, f64)> = Vec::new();
         for set in &subsets {
             let k = set.len() as u32;
-            let be: Vec<BeAppModel> = set.iter().map(|&i| models[i].clone()).collect();
-            let mut env =
-                MultiColocationEnv::new(spec.clone(), *power, ls.clone(), be.clone(), quiet, seed);
             let ls_cores = 2u32;
             let ls_ways = 2u32;
             let each_cores = ((spec.total_cores - ls_cores) / k).max(1);
             let each_ways = ((spec.total_llc_ways - ls_ways) / k).max(1);
             let level = spec.max_freq_level();
-            let config = MultiConfig {
-                ls: vec![Allocation::new(ls_cores, level, ls_ways)],
-                be: (0..k)
-                    .map(|_| Allocation::new(each_cores, level, each_ways))
-                    .collect(),
-            };
-            let qps = vec![0.2 * ls[0].params.peak_qps];
-            let obs = env.step(&config, &qps);
-            let eff: f64 = obs
-                .be_throughput
+            let alloc = Allocation::new(each_cores, level, each_ways);
+            let be: Vec<(&BeAppModel, Allocation)> =
+                set.iter().map(|&i| (&models[i], alloc)).collect();
+            let eff: f64 = contended_throughput(spec, coupling, &be)
                 .iter()
                 .zip(&be)
-                .map(|(&t, m)| {
+                .map(|(&t, (m, _))| {
                     let solo = m.normalized_throughput(each_cores, spec.freq_ghz(level), each_ways);
                     if solo > 0.0 {
                         (t / solo).clamp(1e-3, 1.0)
@@ -1007,6 +997,18 @@ mod tests {
         assert!(quiet > loud, "quiet {quiet} vs loud {loud}");
         // And the learned σ ordering must follow memory traffic.
         assert!(s.sigma("fluidanimate").unwrap() > s.sigma("swaptions").unwrap());
+    }
+
+    #[test]
+    fn set_scorer_sigmas_are_pinned() {
+        // Every learned coefficient of the default training, folded into
+        // one value. A change to the BE contention law or the regression
+        // that moves any bit changes it.
+        let s = SetScorer::train(&spec(), &PowerModel::default(), 7).unwrap();
+        let fold = s.sigmas.values().fold(0u64, |h, sigma| {
+            (h ^ sigma.to_bits()).wrapping_mul(0x0100_0000_01B3)
+        });
+        assert_eq!(fold, 0x1428_0f64_00e8_bd47, "fold {fold:#018x}");
     }
 
     #[test]

@@ -514,84 +514,6 @@ impl LsSlabs {
     }
 }
 
-/// Flattened BE model lattice for the multi-application search
-/// ([`crate::multi::BeModelSet`]): unlike the pair predictor, the
-/// multi-app BE power model keeps its `ways` feature, so both tables are
-/// indexed `(cores, level, ways)`.
-///
-/// Lookups key the frequency by exact bit pattern, so any query off the
-/// node's DVFS table falls through to the live model (`None`) instead of
-/// silently rounding.
-#[derive(Debug, Clone)]
-pub struct BeLattice {
-    total_cores: u32,
-    total_ways: u32,
-    freq_levels_ghz: Vec<f64>,
-    tput: Vec<f64>,
-    power: Vec<f64>,
-}
-
-impl BeLattice {
-    /// Sweeps the full `(cores, level, ways)` lattice of `spec` through
-    /// the two evaluators (which must be the model set's exact compute
-    /// paths, clamps included).
-    pub fn build(
-        spec: &NodeSpec,
-        mut tput: impl FnMut(u32, f64, u32) -> f64,
-        mut power: impl FnMut(u32, f64, u32) -> f64,
-    ) -> Self {
-        let nc = spec.total_cores as usize;
-        let nw = spec.total_llc_ways as usize;
-        let nf = spec.freq_level_count();
-        let mut t = vec![0.0; nc * nf * nw];
-        let mut p = vec![0.0; nc * nf * nw];
-        for c in 1..=spec.total_cores {
-            let ci = (c - 1) as usize;
-            for f in 0..nf {
-                let ghz = spec.freq_ghz(f);
-                for w in 1..=spec.total_llc_ways {
-                    let idx = (ci * nf + f) * nw + (w - 1) as usize;
-                    t[idx] = tput(c, ghz, w);
-                    p[idx] = power(c, ghz, w);
-                }
-            }
-        }
-        Self {
-            total_cores: spec.total_cores,
-            total_ways: spec.total_llc_ways,
-            freq_levels_ghz: spec.freq_levels_ghz.clone(),
-            tput: t,
-            power: p,
-        }
-    }
-
-    #[inline]
-    fn index(&self, cores: u32, freq_ghz: f64, ways: u32) -> Option<usize> {
-        if cores < 1 || cores > self.total_cores || ways < 1 || ways > self.total_ways {
-            return None;
-        }
-        let bits = freq_ghz.to_bits();
-        let level = self
-            .freq_levels_ghz
-            .iter()
-            .position(|f| f.to_bits() == bits)?;
-        let nf = self.freq_levels_ghz.len();
-        Some(((cores - 1) as usize * nf + level) * self.total_ways as usize + (ways - 1) as usize)
-    }
-
-    /// Tabled throughput, or `None` when the query is off the lattice.
-    #[inline]
-    pub fn throughput(&self, cores: u32, freq_ghz: f64, ways: u32) -> Option<f64> {
-        self.index(cores, freq_ghz, ways).map(|i| self.tput[i])
-    }
-
-    /// Tabled power (W), or `None` when the query is off the lattice.
-    #[inline]
-    pub fn power_w(&self, cores: u32, freq_ghz: f64, ways: u32) -> Option<f64> {
-        self.index(cores, freq_ghz, ways).map(|i| self.power[i])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,21 +679,5 @@ mod tests {
         assert_eq!(slabs.builds(), 1, "second request must hit the map");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((a.qps(), a.qps_power()), (20.0, 30.0));
-    }
-
-    #[test]
-    fn be_lattice_lookup_matches_evaluator_and_rejects_off_lattice() {
-        let spec = small_spec();
-        let l = BeLattice::build(
-            &spec,
-            |c, g, w| c as f64 * g + w as f64,
-            |c, g, w| c as f64 - g + w as f64,
-        );
-        assert_eq!(l.throughput(2, 1.5, 3), Some(2.0 * 1.5 + 3.0));
-        assert_eq!(l.power_w(2, 1.5, 3), Some(2.0 - 1.5 + 3.0));
-        // Off-lattice frequency or out-of-range resources fall through.
-        assert_eq!(l.throughput(2, 1.7, 3), None);
-        assert_eq!(l.throughput(5, 1.5, 3), None);
-        assert_eq!(l.power_w(2, 1.5, 0), None);
     }
 }

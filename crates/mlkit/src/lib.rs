@@ -16,9 +16,8 @@
 //! * [`mlp::MlpRegressor`] / [`mlp::MlpClassifier`] — multi-layer perceptron
 //! * [`svm::SvmClassifier`] / [`svm::SvmRegressor`] — linear SVM via SGD
 //!
-//! Beyond the paper's families, [`forest`] adds random forests (exposed
-//! to the predictor as one more model kind) and [`mf`] the matrix
-//! factorization behind cold-start co-runner scoring.
+//! Beyond the paper's families, [`mf`] adds the matrix factorization
+//! behind cold-start co-runner scoring.
 //!
 //! All models implement the common [`model::Regressor`] or
 //! [`model::Classifier`] traits so the predictor can swap families per
@@ -48,7 +47,6 @@
 //! assert!(r2_score(&data.y, &pred) > 0.99);
 //! ```
 
-pub mod forest;
 pub mod knn;
 pub mod lasso;
 pub mod linear;
@@ -61,7 +59,6 @@ pub mod preprocess;
 pub mod svm;
 pub mod tree;
 
-pub use forest::{ForestParams, RandomForestClassifier, RandomForestRegressor};
 pub use knn::{KnnClassifier, KnnRegressor};
 pub use lasso::Lasso;
 pub use linear::LinearRegression;

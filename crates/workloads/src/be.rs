@@ -20,6 +20,7 @@
 //! and another wants gigahertz (paper Fig. 3).
 
 use serde::Serialize;
+use sturgeon_simnode::{Allocation, NodeSpec};
 
 /// Calibration constants for one BE application.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -137,10 +138,46 @@ impl BeAppModel {
     }
 }
 
+/// Delivered (contended) throughput of BE partitions sharing `spec`,
+/// one entry per `(model, allocation)` in input order: each app's solo
+/// normalized rate degraded by the *other* partitions' memory traffic,
+///
+/// ```text
+/// tput_i = solo_i / (1 + coupling · Σ_{j≠i} traffic_j)
+/// ```
+///
+/// Memory bandwidth is unmanaged, so a BE app suffers from its
+/// co-runners exactly as the LS service does — this is the signal the
+/// co-runner *set* scorer is trained on, with `coupling` the
+/// interference model's `be_bw_coupling`. The per-app solo models (and
+/// the lattices flattened from them) deliberately do not know about this
+/// term; the gap between modeled and delivered throughput is what a
+/// learned set score recovers.
+pub fn contended_throughput(
+    spec: &NodeSpec,
+    coupling: f64,
+    apps: &[(&BeAppModel, Allocation)],
+) -> Vec<f64> {
+    let traffic: Vec<f64> = apps
+        .iter()
+        .map(|(m, a)| m.memory_traffic(a.cores, a.freq_ghz(spec), a.llc_ways))
+        .collect();
+    let total: f64 = traffic.iter().sum();
+    apps.iter()
+        .zip(&traffic)
+        .map(|((m, a), &own)| {
+            let solo = m.normalized_throughput(a.cores, a.freq_ghz(spec), a.llc_ways);
+            let co_traffic = (total - own).max(0.0);
+            solo / (1.0 + coupling * co_traffic)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{be_apps, BeAppId};
+    use crate::interference::InterferenceParams;
 
     fn app(id: BeAppId) -> BeAppModel {
         be_apps()
@@ -242,6 +279,31 @@ mod tests {
         for m in be_apps() {
             assert!((0.0..=1.0).contains(&m.params.contention_sigma()));
         }
+    }
+
+    #[test]
+    fn be_co_runners_degrade_each_other() {
+        let spec = NodeSpec::xeon_e5_2630_v4();
+        let (rt, fd) = (app(BeAppId::Raytrace), app(BeAppId::Fluidanimate));
+        let alloc = Allocation::new(7, 5, 6);
+        let apps = [(&rt, alloc), (&fd, alloc)];
+        let quiet = contended_throughput(&spec, InterferenceParams::none().be_bw_coupling, &apps);
+        let contended =
+            contended_throughput(&spec, InterferenceParams::default().be_bw_coupling, &apps);
+        // Zero coupling reproduces the solo model rates; the default
+        // coupling strictly degrades both co-runners.
+        for ((q, c), (m, a)) in quiet.iter().zip(&contended).zip(&apps) {
+            let solo = m.normalized_throughput(a.cores, a.freq_ghz(&spec), a.llc_ways);
+            assert_eq!(q.to_bits(), solo.to_bits());
+            assert!(c < q, "contended {c} must be below solo {q}");
+        }
+        // The model-vs-delivered gap is what the set scorer learns; it
+        // must be material at default coupling.
+        let ratio = contended[0] / quiet[0];
+        assert!((0.5..0.99).contains(&ratio), "contraction ratio {ratio}");
+        // A lone partition has no co-runner to suffer from.
+        let solo = contended_throughput(&spec, 0.4, &apps[..1]);
+        assert_eq!(solo, quiet[..1]);
     }
 
     #[test]

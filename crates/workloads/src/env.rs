@@ -479,8 +479,9 @@ mod tests {
     }
 
     /// One interval the way `step` computed it before the quiet-node
-    /// latency was shared: the disturbance from `InterferenceModel::step`
-    /// (bandwidth multiplier times jitter), then a latency evaluation.
+    /// latency was shared: the disturbance (bandwidth multiplier times
+    /// the twin's jitter, plus the additive term), then a latency
+    /// evaluation.
     fn reference_step(
         e: &CoLocationEnv,
         twin: &mut InterferenceModel,
@@ -490,19 +491,21 @@ mod tests {
     ) -> Observation {
         let spec = e.spec();
         let be_f = config.be.freq_ghz(spec);
-        let d = twin.step(
-            e.be()
-                .memory_traffic(config.be.cores, be_f, config.be.llc_ways),
-            config.ls.llc_ways as f64 / spec.total_llc_ways as f64,
-            e.ls().params.bw_sensitivity,
-        );
+        let traffic = e
+            .be()
+            .memory_traffic(config.be.cores, be_f, config.be.llc_ways);
+        let ways_fraction = config.ls.llc_ways as f64 / spec.total_llc_ways as f64;
+        let sensitivity = e.ls().params.bw_sensitivity;
+        let multiplier =
+            twin.bandwidth_multiplier(traffic, ways_fraction, sensitivity) * twin.step_jitter();
+        let additive_ms = twin.additive_ms(traffic, ways_fraction, sensitivity);
         let lat = e.ls().latency_disturbed(
             config.ls.cores,
             config.ls.freq_ghz(spec),
             config.ls.llc_ways,
             qps,
-            d.multiplier,
-            d.additive_ms,
+            multiplier,
+            additive_ms,
         );
         Observation {
             t_s,
@@ -517,7 +520,7 @@ mod tests {
                 config.be.llc_ways,
             ),
             be_ipc: e.be().ipc(config.be.cores, be_f, config.be.llc_ways),
-            interference: d.multiplier,
+            interference: multiplier,
         }
     }
 

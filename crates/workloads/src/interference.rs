@@ -33,9 +33,9 @@ pub struct InterferenceParams {
     /// response time directly rather than stretching every request.
     pub additive_coupling_ms: f64,
     /// Scales a BE application's *co-runners'* memory traffic into its own
-    /// throughput loss (multi-app nodes only; the paper's single LS+BE
-    /// pair has no BE co-runner). This is the unmanaged-resource coupling
-    /// the co-runner *set* scorer learns from multi-env step outcomes.
+    /// throughput loss ([`crate::be::contended_throughput`]); the paper's
+    /// single LS+BE pair has no BE co-runner. This is the
+    /// unmanaged-resource coupling the co-runner *set* scorer learns.
     pub be_bw_coupling: f64,
     /// Per-interval probability that an OS jitter burst starts.
     pub spike_probability: f64,
@@ -69,25 +69,6 @@ impl InterferenceParams {
             spike_probability: 0.0,
             spike_end_probability: 1.0,
             spike_magnitude: (1.0, 1.0),
-        }
-    }
-}
-
-/// The disturbance applied to one monitoring interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Disturbance {
-    /// Multiplicative service-time inflation (≥ 1).
-    pub multiplier: f64,
-    /// Additive tail-latency term in ms (≥ 0).
-    pub additive_ms: f64,
-}
-
-impl Disturbance {
-    /// No disturbance.
-    pub fn none() -> Self {
-        Self {
-            multiplier: 1.0,
-            additive_ms: 0.0,
         }
     }
 }
@@ -243,11 +224,6 @@ impl InterferenceModel {
         }
     }
 
-    /// Parameters in force.
-    pub fn params(&self) -> &InterferenceParams {
-        &self.params
-    }
-
     /// The OS-jitter sojourn law of the parameters in force.
     pub(crate) fn law(&self) -> &SojournLaw {
         &self.law
@@ -288,21 +264,6 @@ impl InterferenceModel {
         let shield = 1.0 - 0.7 * ls_ways_fraction.clamp(0.0, 1.0);
         self.params.additive_coupling_ms * be_traffic.max(0.0) * shield * ls_bw_sensitivity
     }
-
-    /// Advances the process one interval and returns the combined
-    /// disturbance.
-    pub fn step(
-        &mut self,
-        be_traffic: f64,
-        ls_ways_fraction: f64,
-        ls_bw_sensitivity: f64,
-    ) -> Disturbance {
-        Disturbance {
-            multiplier: self.bandwidth_multiplier(be_traffic, ls_ways_fraction, ls_bw_sensitivity)
-                * self.step_jitter(),
-            additive_ms: self.additive_ms(be_traffic, ls_ways_fraction, ls_bw_sensitivity),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +274,9 @@ mod tests {
     fn quiet_params_give_unity() {
         let mut m = InterferenceModel::new(InterferenceParams::none(), 1);
         for _ in 0..100 {
-            assert_eq!(m.step(0.8, 0.3, 0.8), Disturbance::none());
+            assert_eq!(m.bandwidth_multiplier(0.8, 0.3, 0.8), 1.0);
+            assert_eq!(m.additive_ms(0.8, 0.3, 0.8), 0.0);
+            assert_eq!(m.step_jitter(), 1.0);
         }
     }
 

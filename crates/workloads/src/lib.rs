@@ -34,7 +34,6 @@ pub mod env;
 pub mod interference;
 pub mod loadgen;
 pub mod ls;
-pub mod multienv;
 pub mod querysim;
 pub mod queueing;
 
@@ -44,6 +43,5 @@ pub use env::{CoLocationEnv, Observation};
 pub use interference::{InterferenceModel, InterferenceParams, JitterChain, SojournLaw};
 pub use loadgen::LoadProfile;
 pub use ls::{LsServiceModel, LsServiceParams};
-pub use multienv::{LsObservation, MultiColocationEnv, MultiConfig, MultiObservation};
 pub use querysim::{MeasuredColocation, MeasuredLatency, QueryLevelSim};
 pub use queueing::{erlang_c, MmcQueue};

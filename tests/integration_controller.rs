@@ -271,47 +271,3 @@ fn parties_reacts_to_measured_overload() {
     );
     assert!(r.qos_rate > 0.9);
 }
-
-#[test]
-fn online_adaptation_variant_runs_and_holds_qos() {
-    use sturgeon::online::{OnlineAdaptor, OnlineAdaptorConfig};
-
-    let pair = ColocationPair::new(LsServiceId::Xapian, BeAppId::Fluidanimate);
-    let setup = ExperimentSetup::new(pair, 37);
-    let datasets = setup
-        .profile(ProfilerConfig::default())
-        .expect("profiling succeeds");
-    let predictor = sturgeon::predictor::PerfPowerPredictor::train(
-        &datasets,
-        PredictorConfig::default(),
-        setup.env().static_power_w(),
-        setup.env().be().params.input_level as f64,
-        setup.qos_target_ms(),
-    )
-    .expect("training succeeds");
-    let adaptor = OnlineAdaptor::new(
-        datasets.ls_latency.clone(),
-        setup.qos_target_ms(),
-        OnlineAdaptorConfig::default(),
-    )
-    .expect("adaptor builds");
-    let controller = SturgeonController::new(
-        predictor,
-        setup.spec().clone(),
-        setup.budget_w(),
-        setup.qos_target_ms(),
-        ControllerParams::default(),
-    )
-    .with_adaptation(adaptor);
-
-    let r = setup
-        .runner()
-        .controller(controller)
-        .load(LoadProfile::paper_fluctuating(300.0))
-        .intervals(300)
-        .go()
-        .unwrap();
-    assert!(r.qos_rate > 0.93, "Sturgeon-OA QoS {}", r.qos_rate);
-    assert!(!r.suffers_overload());
-    assert!(r.mean_be_throughput > 0.3);
-}

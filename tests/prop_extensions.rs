@@ -1,11 +1,10 @@
-//! Property-based tests over the extension modules: multi-application
-//! configurations, resctrl/cpuset rendering, and the trace load profile.
+//! Property-based tests over the extension modules: resctrl/cpuset
+//! rendering and the trace load profile.
 
 use proptest::prelude::*;
 use sturgeon_simnode::audit::{cpuset_lists, resctrl_schemata};
 use sturgeon_simnode::{Allocation, NodeSpec, PairConfig};
 use sturgeon_workloads::loadgen::LoadProfile;
-use sturgeon_workloads::multienv::MultiConfig;
 
 fn spec() -> NodeSpec {
     NodeSpec::xeon_e5_2630_v4()
@@ -64,28 +63,6 @@ proptest! {
         all.dedup();
         prop_assert_eq!(all.len() as u32, cfg.ls.cores + cfg.be.cores, "overlap");
         prop_assert!(all.iter().all(|&c| c < 20));
-    }
-
-    #[test]
-    fn multi_config_validation_matches_sum_rule(
-        c in proptest::collection::vec(1u32..8, 2..5),
-        w in proptest::collection::vec(1u32..8, 2..5),
-    ) {
-        let s = spec();
-        let n = c.len().min(w.len());
-        let allocs: Vec<Allocation> = (0..n)
-            .map(|i| Allocation::new(c[i], 5, w[i]))
-            .collect();
-        let (ls, be) = allocs.split_at(n / 2 + 1);
-        if be.is_empty() {
-            return Ok(());
-        }
-        let cfg = MultiConfig {
-            ls: ls.to_vec(),
-            be: be.to_vec(),
-        };
-        let fits = cfg.total_cores() <= s.total_cores && cfg.total_ways() <= s.total_llc_ways;
-        prop_assert_eq!(cfg.validate(&s).is_ok(), fits);
     }
 
     #[test]
