@@ -47,9 +47,8 @@ use rayon::prelude::*;
 use sturgeon_mlkit::{Dataset, MatrixFactorization, MfCell, MfParams};
 use sturgeon_simnode::power::{PartitionLoad, PowerModel};
 use sturgeon_simnode::{Allocation, NodeSpec};
-use sturgeon_workloads::be::{contended_throughput, BeAppModel};
+use sturgeon_workloads::be::{contended_throughput, BeAppModel, BE_BW_COUPLING};
 use sturgeon_workloads::catalog::{be_apps, extended_be_app, ExtendedBeAppId};
-use sturgeon_workloads::interference::InterferenceParams;
 
 /// Number of online probe cells revealed for a fully-masked cold app —
 /// the few quick measurements admission control *can* afford before the
@@ -708,7 +707,6 @@ impl SetScorer {
                 }
             }
         }
-        let coupling = InterferenceParams::default().be_bw_coupling;
         let mut rows: Vec<(Vec<usize>, f64)> = Vec::new();
         for set in &subsets {
             let k = set.len() as u32;
@@ -720,7 +718,7 @@ impl SetScorer {
             let alloc = Allocation::new(each_cores, level, each_ways);
             let be: Vec<(&BeAppModel, Allocation)> =
                 set.iter().map(|&i| (&models[i], alloc)).collect();
-            let eff: f64 = contended_throughput(spec, coupling, &be)
+            let eff: f64 = contended_throughput(spec, BE_BW_COUPLING, &be)
                 .iter()
                 .zip(&be)
                 .map(|(&t, (m, _))| {
@@ -901,38 +899,52 @@ mod tests {
     fn parallel_plane_fits_equal_serial_fits() {
         let p = params();
         let m = ProfileMatrix::build(&spec(), &PowerModel::default(), &p).unwrap();
-        let cf = ColdStartPredictor::fit(m.clone(), &p).unwrap();
         let (rows, cols) = (m.apps().len(), m.configs().len());
-        let planes = [
-            (ScoreMetric::Throughput, 0, &cf.tput_mf),
-            (ScoreMetric::Ipc, 1, &cf.ipc_mf),
-            (ScoreMetric::Power, 2, &cf.power_mf),
-        ];
-        for (metric, seed_offset, fitted) in planes {
+        let serial_fits: Vec<_> = [
+            ScoreMetric::Throughput,
+            ScoreMetric::Ipc,
+            ScoreMetric::Power,
+        ]
+        .into_iter()
+        .zip(0..)
+        .map(|(metric, seed_offset)| {
             let mut serial = MatrixFactorization::new(MfParams {
                 latent_dim: p.latent_dim,
                 seed: p.seed + seed_offset,
                 ..MfParams::default()
             })
             .unwrap();
-            let observed = m.observed_cells(metric);
-            serial.fit(rows, cols, &observed).unwrap();
-            for r in 0..rows {
-                for c in 0..cols {
-                    assert_eq!(
-                        fitted.predict(r, c).to_bits(),
-                        serial.predict(r, c).to_bits(),
-                        "{metric:?} cell ({r}, {c})"
-                    );
+            serial.fit(rows, cols, &m.observed_cells(metric)).unwrap();
+            (metric, serial)
+        })
+        .collect();
+        // One worker fits the three planes in turn on the caller; two and
+        // three split them into different chunks.
+        for workers in 1..=3 {
+            let cf = rayon::with_num_threads(workers, || {
+                ColdStartPredictor::fit(m.clone(), &p).unwrap()
+            });
+            let fitted = [&cf.tput_mf, &cf.ipc_mf, &cf.power_mf];
+            for ((metric, serial), fitted) in serial_fits.iter().zip(fitted) {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(
+                            fitted.predict(r, c).to_bits(),
+                            serial.predict(r, c).to_bits(),
+                            "{metric:?} cell ({r}, {c}) at worker count {workers}"
+                        );
+                    }
                 }
+                let fit = cf.plane_fit(*metric);
+                assert_eq!(
+                    fit.rmse_observed.to_bits(),
+                    serial.rmse(&m.observed_cells(*metric)).to_bits()
+                );
+                assert_eq!(
+                    fit.rmse_heldout.to_bits(),
+                    serial.rmse(&m.hidden_cells(*metric)).to_bits()
+                );
             }
-            let fit = cf.plane_fit(metric);
-            let hidden = m.hidden_cells(metric);
-            assert_eq!(
-                fit.rmse_observed.to_bits(),
-                serial.rmse(&observed).to_bits()
-            );
-            assert_eq!(fit.rmse_heldout.to_bits(), serial.rmse(&hidden).to_bits());
         }
     }
 

@@ -920,13 +920,23 @@ mod tests {
             env.budget_w(),
             SearchParams::default(),
         );
+        // One worker runs every C1 slice on the caller; two and three
+        // split them into different chunks. Each must reduce to the
+        // serial sweep's answer and query count.
         for frac in [0.25, 0.5] {
             let qps = frac * env.ls().params.peak_qps;
-            let par = search.exhaustive(qps);
             let ser = search.exhaustive_serial(qps);
-            assert_eq!(par.best, ser.best);
-            assert_eq!(par.stats.candidates, ser.stats.candidates);
-            assert_eq!(par.predicted_throughput, ser.predicted_throughput);
+            for workers in 1..=3 {
+                let par = rayon::with_num_threads(workers, || search.exhaustive(qps));
+                assert_eq!(par.best, ser.best, "worker count {workers}");
+                assert_eq!(par.stats.candidates, ser.stats.candidates);
+                assert_eq!(par.stats.model_calls, ser.stats.model_calls);
+                assert_eq!(
+                    par.predicted_throughput.to_bits(),
+                    ser.predicted_throughput.to_bits(),
+                    "worker count {workers}"
+                );
+            }
         }
     }
 

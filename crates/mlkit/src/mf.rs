@@ -171,11 +171,6 @@ impl MatrixFactorization {
         Ok(())
     }
 
-    /// True once [`fit`](Self::fit) succeeded.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
-    }
-
     /// Matrix shape `(rows, cols)` of the last fit.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)

@@ -26,10 +26,18 @@
 //!
 //! Ordering matches rayon's indexed iterators: results come back in input
 //! order. A panic in any chunk propagates to the caller once every chunk
-//! has finished. Thread count follows `RAYON_NUM_THREADS` when set (read
-//! on every call), else available parallelism.
+//! has finished.
+//!
+//! The worker count is `RAYON_NUM_THREADS` when set, else available
+//! parallelism, read once per process at the first stage.
+//! [`with_num_threads`] overrides it for the duration of a closure on
+//! the calling thread, and every job a stage posts carries the count
+//! along, so nested stages inside a chunk split their work the same way.
+//! This lets one process run the same computation at several worker
+//! counts and compare the results.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::env;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,26 +49,55 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator};
 }
 
-/// Number of worker threads to fan out across.
+thread_local! {
+    /// The count [`with_num_threads`] set on this thread, if any.
+    static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Number of worker threads to fan out across: the innermost
+/// [`with_num_threads`] count on this thread, else the process count.
 pub fn current_num_threads() -> usize {
-    static AVAILABLE: OnceLock<usize> = OnceLock::new();
-    env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+    static PROCESS: OnceLock<usize> = OnceLock::new();
+    OVERRIDE.get().unwrap_or_else(|| {
+        *PROCESS.get_or_init(|| {
+            env::var("RAYON_NUM_THREADS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
         })
+    })
+}
+
+/// Runs `f` with every parallel stage it starts on this thread, and every
+/// stage nested inside their chunks, split across `n` workers. The
+/// previous count is restored when `f` returns or unwinds.
+///
+/// # Panics
+///
+/// If `n` is zero.
+pub fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    assert!(n > 0, "a parallel stage needs at least one worker");
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.set(self.0);
+        }
+    }
+    let _restore = Restore(OVERRIDE.replace(Some(n)));
+    f()
 }
 
 fn chunk_len(total: usize, workers: usize) -> usize {
     total.div_ceil(workers.max(1)).max(1)
 }
 
-/// A chunk handed to a worker: the stage's closure and the chunk index.
+/// A chunk handed to a worker: the stage's closure, the chunk index and
+/// the caller's worker count, which nested stages in the chunk use.
 struct Job {
     run: *const (dyn Fn(usize) + Sync),
     chunk: usize,
+    threads: usize,
 }
 
 // SAFETY: `run` points at a `Sync` closure, so calling it through a
@@ -120,7 +157,9 @@ fn worker_loop(worker: Arc<Worker>) {
         // SAFETY: `run_chunks` posted this job and blocks until `pending`
         // reaches zero, which happens only below, after the call returned
         // or unwound; so the closure is still alive here.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.run)(job.chunk) }));
+        let outcome = with_num_threads(job.threads, || {
+            panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.run)(job.chunk) }))
+        });
         let mut done = POOL
             .done
             .lock()
@@ -162,6 +201,7 @@ fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) {
         .lock()
         .expect("completion state is never poisoned")
         .pending = chunks - 1;
+    let threads = current_num_threads();
     {
         let mut workers = POOL.workers.lock().expect("worker list is never poisoned");
         while workers.len() < chunks - 1 {
@@ -177,8 +217,11 @@ fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) {
             workers.push(worker);
         }
         for (i, worker) in workers[..chunks - 1].iter().enumerate() {
-            *worker.job.lock().expect("job slot is never poisoned") =
-                Some(Job { run, chunk: i + 1 });
+            *worker.job.lock().expect("job slot is never poisoned") = Some(Job {
+                run,
+                chunk: i + 1,
+                threads,
+            });
             worker.wake.notify_one();
         }
     }
@@ -453,26 +496,22 @@ impl<T> IntoIterator for ParResults<T> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::{Barrier, Mutex, MutexGuard};
+    use super::{current_num_threads, with_num_threads};
+    use std::sync::{Barrier, RwLock, RwLockReadGuard, RwLockWriteGuard};
     use std::thread::{self, ThreadId};
 
-    /// Serializes the tests that set `RAYON_NUM_THREADS` or count pool
-    /// threads, which are process-wide.
-    fn serial() -> MutexGuard<'static, ()> {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    /// The pool is process-wide, and a stage started while another holds
+    /// it runs serially. Tests that assert which threads ran their chunks
+    /// take this lock exclusively; every other test takes it shared, so
+    /// none of them holds the pool meanwhile.
+    static POOL_USERS: RwLock<()> = RwLock::new(());
+
+    fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        POOL_USERS.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Runs `f` with `RAYON_NUM_THREADS = n`, then restores the variable.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let before = std::env::var("RAYON_NUM_THREADS").ok();
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-        let out = f();
-        match before {
-            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-            None => std::env::remove_var("RAYON_NUM_THREADS"),
-        }
-        out
+    fn shared() -> RwLockReadGuard<'static, ()> {
+        POOL_USERS.read().unwrap_or_else(|e| e.into_inner())
     }
 
     fn chunk_threads() -> Vec<ThreadId> {
@@ -487,24 +526,49 @@ mod tests {
 
     #[test]
     fn results_are_ordered_and_identical_on_one_and_three_threads() {
-        let _g = serial();
+        let _g = shared();
         let run = || {
             let mapped: Vec<u64> = (0u64..1000).into_par_iter().map(|x| x * x + 1).collect();
             let mut data: Vec<u64> = (0..257).collect();
             data.par_iter_mut().for_each(|x| *x = *x * 3 + 1);
             (mapped, data)
         };
-        let one = with_threads(1, run);
-        let three = with_threads(3, run);
+        let one = with_num_threads(1, run);
         assert_eq!(one.0, (0u64..1000).map(|x| x * x + 1).collect::<Vec<_>>());
         assert_eq!(one.1, (0u64..257).map(|x| x * 3 + 1).collect::<Vec<_>>());
-        assert_eq!(one, three);
+        assert_eq!(one, with_num_threads(3, run));
+    }
+
+    #[test]
+    fn the_count_is_scoped_and_travels_with_each_job() {
+        let _g = shared();
+        let outside = current_num_threads();
+        // Each chunk reports the count a nested stage would split by, on
+        // whichever thread runs it; a count set for an earlier job must
+        // not linger on a worker.
+        let counts = |n: usize| {
+            with_num_threads(n, || {
+                (0..n)
+                    .into_par_iter()
+                    .map(|_| current_num_threads())
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(counts(3), vec![3; 3]);
+        assert_eq!(counts(2), vec![2; 2]);
+        assert_eq!(
+            with_num_threads(4, || with_num_threads(1, current_num_threads)),
+            1
+        );
+        let unwound = std::panic::catch_unwind(|| with_num_threads(5, || panic!("inside")));
+        assert!(unwound.is_err());
+        assert_eq!(current_num_threads(), outside, "the count is restored");
     }
 
     #[test]
     fn workers_persist_across_calls() {
-        let _g = serial();
-        let (first, second) = with_threads(3, || (chunk_threads(), chunk_threads()));
+        let _g = exclusive();
+        let (first, second) = with_num_threads(3, || (chunk_threads(), chunk_threads()));
         // Chunk 0 on the caller, chunks 1 and 2 on two pool workers: the
         // same threads both times, so nothing was spawned for the second
         // call.
@@ -516,8 +580,8 @@ mod tests {
 
     #[test]
     fn nested_par_iter_runs_inside_a_job() {
-        let _g = serial();
-        let sums: Vec<u64> = with_threads(3, || {
+        let _g = shared();
+        let sums: Vec<u64> = with_num_threads(3, || {
             (0u64..6)
                 .into_par_iter()
                 .map(|i| {
@@ -531,8 +595,8 @@ mod tests {
 
     #[test]
     fn a_worker_panic_reaches_the_caller() {
-        let _g = serial();
-        with_threads(3, || {
+        let _g = exclusive();
+        with_num_threads(3, || {
             let caught = std::panic::catch_unwind(|| {
                 // The last chunk runs on a worker.
                 (0u32..30)
@@ -559,16 +623,16 @@ mod tests {
 
     #[test]
     fn concurrent_callers_both_finish() {
-        let _g = serial();
-        with_threads(3, || {
-            // Three chunks of the first caller's stage plus the second
-            // caller meet at `started` (so the pool is busy) and again at
-            // `release`, which the second caller reaches only after its
-            // own stage has finished.
-            let started = Barrier::new(4);
-            let release = Barrier::new(4);
-            thread::scope(|scope| {
-                let first = scope.spawn(|| {
+        let _g = exclusive();
+        // Three chunks of the first caller's stage plus the second caller
+        // meet at `started` (so the pool is busy) and again at `release`,
+        // which the second caller reaches only after its own stage has
+        // finished. The count is per thread, so each caller sets it.
+        let started = Barrier::new(4);
+        let release = Barrier::new(4);
+        thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                with_num_threads(3, || {
                     (0u64..3)
                         .into_par_iter()
                         .map(|x| {
@@ -577,38 +641,40 @@ mod tests {
                             x * 10
                         })
                         .collect::<Vec<_>>()
-                });
-                let second = scope.spawn(|| {
-                    started.wait();
-                    let me = thread::current().id();
-                    let out: Vec<(u64, bool)> = (0u64..50)
+                })
+            });
+            let second = scope.spawn(|| {
+                started.wait();
+                let me = thread::current().id();
+                let out: Vec<(u64, bool)> = with_num_threads(3, || {
+                    (0u64..50)
                         .into_par_iter()
                         .map(|x| (x + 1, thread::current().id() == me))
-                        .collect();
-                    release.wait();
-                    out
+                        .collect()
                 });
-                assert_eq!(first.join().expect("first caller"), vec![0, 10, 20]);
-                let out = second.join().expect("second caller");
-                assert!(out.iter().all(|&(_, own_thread)| own_thread));
-                assert_eq!(
-                    out.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
-                    (1u64..51).collect::<Vec<_>>()
-                );
+                release.wait();
+                out
             });
+            assert_eq!(first.join().expect("first caller"), vec![0, 10, 20]);
+            let out = second.join().expect("second caller");
+            assert!(out.iter().all(|&(_, own_thread)| own_thread));
+            assert_eq!(
+                out.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
+                (1u64..51).collect::<Vec<_>>()
+            );
         });
     }
 
     #[test]
     fn map_preserves_input_order() {
-        let _g = serial();
+        let _g = shared();
         let out: Vec<u64> = (0u64..1000).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(out, (0u64..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_iter_borrows_and_reduces() {
-        let _g = serial();
+        let _g = shared();
         let data: Vec<u32> = (1..=100).collect();
         let max = data.par_iter().map(|&x| x * x).max_by(|a, b| a.cmp(b));
         assert_eq!(max, Some(10_000));
@@ -616,7 +682,7 @@ mod tests {
 
     #[test]
     fn par_iter_mut_updates_in_place() {
-        let _g = serial();
+        let _g = shared();
         let mut data: Vec<u32> = vec![1; 257];
         data.par_iter_mut().for_each(|x| *x += 1);
         assert!(data.iter().all(|&x| x == 2));
@@ -624,7 +690,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_fine() {
-        let _g = serial();
+        let _g = shared();
         let out: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
         Vec::<u32>::new().par_iter_mut().for_each(|_| {});
@@ -632,7 +698,7 @@ mod tests {
 
     #[test]
     fn filter_map_and_flat_map() {
-        let _g = serial();
+        let _g = shared();
         let evens: Vec<u32> = (0u32..20)
             .into_par_iter()
             .filter_map(|x| (x % 2 == 0).then_some(x))

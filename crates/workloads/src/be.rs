@@ -138,6 +138,13 @@ impl BeAppModel {
     }
 }
 
+/// The coupling [`contended_throughput`] applies on a co-located node:
+/// how strongly a BE application's *co-runners'* memory traffic cuts its
+/// own throughput. The paper's single LS+BE pair has no BE co-runner;
+/// this is the unmanaged-resource coupling the co-runner *set* scorer
+/// learns.
+pub const BE_BW_COUPLING: f64 = 0.40;
+
 /// Delivered (contended) throughput of BE partitions sharing `spec`,
 /// one entry per `(model, allocation)` in input order: each app's solo
 /// normalized rate degraded by the *other* partitions' memory traffic,
@@ -148,10 +155,10 @@ impl BeAppModel {
 ///
 /// Memory bandwidth is unmanaged, so a BE app suffers from its
 /// co-runners exactly as the LS service does — this is the signal the
-/// co-runner *set* scorer is trained on, with `coupling` the
-/// interference model's `be_bw_coupling`. The per-app solo models (and
-/// the lattices flattened from them) deliberately do not know about this
-/// term; the gap between modeled and delivered throughput is what a
+/// co-runner *set* scorer is trained on, with `coupling`
+/// [`BE_BW_COUPLING`] (0 gives the solo rates). The per-app solo models
+/// (and the lattices flattened from them) deliberately do not know about
+/// this term; the gap between modeled and delivered throughput is what a
 /// learned set score recovers.
 pub fn contended_throughput(
     spec: &NodeSpec,
@@ -177,7 +184,6 @@ pub fn contended_throughput(
 mod tests {
     use super::*;
     use crate::catalog::{be_apps, BeAppId};
-    use crate::interference::InterferenceParams;
 
     fn app(id: BeAppId) -> BeAppModel {
         be_apps()
@@ -287,9 +293,8 @@ mod tests {
         let (rt, fd) = (app(BeAppId::Raytrace), app(BeAppId::Fluidanimate));
         let alloc = Allocation::new(7, 5, 6);
         let apps = [(&rt, alloc), (&fd, alloc)];
-        let quiet = contended_throughput(&spec, InterferenceParams::none().be_bw_coupling, &apps);
-        let contended =
-            contended_throughput(&spec, InterferenceParams::default().be_bw_coupling, &apps);
+        let quiet = contended_throughput(&spec, 0.0, &apps);
+        let contended = contended_throughput(&spec, BE_BW_COUPLING, &apps);
         // Zero coupling reproduces the solo model rates; the default
         // coupling strictly degrades both co-runners.
         for ((q, c), (m, a)) in quiet.iter().zip(&contended).zip(&apps) {
@@ -302,7 +307,7 @@ mod tests {
         let ratio = contended[0] / quiet[0];
         assert!((0.5..0.99).contains(&ratio), "contraction ratio {ratio}");
         // A lone partition has no co-runner to suffer from.
-        let solo = contended_throughput(&spec, 0.4, &apps[..1]);
+        let solo = contended_throughput(&spec, BE_BW_COUPLING, &apps[..1]);
         assert_eq!(solo, quiet[..1]);
     }
 

@@ -149,11 +149,6 @@ impl CoLocationEnv {
         &self.power
     }
 
-    /// Elapsed simulated time (s).
-    pub fn now_s(&self) -> f64 {
-        self.t_s
-    }
-
     /// LS partition power (W) at a configuration and load, interference-free.
     pub fn ls_partition_power(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
         let service_ms = self.ls.base_service_ms(freq_ghz, ways);

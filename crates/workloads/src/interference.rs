@@ -32,11 +32,6 @@ pub struct InterferenceParams {
     /// queueing on the memory controller and OS-level delays add to the
     /// response time directly rather than stretching every request.
     pub additive_coupling_ms: f64,
-    /// Scales a BE application's *co-runners'* memory traffic into its own
-    /// throughput loss ([`crate::be::contended_throughput`]); the paper's
-    /// single LS+BE pair has no BE co-runner. This is the
-    /// unmanaged-resource coupling the co-runner *set* scorer learns.
-    pub be_bw_coupling: f64,
     /// Per-interval probability that an OS jitter burst starts.
     pub spike_probability: f64,
     /// Per-interval probability that an ongoing burst ends.
@@ -50,7 +45,6 @@ impl Default for InterferenceParams {
         Self {
             bw_coupling: 0.20,
             additive_coupling_ms: 33.0,
-            be_bw_coupling: 0.40,
             spike_probability: 0.02,
             spike_end_probability: 0.5,
             spike_magnitude: (1.10, 1.5),
@@ -65,7 +59,6 @@ impl InterferenceParams {
         Self {
             bw_coupling: 0.0,
             additive_coupling_ms: 0.0,
-            be_bw_coupling: 0.0,
             spike_probability: 0.0,
             spike_end_probability: 1.0,
             spike_magnitude: (1.0, 1.0),

@@ -114,11 +114,6 @@ impl QueryLevelSim {
         &self.ls
     }
 
-    /// Clears any carried backlog (e.g. after a long idle gap).
-    pub fn reset_backlog(&mut self) {
-        self.busy_until.clear();
-    }
-
     /// Outstanding backlog horizon in seconds (0 when idle).
     pub fn backlog_horizon_s(&self) -> f64 {
         self.busy_until.iter().copied().fold(0.0, f64::max)

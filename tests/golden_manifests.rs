@@ -157,10 +157,6 @@ fn pct(token: &str) -> f64 {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full 600-interval runs; run with --release"
-)]
 fn golden_fig9_matches_committed_report_and_baseline() {
     let scenario = load_scenario("scenarios/golden_fig9.toml");
     let outcome = scenario.run(None, None).expect("golden fig9 run");
@@ -186,10 +182,6 @@ fn golden_fig9_matches_committed_report_and_baseline() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full 600-interval runs; run with --release"
-)]
 fn golden_robustness_matches_committed_report_and_baseline() {
     let scenario = load_scenario("scenarios/golden_robustness.toml");
     let outcome = scenario.run(None, None).expect("golden robustness run");
@@ -219,10 +211,6 @@ fn golden_robustness_matches_committed_report_and_baseline() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "two full 240-interval fleet runs; run with --release"
-)]
 fn golden_budget_cut_migration_beats_static_pinning() {
     let scenario = load_scenario("scenarios/golden_budget_cut.toml");
     assert!(scenario.budget.is_some(), "manifest configures [budget]");
@@ -276,10 +264,6 @@ fn golden_budget_cut_migration_beats_static_pinning() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "three full 240-interval fleet runs; run with --release"
-)]
 fn golden_cold_start_cf_closes_on_full_profile_and_beats_fallback() {
     let scenario = load_scenario("scenarios/golden_cold_start.toml");
     assert!(scenario.scoring.is_some(), "manifest configures [scoring]");
@@ -343,10 +327,6 @@ fn golden_cold_start_cf_closes_on_full_profile_and_beats_fallback() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full 240-interval fleet run; run with --release"
-)]
 fn golden_rack_cut_interior_budget_events_fire_and_hold_caps() {
     let scenario = load_scenario("scenarios/golden_rack_cut.toml");
     let budget = scenario

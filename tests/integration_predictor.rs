@@ -171,12 +171,17 @@ fn cache_preserves_search_results_exactly() {
         setup.budget_w(),
         SearchParams::default(),
     );
-    for frac in [0.2, 0.45, 0.7] {
+    // The oracle fans its C1 slices out across the pool: one worker runs
+    // them all on the caller, two and three split them differently, and
+    // every split must reduce to the serial sweep's answer.
+    let loads = (1..=3).flat_map(|workers| [0.2, 0.45, 0.7].map(|frac| (workers, frac)));
+    for (workers, frac) in loads {
         let qps = frac * setup.peak_qps();
+        let exhaustive = || rayon::with_num_threads(workers, || search.exhaustive(qps));
 
         predictor.set_caching(true);
         let fast_cached = search.best_config(qps);
-        let full_cached = search.exhaustive(qps);
+        let full_cached = exhaustive();
         assert!(
             fast_cached.stats.cache_hits + fast_cached.stats.cache_misses > 0,
             "cache enabled but never consulted at {:.0}% load",
@@ -185,7 +190,7 @@ fn cache_preserves_search_results_exactly() {
 
         predictor.set_caching(false);
         let fast_raw = search.best_config(qps);
-        let full_raw = search.exhaustive(qps);
+        let full_raw = exhaustive();
         assert_eq!(
             fast_raw.stats.cache_hits + fast_raw.stats.cache_misses,
             0,
@@ -210,6 +215,15 @@ fn cache_preserves_search_results_exactly() {
         assert_eq!(fast_cached.stats.model_calls, fast_raw.stats.model_calls);
         assert_eq!(full_cached.stats.model_calls, full_raw.stats.model_calls);
         assert_eq!(full_cached.stats.candidates, full_raw.stats.candidates);
+        let serial = search.exhaustive_serial(qps);
+        assert_eq!(full_raw.best, serial.best, "worker count {workers}");
+        assert_eq!(
+            full_raw.predicted_throughput.to_bits(),
+            serial.predicted_throughput.to_bits(),
+            "worker count {workers}"
+        );
+        assert_eq!(full_raw.stats.model_calls, serial.stats.model_calls);
+        assert_eq!(full_raw.stats.candidates, serial.stats.candidates);
     }
     predictor.set_caching(true);
 }

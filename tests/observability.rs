@@ -215,37 +215,12 @@ fn builder_reports_invalid_runs_instead_of_panicking() {
     assert_eq!(r.overload_fraction, 0.0);
 }
 
-/// A fleet of three shards on the given search engine, traced through
-/// the manifest runner (shard 0's events); returns the raw JSONL bytes.
-fn traced_fleet_bytes(search: &str) -> Vec<u8> {
-    let scenario = Scenario::from_toml_str(&format!(
-        r#"
-name = "traced-fleet"
-seed = 42
-intervals = 60
-
-[workload]
-ls = "memcached"
-be = "raytrace"
-
-[controller]
-search = "{search}"
-
-[load]
-profile = "diurnal"
-low = 0.2
-high = 0.8
-day_s = 60
-
-[fleet]
-nodes = 48
-shards = 3
-"#
-    ))
-    .expect("manifest parses");
+/// Runs `scenario` (a fleet manifest) at `workers` pool workers, traced
+/// through the manifest runner (shard 0's events); returns the raw JSONL
+/// bytes.
+fn traced_fleet_bytes(scenario: &Scenario, workers: usize) -> Vec<u8> {
     let mut sink = JsonlSink::new(Vec::new());
-    scenario
-        .run(Some(&mut sink), None)
+    rayon::with_num_threads(workers, || scenario.run(Some(&mut sink), None))
         .expect("traced fleet run succeeds");
     sink.into_inner()
 }
@@ -254,12 +229,39 @@ shards = 3
 fn traced_fleet_is_byte_identical_across_runs() {
     // The other shards step concurrently with the traced one against a
     // shared predictor and prediction cache; nothing they do may leak
-    // into shard 0's trace, on either engine.
-    for search in ["pruned", "heuristic"] {
-        let a = traced_fleet_bytes(search);
-        let b = traced_fleet_bytes(search);
-        let text = std::str::from_utf8(&a).expect("JSONL is UTF-8");
-        assert!(text.contains("\"SearchRan\"") && !text.contains("cache_"));
-        assert_eq!(a, b, "{search}: fleet traces must be byte-identical");
+    // into shard 0's trace, on either engine, under budget cuts,
+    // placement or cold-start scoring. A fleet steps one shard group per
+    // worker, so one, two and three workers each split the shards
+    // differently, and every run must write the same bytes.
+    let manifest = |name: &str| {
+        let path = format!("{}/../../scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let smoke = manifest("smoke_fleet");
+    let heuristic = smoke.replace("search = \"pruned\"", "search = \"heuristic\"");
+    assert_ne!(smoke, heuristic, "smoke_fleet runs the pruned engine");
+    let mut texts = vec![("smoke_fleet (heuristic)", heuristic)];
+    for name in [
+        "smoke_fleet",
+        "golden_budget_cut",
+        "golden_cold_start",
+        "golden_rack_cut",
+    ] {
+        texts.push((name, manifest(name)));
+    }
+    for (name, text) in texts {
+        let scenario = Scenario::from_toml_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let first = traced_fleet_bytes(&scenario, 1);
+        let trace = std::str::from_utf8(&first).expect("JSONL is UTF-8");
+        assert!(
+            trace.contains("\"SearchRan\"") && !trace.contains("cache_"),
+            "{name}"
+        );
+        for workers in [2, 3] {
+            assert!(
+                traced_fleet_bytes(&scenario, workers) == first,
+                "{name}: the trace at worker count {workers} differs from count 1"
+            );
+        }
     }
 }

@@ -5,8 +5,7 @@
 //! 2. A manifest-driven run is **bit-identical** to the equivalent
 //!    hand-built `RunBuilder` / `Fleet` run at a pinned seed — the
 //!    property that makes manifest baselines trustworthy stand-ins for
-//!    the legacy bins. (Full runs train predictors, so the bit-identity
-//!    tests are release-only; CI's regression-gate job runs them.)
+//!    the legacy bins.
 
 use proptest::prelude::*;
 use sturgeon::prelude::*;
@@ -182,7 +181,6 @@ fn assert_bit_identical(manifest: &RunResult, hand: &RunResult) {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "trains a predictor; run with --release")]
 fn node_manifest_matches_hand_built_run_fault_free() {
     let text = r#"
 name = "identity"
@@ -232,7 +230,6 @@ period_s = 120
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "trains a predictor; run with --release")]
 fn node_manifest_matches_hand_built_run_with_fault_plan() {
     let text = r#"
 name = "identity-faults"
@@ -374,13 +371,11 @@ dispatch = "{dispatch}"
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "trains a predictor; run with --release")]
 fn fleet_manifest_matches_hand_built_run_even_dispatch() {
     fleet_identity_case("even", 1);
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "trains a predictor; run with --release")]
 fn fleet_manifest_matches_hand_built_run_latency_dispatch() {
     fleet_identity_case("latency", 2);
 }
