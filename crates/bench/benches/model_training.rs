@@ -1,7 +1,7 @@
 //! Criterion bench: offline training cost of each model family on a real
 //! profiling dataset (the paper's Fig. 6/7 candidates). Training runs
 //! offline in a dedicated cluster, so this is not on the control path —
-//! the bench documents that even the slowest family retrains in well under
+//! the bench documents that even the slowest family trains in well under
 //! a control interval.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -11,7 +11,9 @@
 //! silent actuation failures desynchronize its believed configuration
 //! from the node.
 //!
-//! Usage: `tab_robustness [duration_s] [seed]` (defaults 600 / 42).
+//! Usage: `tab_robustness [duration_s] [seed]` (defaults 600 / 42). Exits
+//! with status 1 when hardening does not reduce the actuator-fault
+//! degradation, so CI can gate on the verdict.
 
 use sturgeon::prelude::*;
 use sturgeon_bench::{duration_from_args, robust_sturgeon_controller, seed_from_args};
@@ -121,18 +123,18 @@ fn main() {
     println!();
     println!("hardened QoS gap vs fault-free:   {hardened_gap:+.2} points");
     println!("unhardened QoS gap vs fault-free: {unhardened_gap:+.2} points");
+    let reduces = unhardened_gap > hardened_gap;
     println!(
         "verdict: hardening {} the actuator-fault degradation ({}{:.2} points recovered)",
-        if unhardened_gap > hardened_gap {
+        if reduces {
             "reduces"
         } else {
             "does not reduce"
         },
-        if unhardened_gap > hardened_gap {
-            ""
-        } else {
-            "-"
-        },
+        if reduces { "" } else { "-" },
         (unhardened_gap - hardened_gap).abs()
     );
+    if !reduces {
+        std::process::exit(1);
+    }
 }

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use sturgeon_simnode::PairConfig;
 
 /// The four memoized query families of the predictor.
@@ -272,15 +272,6 @@ impl PredictionCache {
         v
     }
 
-    /// Drops every memoized entry. Must be called whenever the underlying
-    /// models change (retraining); the per-thread meters keep counting
-    /// across invalidations.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
     /// Number of memoized entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -300,8 +291,6 @@ impl PredictionCache {
 /// limits. Two searches with equal keys therefore return the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BracketKey {
-    /// Predictor training generation (bumped by every retrain).
-    pub(crate) generation: u64,
     /// `(budget · (1 − power_guard)).to_bits()`.
     pub(crate) guarded_budget_bits: u64,
     /// `power_load_headroom.to_bits()`, baked into the slab power rows.
@@ -319,22 +308,19 @@ pub(crate) struct BracketKey {
 type MemoOutcome = Option<(PairConfig, f64)>;
 
 /// Cross-interval memo for the pruned search engine: exact outcomes keyed
-/// by everything a latticed search reads — predictor generation, guarded
-/// budget, power-load headroom, `C1`/`L1` limits and the load's slab
-/// bracket.
+/// by everything a latticed search reads — guarded budget, power-load
+/// headroom, `C1`/`L1` limits and the load's slab bracket.
 ///
 /// The steady-state control path re-searches at loads that drift a few
 /// per mille per interval, so most searches land in a slab bracket they
 /// have already solved under the same budget. Because the key holds every
 /// input the outcome depends on, a hit is the search's answer — not a
 /// hint to revalidate — and a memo can never change a result, only its
-/// cost. A cache serves one predictor and node spec (the controller owns
-/// one per node); a retrain moves the generation, so old entries simply
-/// stop matching.
+/// cost. A cache serves one trained predictor and node spec (the
+/// controller owns one per node).
 #[derive(Debug, Default)]
 pub struct FrontierCache {
     outcomes: Mutex<HashMap<BracketKey, MemoOutcome>>,
-    reuses: AtomicU64,
 }
 
 /// Bound on stored outcomes; a control loop visits far fewer distinct
@@ -343,13 +329,9 @@ pub struct FrontierCache {
 const FRONTIER_CAP: usize = 256;
 
 impl FrontierCache {
-    /// The outcome stored under `key`, counting the hit as a reuse.
+    /// The outcome stored under `key`.
     pub(crate) fn get(&self, key: &BracketKey) -> Option<MemoOutcome> {
-        let hit = self.outcomes.lock().get(key).copied();
-        if hit.is_some() {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.outcomes.lock().get(key).copied()
     }
 
     /// Stores the outcome of a search under `key`.
@@ -369,11 +351,6 @@ impl FrontierCache {
     /// True when no outcome is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Outcomes handed back to a searcher since construction.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
     }
 }
 
@@ -523,22 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_invalidates_entries_but_keeps_counters() {
-        let cache = PredictionCache::new();
-        let start = QueryMeter::current();
-        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
-        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(QueryMeter::since(start).hits, 1);
-        // A cleared entry recomputes (and may return a new value, as after
-        // retraining).
-        let v = cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 7.0);
-        assert_eq!(v, 7.0);
-        assert_eq!(QueryMeter::since(start).misses, 2);
-    }
-
-    #[test]
     fn cache_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PredictionCache>();
@@ -571,9 +532,8 @@ mod tests {
         PairConfig::new(Allocation::new(c1, 9, 8), Allocation::new(20 - c1, 5, 12))
     }
 
-    fn key(generation: u64, bracket: (u64, u64)) -> BracketKey {
+    fn key(bracket: (u64, u64)) -> BracketKey {
         BracketKey {
-            generation,
             guarded_budget_bits: 120.0f64.to_bits(),
             headroom_bits: 0.08f64.to_bits(),
             max_c1: 19,
@@ -585,37 +545,23 @@ mod tests {
     #[test]
     fn frontier_buckets_nearby_loads_and_counts_reuses() {
         let fc = FrontierCache::default();
-        assert!(fc.get(&key(1, (10, 11))).is_none());
-        fc.insert(key(1, (10, 11)), Some((seed_cfg(6), 0.7)));
+        assert!(fc.get(&key((10, 11))).is_none());
+        fc.insert(key((10, 11)), Some((seed_cfg(6), 0.7)));
         // Every load inside the bracket shares the key; the next bracket
         // does not.
-        assert_eq!(fc.get(&key(1, (10, 11))), Some(Some((seed_cfg(6), 0.7))));
-        assert!(fc.get(&key(1, (11, 11))).is_none());
+        assert_eq!(fc.get(&key((10, 11))), Some(Some((seed_cfg(6), 0.7))));
+        assert!(fc.get(&key((11, 11))).is_none());
         // "Nothing feasible" is an outcome too, and is memoized as such.
-        fc.insert(key(1, (63, 63)), None);
-        assert_eq!(fc.get(&key(1, (63, 63))), Some(None));
-        assert_eq!(fc.reuses(), 2);
+        fc.insert(key((63, 63)), None);
+        assert_eq!(fc.get(&key((63, 63))), Some(None));
         assert_eq!(fc.len(), 2);
-    }
-
-    #[test]
-    fn frontier_generation_change_invalidates_seeds() {
-        let fc = FrontierCache::default();
-        fc.insert(key(1, (5, 5)), Some((seed_cfg(4), 0.5)));
-        assert!(
-            fc.get(&key(2, (5, 5))).is_none(),
-            "stale generation must miss"
-        );
-        // Storing under the new generation works normally again.
-        fc.insert(key(2, (5, 5)), Some((seed_cfg(5), 0.6)));
-        assert_eq!(fc.get(&key(2, (5, 5))), Some(Some((seed_cfg(5), 0.6))));
     }
 
     #[test]
     fn frontier_cap_bounds_memory() {
         let fc = FrontierCache::default();
         for i in 0..600 {
-            fc.insert(key(1, (i, i + 1)), Some((seed_cfg(3), 0.1)));
+            fc.insert(key((i, i + 1)), Some((seed_cfg(3), 0.1)));
         }
         assert!(fc.len() <= 256);
     }

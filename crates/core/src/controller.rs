@@ -156,8 +156,8 @@ pub struct SturgeonController {
     tracing: bool,
     trace: Vec<TraceEvent>,
     /// Cross-interval memo for the pruned engine: exact search outcomes
-    /// keyed by slab bracket, budget and predictor generation. Unused
-    /// under the heuristic strategy.
+    /// keyed by slab bracket, guarded budget, headroom and search
+    /// limits. Unused under the heuristic strategy.
     frontiers: FrontierCache,
     /// Running totals across the run's pruned searches (zero under the
     /// heuristic strategy), exposed for fleet-level metrics aggregation.

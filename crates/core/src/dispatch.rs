@@ -16,9 +16,6 @@ use crate::error::SturgeonError;
 pub enum DispatchPolicy {
     /// Equal share to every unit.
     Even,
-    /// Fixed weights (normalized internally; must be non-negative, not
-    /// all zero).
-    Weighted(Vec<f64>),
     /// Adaptive: each interval, weight units by their latency headroom in
     /// the previous interval (a unit near its QoS target receives less).
     /// Weights are EWMA-smoothed and the spread is bounded (≤ 2:1) —
@@ -29,9 +26,9 @@ pub enum DispatchPolicy {
 
 /// Reusable weight engine for one dispatch policy over `n` units.
 ///
-/// The LatencyAware policy is stateful (EWMA smoothing); the others are
-/// pure. All buffers are allocated once at construction and refilled in
-/// place every interval.
+/// The LatencyAware policy is stateful (EWMA smoothing); Even is pure.
+/// All buffers are allocated once at construction and refilled in place
+/// every interval.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     policy: DispatchPolicy,
@@ -46,7 +43,7 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Builds a dispatcher over `n` units, validating the policy.
+    /// Builds a dispatcher over `n` units.
     pub fn try_new(
         policy: DispatchPolicy,
         n: usize,
@@ -54,17 +51,6 @@ impl Dispatcher {
     ) -> Result<Self, SturgeonError> {
         if n == 0 {
             return Err(SturgeonError::setup("dispatcher needs at least one unit"));
-        }
-        if let DispatchPolicy::Weighted(w) = &policy {
-            if w.len() != n {
-                return Err(SturgeonError::setup("one weight per node"));
-            }
-            if !w.iter().all(|&x| x >= 0.0) {
-                return Err(SturgeonError::setup("weights must be non-negative"));
-            }
-            if w.iter().sum::<f64>() <= 0.0 {
-                return Err(SturgeonError::setup("weights must not all be zero"));
-            }
         }
         Ok(Self {
             policy,
@@ -82,7 +68,7 @@ impl Dispatcher {
 
     /// True when the weights depend on the units' last-interval
     /// summaries (LatencyAware), so they must be refilled every
-    /// interval; Even and Weighted weights never change.
+    /// interval; Even weights never change.
     pub(crate) fn reads_feedback(&self) -> bool {
         matches!(self.policy, DispatchPolicy::LatencyAware)
     }
@@ -106,12 +92,6 @@ impl Dispatcher {
         assert_eq!(last_p95_ms.len(), n, "one p95 summary per unit");
         match &self.policy {
             DispatchPolicy::Even => self.weights.fill(1.0 / n as f64),
-            DispatchPolicy::Weighted(w) => {
-                let sum: f64 = w.iter().sum();
-                for (out, &x) in self.weights.iter_mut().zip(w) {
-                    *out = x / sum;
-                }
-            }
             DispatchPolicy::LatencyAware => {
                 // Bounded headroom target (spread ≤ 2:1), EWMA-damped:
                 // the latency signal lags one interval, so an aggressive
@@ -155,14 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_normalizes() {
-        let mut d = Dispatcher::try_new(DispatchPolicy::Weighted(vec![3.0, 1.0]), 2, 15.0).unwrap();
-        let w = d.fill_weights(&[0.0, 0.0]).to_vec();
-        assert!((w[0] - 0.75).abs() < 1e-12);
-        assert!((w[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn latency_aware_prefers_headroom_and_stays_bounded() {
         let mut d = Dispatcher::try_new(DispatchPolicy::LatencyAware, 2, 15.0).unwrap();
         // Unit 0 near the target, unit 1 far below: after many intervals
@@ -179,8 +151,6 @@ mod tests {
     #[test]
     fn rejects_bad_setups() {
         assert!(Dispatcher::try_new(DispatchPolicy::Even, 0, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![1.0]), 2, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![-1.0, 2.0]), 2, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![0.0, 0.0]), 2, 15.0).is_err());
+        assert!(Dispatcher::try_new(DispatchPolicy::LatencyAware, 0, 15.0).is_err());
     }
 }

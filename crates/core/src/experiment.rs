@@ -203,22 +203,12 @@ impl ExperimentSetup {
     /// Paper-default setup: the Table II node, default power model and
     /// default interference.
     pub fn new(pair: ColocationPair, seed: u64) -> Self {
-        Self::with_interference(pair, InterferenceParams::default(), seed)
-    }
-
-    /// Custom interference (e.g. `InterferenceParams::none()` for clean
-    /// ablations).
-    pub fn with_interference(
-        pair: ColocationPair,
-        interference: InterferenceParams,
-        seed: u64,
-    ) -> Self {
         let env = CoLocationEnv::new(
             NodeSpec::xeon_e5_2630_v4(),
             PowerModel::default(),
             ls_service(pair.ls),
             be_app(pair.be),
-            interference,
+            InterferenceParams::default(),
             seed,
         );
         Self { pair, env, seed }

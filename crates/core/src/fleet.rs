@@ -113,8 +113,7 @@ pub struct FleetParams {
     /// most 512). Must not exceed the node count.
     pub shards: usize,
     /// Contiguous shard groups with independent dispatchers and load
-    /// profiles (regional failover). Must not exceed the shard count;
-    /// the [`DispatchPolicy::Weighted`] policy requires exactly one.
+    /// profiles (regional failover). Must not exceed the shard count.
     pub regions: usize,
     /// How each region's dispatcher splits load across its shards.
     pub policy: DispatchPolicy,
@@ -483,11 +482,6 @@ impl Fleet {
                 "region count must be in 1..=shard count",
             ));
         }
-        if matches!(params.policy, DispatchPolicy::Weighted(_)) && params.regions != 1 {
-            return Err(SturgeonError::setup(
-                "weighted dispatch requires a single region",
-            ));
-        }
         if let Some(t) = params.traced_shard {
             if t >= shard_count {
                 return Err(SturgeonError::setup("traced shard out of range"));
@@ -811,7 +805,7 @@ impl Fleet {
             self.apply_budget_events(t as f64, &mut sink);
             let end = self.segment_end(t, duration_s);
             // Dispatch: per region, weight the shards from last-interval
-            // summaries. Even and Weighted weights never change and a
+            // summaries. Even weights never change and a
             // LatencyAware segment is one interval long, so the weights
             // hold for the whole segment; each shard stages its per-node
             // share interval by interval from the region's load profile.
@@ -1399,16 +1393,6 @@ mod tests {
             4,
         );
         assert!(e.to_string().contains("region"), "{e}");
-        let e = err(
-            FleetParams {
-                shards: 2,
-                regions: 2,
-                policy: DispatchPolicy::Weighted(vec![1.0, 1.0]),
-                ..FleetParams::default()
-            },
-            4,
-        );
-        assert!(e.to_string().contains("single region"), "{e}");
     }
 
     #[test]

@@ -153,8 +153,10 @@ impl Default for PredictorConfig {
     }
 }
 
-/// The trained predictor. Thread-safe; prediction counts are tracked for
-/// the §VII-E overhead accounting.
+/// The trained predictor. Thread-safe and read-only once trained, apart
+/// from its fill-on-read caches. Each query advances its thread's query
+/// meter, which a search's [`SearchStats`](crate::search::SearchStats)
+/// reads for the §VII-E overhead accounting.
 pub struct PerfPowerPredictor {
     config: PredictorConfig,
     ls_qos: Box<dyn Classifier + Send + Sync>,
@@ -170,23 +172,18 @@ pub struct PerfPowerPredictor {
     max_trained_qps: f64,
     /// QoS target (ms) the latency second-opinion is compared against.
     qos_target_ms: f64,
-    predictions: AtomicU64,
     /// Memoized answers for the four hot query families. Keys are exact
     /// by default, so the cache never changes a result, only its cost.
     cache: PredictionCache,
-    /// Training generation: bumped by every [`retrain`](Self::retrain),
-    /// so table/frontier consumers can detect that their flattened model
-    /// state went stale.
-    generation: AtomicU64,
     /// Lazily built flattened BE lattices (see [`ModelTables`]), rebuilt
-    /// when the generation moves or a different node spec is asked for.
+    /// when a different node spec is asked for.
     tables: Mutex<Option<Arc<ModelTables>>>,
     /// How many times [`model_tables`](Self::model_tables) actually built
     /// tables (cache refreshes included). A fleet sharing one predictor
     /// reads this to prove table construction was paid exactly once.
     table_builds: AtomicU64,
     /// Lazily built QPS-slab family for the LS-side models (see
-    /// [`LsSlabs`]), invalidated alongside [`Self::tables`] on retrain.
+    /// [`LsSlabs`]), rebuilt when a different spec or headroom is asked for.
     slabs: Mutex<Option<Arc<LsSlabs>>>,
 }
 
@@ -195,7 +192,6 @@ impl std::fmt::Debug for PerfPowerPredictor {
         f.debug_struct("PerfPowerPredictor")
             .field("config", &self.config)
             .field("static_power_w", &self.static_power_w)
-            .field("predictions", &self.predictions.load(Ordering::Relaxed))
             .field("cache", &self.cache)
             .finish()
     }
@@ -237,9 +233,7 @@ impl PerfPowerPredictor {
             be_input_level,
             max_trained_qps,
             qos_target_ms,
-            predictions: AtomicU64::new(0),
             cache: PredictionCache::new(),
-            generation: AtomicU64::new(0),
             tables: Mutex::new(None),
             table_builds: AtomicU64::new(0),
             slabs: Mutex::new(None),
@@ -247,25 +241,10 @@ impl PerfPowerPredictor {
     }
 
     fn count(&self) {
-        self.predictions.fetch_add(1, Ordering::Relaxed);
         QueryMeter::bump(|m| m.calls += 1);
     }
 
-    /// Total prediction queries answered, on every thread, since
-    /// construction or the last reset. Counts every query whether it ran
-    /// the models or was served from the memo cache — the stable measure
-    /// of search work; a search's [`SearchStats`](crate::search::SearchStats)
-    /// splits its own queries into cache hits and misses.
-    pub fn prediction_count(&self) -> u64 {
-        self.predictions.load(Ordering::Relaxed)
-    }
-
-    /// Resets the query counter (used by the overhead benches).
-    pub fn reset_prediction_count(&self) {
-        self.predictions.store(0, Ordering::Relaxed);
-    }
-
-    /// The prediction memo cache (enable/disable, quantum, accounting).
+    /// The prediction memo cache (enable/disable, entry count).
     pub fn cache(&self) -> &PredictionCache {
         &self.cache
     }
@@ -276,62 +255,25 @@ impl PerfPowerPredictor {
         self.cache.set_enabled(enabled);
     }
 
-    /// Refits every model on fresh datasets in place and invalidates the
-    /// memo cache — stale entries would otherwise keep answering for the
-    /// old models. The query counter is preserved so §VII-E accounting
-    /// can span retraining events.
-    pub fn retrain(&mut self, datasets: &ProfileDatasets) -> Result<(), MlError> {
-        let mut ls_qos = make_classifier(self.config.ls_qos);
-        ls_qos.fit(&datasets.ls_qos)?;
-        let mut ls_latency = make_regressor(self.config.ls_latency);
-        ls_latency.fit(&datasets.ls_latency)?;
-        let mut ls_power = make_regressor(self.config.ls_power);
-        ls_power.fit(&datasets.ls_power)?;
-        let mut be_perf = make_regressor(self.config.be_perf);
-        be_perf.fit(&datasets.be_throughput)?;
-        let mut be_power = make_regressor(self.config.be_power);
-        be_power.fit(&mask_ways(&datasets.be_power)?)?;
-        self.ls_qos = ls_qos;
-        self.ls_latency = ls_latency;
-        self.ls_power = ls_power;
-        self.be_perf = be_perf;
-        self.be_power = be_power;
-        self.max_trained_qps = datasets.ls_qos.x.iter().map(|r| r[0]).fold(0.0, f64::max);
-        self.cache.clear();
-        // The flattened tables answer for the old models; bump the
-        // generation and drop them alongside the memo entries.
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        *self.tables.lock() = None;
-        *self.slabs.lock() = None;
-        Ok(())
-    }
-
     /// The configuration this predictor was built with.
     pub fn config(&self) -> &PredictorConfig {
         &self.config
     }
 
-    /// The training generation (0 after [`train`](Self::train), +1 per
-    /// [`retrain`](Self::retrain)).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
     /// The flattened QPS-independent model tables for `spec`, built on
-    /// first use and cached until the next retrain (or a different spec).
+    /// first use and cached until a different spec is asked for.
     ///
     /// Entries are computed by the same paths as
     /// [`be_throughput`](Self::be_throughput) / [`be_power_w`](Self::be_power_w)
     /// — same features, clamps and margins — so a table lookup is
     /// bit-identical to the model call it replaces. The build itself runs
     /// the raw models directly, one [`Regressor::predict_grid`] sweep per
-    /// table: it neither advances the prediction counter nor touches the
+    /// table: it neither advances the query meter nor touches the
     /// memo cache, keeping §VII-E per-search accounting clean.
     pub fn model_tables(&self, spec: &NodeSpec) -> Arc<ModelTables> {
-        let generation = self.generation();
         let mut slot = self.tables.lock();
         if let Some(tables) = slot.as_ref() {
-            if tables.generation() == generation && tables.matches(spec) {
+            if tables.matches(spec) {
                 return Arc::clone(tables);
             }
         }
@@ -352,40 +294,30 @@ impl PerfPowerPredictor {
         for p in &mut power {
             *p = p.max(0.0) * margin;
         }
-        let built = Arc::new(ModelTables::build(
-            spec,
-            generation,
-            self.static_power_w,
-            tput,
-            power,
-        ));
+        let built = Arc::new(ModelTables::build(spec, self.static_power_w, tput, power));
         *slot = Some(Arc::clone(&built));
         self.table_builds.fetch_add(1, Ordering::Relaxed);
         built
     }
 
     /// How many times table construction actually ran (as opposed to
-    /// being served from the per-(generation, spec) cache).
+    /// being served from the per-spec cache).
     pub fn table_builds(&self) -> u64 {
         self.table_builds.load(Ordering::Relaxed)
     }
 
     /// The QPS-slab family for `spec` with the given power-load headroom
     /// baked into its power lattices, created empty on first use and
-    /// cached until the next retrain (or a different spec/headroom).
+    /// cached until a different spec or headroom is asked for.
     ///
     /// The bucket width is `max_trained_qps / 64` — 64 slabs across the
     /// profiled load domain — so any realistic load sits within one
     /// bucket of a slab center and the conservative bracket envelope
     /// stays tight.
     pub fn ls_slabs(&self, spec: &NodeSpec, power_load_headroom: f64) -> Arc<LsSlabs> {
-        let generation = self.generation();
         let mut slot = self.slabs.lock();
         if let Some(slabs) = slot.as_ref() {
-            if slabs.generation() == generation
-                && slabs.matches(spec)
-                && slabs.headroom().to_bits() == power_load_headroom.to_bits()
-            {
+            if slabs.matches(spec) && slabs.headroom().to_bits() == power_load_headroom.to_bits() {
                 return Arc::clone(slabs);
             }
         }
@@ -396,7 +328,6 @@ impl PerfPowerPredictor {
         };
         let fresh = Arc::new(LsSlabs::new(
             spec,
-            generation,
             quantum,
             power_load_headroom,
             self.max_trained_qps,
@@ -410,32 +341,24 @@ impl PerfPowerPredictor {
     /// [`slab_feasible`](Self::slab_feasible) and
     /// [`slab_ls_power_w`](Self::slab_ls_power_w), outside any lock.
     ///
-    /// `slabs` must be this predictor's current family for `spec`, as
-    /// returned by [`ls_slabs`](Self::ls_slabs) since the last retrain:
-    /// fills run the models as they are now, so a family kept across
-    /// [`retrain`](Self::retrain) would store new-model cells under its
-    /// old generation, and a family for another spec would index wrongly.
-    /// Debug builds assert both.
+    /// `slabs` must be a family this predictor returned from
+    /// [`ls_slabs`](Self::ls_slabs) for `spec`: a family for another spec
+    /// would index wrongly. Debug builds assert it.
     pub fn ls_slab(&self, spec: &NodeSpec, slabs: &LsSlabs, bucket: u64) -> Arc<LsSlab> {
-        debug_assert_eq!(
-            slabs.generation(),
-            self.generation(),
-            "slab family from another training generation"
-        );
         debug_assert!(slabs.matches(spec), "slab family for another node spec");
         slabs.slab(bucket)
     }
 
     /// How many LS slabs were allocated across the current family (map
-    /// hits excluded). Resets when the family is invalidated by retrain or
-    /// a spec/headroom change.
+    /// hits excluded). Resets when a spec/headroom change replaces the
+    /// family.
     pub fn slab_builds(&self) -> u64 {
         self.slabs.lock().as_ref().map_or(0, |s| s.builds())
     }
 
     /// Slab cell: does `<cores, level, ways>` meet QoS at the slab center?
     /// Equals [`ls_feasible`](Self::ls_feasible) at [`LsSlab::qps`] bit
-    /// for bit; a fill advances neither the prediction counter nor the
+    /// for bit; a fill advances neither the query meter nor the
     /// memo cache.
     pub fn slab_feasible(
         &self,
@@ -452,7 +375,7 @@ impl PerfPowerPredictor {
 
     /// Slab cell: LS power of `<cores, level, ways>`, equal to
     /// [`ls_power_w`](Self::ls_power_w) at [`LsSlab::qps_power`] bit for
-    /// bit; a fill advances neither the prediction counter nor the memo
+    /// bit; a fill advances neither the query meter nor the memo
     /// cache.
     pub fn slab_ls_power_w(
         &self,
@@ -786,7 +709,7 @@ mod tests {
     fn lazy_slab_cells_equal_the_per_cell_model_call_for_every_bucket() {
         let (spec, p) = small_node();
         let slabs = p.ls_slabs(&spec, 0.08);
-        p.reset_prediction_count();
+        let start = QueryMeter::current();
         let mut feasible_cells = 0;
         for bucket in 0..=slabs.max_bucket() {
             let qps = slabs.center(bucket);
@@ -810,7 +733,11 @@ mod tests {
             );
         }
         assert_eq!(p.slab_builds(), slabs.max_bucket() + 1);
-        assert_eq!(p.prediction_count(), 0, "slab fills must not count");
+        assert_eq!(
+            QueryMeter::since(start).calls,
+            0,
+            "slab fills must not count"
+        );
         assert!(p.cache().is_empty(), "slab fills must bypass the memo");
         assert!(feasible_cells > 0, "the sweep must cover feasible cells");
     }
@@ -930,14 +857,14 @@ mod tests {
     fn prediction_counter_increments() {
         let e = env();
         let p = predictor(&e);
-        p.reset_prediction_count();
+        let start = QueryMeter::current();
         // ls_feasible consults two models (classifier + latency veto).
         let _ = p.ls_feasible(4, 1.8, 6, 12_000.0);
         let _ = p.be_throughput(10, 2.0, 10);
-        assert_eq!(p.prediction_count(), 3);
+        assert_eq!(QueryMeter::since(start).calls, 3);
         let cfg = PairConfig::new(Allocation::new(4, 5, 6), Allocation::new(16, 9, 14));
         let _ = p.total_power_w(&cfg, e.spec(), 12_000.0);
-        assert_eq!(p.prediction_count(), 5);
+        assert_eq!(QueryMeter::since(start).calls, 5);
     }
 
     #[test]

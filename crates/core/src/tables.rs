@@ -5,11 +5,12 @@
 //! power (ways-masked, see `mask_ways` in the predictor) only on
 //! `(C2, F2)`. Both therefore live on a small discrete lattice — at most
 //! `cores × levels × ways` points (4 000 on the paper's Table II node) —
-//! that can be flattened once per (re)train into contiguous `Vec<f64>`
-//! arrays indexed arithmetically. The search inner loop then costs a
-//! couple of loads instead of a boxed-model evaluation; the pruned search
-//! folds its admissible bounds from the throughput rows, and a per-C2
-//! prefix maximum computed alongside bounds the heuristic's early stop.
+//! that can be flattened once per trained predictor into contiguous
+//! `Vec<f64>` arrays indexed arithmetically. The search inner loop then
+//! costs a couple of loads instead of a boxed-model evaluation; the
+//! pruned search folds its admissible bounds from the throughput rows,
+//! and a per-C2 prefix maximum computed alongside bounds the heuristic's
+//! early stop.
 //!
 //! Every table entry is produced by the *same* compute path as the
 //! predictor's public methods (same feature vector, same `.max(0.0)`
@@ -20,10 +21,6 @@
 //! models), so every entry is bit-identical to the point query; the LS
 //! slabs ([`LsSlab`]) are filled one cell at a time by the point paths
 //! themselves. This module only stores the values and derives the bounds.
-//!
-//! Tables carry the predictor's training `generation`; retraining bumps
-//! the generation, which invalidates cached tables the same way it clears
-//! the prediction memo cache.
 
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -69,11 +66,9 @@ const CELL_ORDER_CAP: usize = 64;
 /// Built by [`crate::predictor::PerfPowerPredictor::model_tables`]; the
 /// search layer only reads it (through an `Arc`, shared across rayon
 /// workers). The lattices are immutable; the only lock guards the
-/// pruned search's memo of cell orders, which a retrain drops with the
-/// tables.
+/// pruned search's memo of cell orders.
 #[derive(Debug)]
 pub struct ModelTables {
-    generation: u64,
     total_cores: u32,
     total_ways: u32,
     n_levels: usize,
@@ -102,7 +97,6 @@ impl ModelTables {
     /// If either lattice does not have one entry per cell of `spec`.
     pub fn build(
         spec: &NodeSpec,
-        generation: u64,
         static_power_w: f64,
         be_tput: Vec<f64>,
         be_power: Vec<f64>,
@@ -126,7 +120,6 @@ impl ModelTables {
             slice_max_prefix[i] = slice_max_prefix[i].max(slice_max_prefix[i - 1]);
         }
         Self {
-            generation,
             total_cores,
             total_ways,
             n_levels,
@@ -137,11 +130,6 @@ impl ModelTables {
             slice_max_prefix,
             cell_orders: Mutex::default(),
         }
-    }
-
-    /// Training generation these tables were flattened from.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The node's static/uncore power (W), the constant term of every
@@ -264,7 +252,7 @@ impl ModelTables {
 ///
 /// The LS queries of the predictor — QoS feasibility of `<C1, F1, L1>`
 /// and LS partition power — depend on the offered load, so unlike the BE
-/// lattices of [`ModelTables`] they cannot be flattened once per retrain.
+/// lattices of [`ModelTables`] they cannot be flattened once per predictor.
 /// Instead the load axis is quantized into buckets (see [`LsSlabs`]) and
 /// each bucket's cells are computed on first read, so a search pays only
 /// for the cells it looks at. Per `(C1, F1, L1)` cell a slab stores:
@@ -398,9 +386,8 @@ impl LsSlab {
     }
 }
 
-/// Lazily built family of [`LsSlab`]s for one `(generation, spec,
-/// power-load-headroom)` triple, plus the quantization and envelope rules
-/// the search relies on.
+/// Lazily built family of [`LsSlab`]s for one `(spec, power-load-headroom)`
+/// pair, plus the quantization and envelope rules the search relies on.
 ///
 /// A load `q` is *bracketed* by the two slabs whose centers surround it
 /// (`floor` and `ceil` of `q / quantum`); the search then uses the
@@ -413,7 +400,6 @@ impl LsSlab {
 /// undershoot the live model between centers.
 #[derive(Debug)]
 pub struct LsSlabs {
-    generation: u64,
     quantum: f64,
     headroom: f64,
     max_bucket: u64,
@@ -428,17 +414,10 @@ impl LsSlabs {
     /// bucket whose center exceeds the trained domain — every load beyond
     /// it is infeasible anyway, so brackets clamp there and the map stays
     /// bounded.
-    pub fn new(
-        spec: &NodeSpec,
-        generation: u64,
-        quantum: f64,
-        headroom: f64,
-        max_qps: f64,
-    ) -> Self {
+    pub fn new(spec: &NodeSpec, quantum: f64, headroom: f64, max_qps: f64) -> Self {
         debug_assert!(quantum > 0.0);
         let max_bucket = ((1.1 * max_qps / quantum).floor() as u64).saturating_add(1);
         Self {
-            generation,
             quantum,
             headroom,
             max_bucket,
@@ -446,11 +425,6 @@ impl LsSlabs {
             slabs: Mutex::new(HashMap::new()),
             builds: AtomicU64::new(0),
         }
-    }
-
-    /// Training generation the slabs were built from.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Bucket width (QPS per slab).
@@ -541,7 +515,6 @@ mod tests {
 
     fn tables(
         spec: &NodeSpec,
-        generation: u64,
         static_power_w: f64,
         tput: impl Fn(u32, f64, u32) -> f64,
         power: impl Fn(u32, f64) -> f64,
@@ -549,7 +522,6 @@ mod tests {
         let ways: Vec<u32> = (1..=spec.total_llc_ways).collect();
         ModelTables::build(
             spec,
-            generation,
             static_power_w,
             sweep(spec, &ways, tput),
             sweep(spec, &[0], |c, g, _| power(c, g)),
@@ -561,12 +533,10 @@ mod tests {
         let spec = small_spec();
         let t = tables(
             &spec,
-            7,
             12.5,
             |c, f, w| c as f64 * 100.0 + f * 10.0 + w as f64,
             |c, f| c as f64 + f,
         );
-        assert_eq!(t.generation(), 7);
         assert_eq!(t.static_power_w(), 12.5);
         assert!(t.matches(&spec));
         for c in 1..=4u32 {
@@ -587,7 +557,7 @@ mod tests {
         let spec = small_spec();
         // An arbitrary non-monotone function: bounds must still dominate.
         let f = |c: u32, g: f64, w: u32| ((c * 31 + w * 17) as f64 * g).sin().abs() * 10.0;
-        let t = tables(&spec, 0, 0.0, f, |_, _| 0.0);
+        let t = tables(&spec, 0.0, f, |_, _| 0.0);
         // The prefix bound is the maximum over every smaller-or-equal slice.
         let mut upto = 0.0f64;
         for c in 1..=4u32 {
@@ -603,7 +573,7 @@ mod tests {
     #[test]
     fn tables_reject_mismatched_spec() {
         let spec = small_spec();
-        let t = tables(&spec, 0, 0.0, |_, _, _| 0.0, |_, _| 0.0);
+        let t = tables(&spec, 0.0, |_, _, _| 0.0, |_, _| 0.0);
         let mut other = small_spec();
         other.total_llc_ways = 4;
         assert!(!t.matches(&other));
@@ -653,8 +623,7 @@ mod tests {
     #[test]
     fn slab_bracket_degenerates_at_centers_and_clamps_beyond_domain() {
         let spec = small_spec();
-        let slabs = LsSlabs::new(&spec, 5, 10.0, 0.08, 400.0);
-        assert_eq!(slabs.generation(), 5);
+        let slabs = LsSlabs::new(&spec, 10.0, 0.08, 400.0);
         assert!(slabs.matches(&spec));
         // Exactly on a center: lo == hi.
         assert_eq!(slabs.bracket(30.0), (3, 3));
@@ -671,7 +640,7 @@ mod tests {
     #[test]
     fn slabs_build_lazily_and_share_arcs() {
         let spec = small_spec();
-        let slabs = LsSlabs::new(&spec, 0, 10.0, 0.5, 400.0);
+        let slabs = LsSlabs::new(&spec, 10.0, 0.5, 400.0);
         assert_eq!(slabs.builds(), 0);
         let a = slabs.slab(2);
         assert_eq!(slabs.builds(), 1);

@@ -85,7 +85,7 @@ impl Dataset {
     }
 
     /// Returns a new dataset containing only the listed feature columns.
-    /// Used after Lasso feature selection to retrain on selected features.
+    /// Used after Lasso feature selection to refit on selected features.
     pub fn select_features(&self, cols: &[usize]) -> Result<Self, MlError> {
         let d = self.dims();
         if let Some(&c) = cols.iter().find(|&&c| c >= d) {

@@ -75,8 +75,14 @@ fn main() {
             predictor.be_power_w(cores, f, ways)
         );
     }
+    let search = ConfigSearch::new(
+        &predictor,
+        setup.spec().clone(),
+        setup.budget_w(),
+        SearchParams::default(),
+    );
     println!(
-        "\n{} model calls were answered in this session; each costs microseconds (§VII-E).",
-        predictor.prediction_count()
+        "\nthe §V-B search at {qps:.0} QPS made {} model calls; each costs microseconds (§VII-E).",
+        search.best_config(qps).stats.model_calls
     );
 }

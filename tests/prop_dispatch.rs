@@ -46,28 +46,6 @@ proptest! {
     }
 
     #[test]
-    fn weighted_weights_track_the_requested_ratios(
-        raw in prop::collection::vec(0.0f64..10.0, 1..32),
-    ) {
-        // At least one weight must be positive for a valid setup.
-        let mut raw = raw;
-        raw[0] += 1.0;
-        let n = raw.len();
-        let mut d = Dispatcher::try_new(
-            DispatchPolicy::Weighted(raw.clone()),
-            n,
-            QOS_TARGET_MS,
-        )
-        .expect("valid setup");
-        let w = d.fill_weights(&vec![0.0; n]).to_vec();
-        check_weights(&w)?;
-        let total: f64 = raw.iter().sum();
-        for (&got, &want) in w.iter().zip(&raw) {
-            prop_assert!((got - want / total).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn latency_aware_stays_normalized_and_bounded(n in 2usize..32) {
         let mut d = Dispatcher::try_new(DispatchPolicy::LatencyAware, n, QOS_TARGET_MS)
             .expect("valid setup");
@@ -131,16 +109,5 @@ proptest! {
 #[test]
 fn dispatcher_rejects_invalid_setups() {
     assert!(Dispatcher::try_new(DispatchPolicy::Even, 0, QOS_TARGET_MS).is_err());
-    assert!(
-        Dispatcher::try_new(DispatchPolicy::Weighted(vec![1.0]), 2, QOS_TARGET_MS).is_err(),
-        "length mismatch"
-    );
-    assert!(
-        Dispatcher::try_new(DispatchPolicy::Weighted(vec![1.0, -1.0]), 2, QOS_TARGET_MS).is_err(),
-        "negative weight"
-    );
-    assert!(
-        Dispatcher::try_new(DispatchPolicy::Weighted(vec![0.0, 0.0]), 2, QOS_TARGET_MS).is_err(),
-        "all-zero weights"
-    );
+    assert!(Dispatcher::try_new(DispatchPolicy::LatencyAware, 0, QOS_TARGET_MS).is_err());
 }
