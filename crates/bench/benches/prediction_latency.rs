@@ -58,6 +58,24 @@ fn bench_prediction(c: &mut Criterion) {
     group.bench_function("total_power_uncached", |b| {
         b.iter(|| black_box(predictor.total_power_w(&cfg, &spec, black_box(12_000.0))))
     });
+    // The heuristic's steady state: the same LS lattice points asked again
+    // at a load that moves a little between rounds. The memo is off, so
+    // every call runs the models through their drifting-load path.
+    let points: Vec<(u32, f64, u32)> = [(4, 2, 6), (8, 5, 10), (12, 9, 14), (16, 7, 4)]
+        .map(|(cores, level, ways)| (cores, spec.freq_ghz(level), ways))
+        .to_vec();
+    let peak = setup.peak_qps();
+    let mut call = 0usize;
+    group.bench_function("ls_drifting_load_uncached", |b| {
+        b.iter(|| {
+            call += 1;
+            let (cores, ghz, ways) = points[call % points.len()];
+            let round = (call / points.len()) % 4096;
+            let qps = peak * (0.3 + 0.4 * round as f64 / 4096.0);
+            black_box(predictor.ls_feasible(cores, ghz, ways, qps));
+            black_box(predictor.ls_power_w(cores, ghz, ways, qps))
+        })
+    });
     predictor.set_caching(true);
     group.finish();
 }

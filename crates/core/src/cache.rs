@@ -18,8 +18,9 @@
 //! in.
 //!
 //! A lookup costs far less than the model query it saves, so hashing
-//! is a visible share of it. Keys are hashed by `KeyHasher`, a
-//! deterministic multiply-rotate fold of the key's five fields: the same
+//! is a visible share of it. Keys are hashed by
+//! [`KeyHasher`](sturgeon_mlkit::hash::KeyHasher), a deterministic
+//! multiply-rotate fold of the key's five fields: the same
 //! hash picks the shard and is the shard maps' `BuildHasher`, so a
 //! lookup hashes with a few multiplies rather than std's SipHash.
 //!
@@ -34,8 +35,9 @@
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, Ordering};
+use sturgeon_mlkit::hash::KeyBuildHasher;
 use sturgeon_simnode::PairConfig;
 
 /// The four memoized query families of the predictor.
@@ -63,53 +65,8 @@ struct Key {
     qps_bits: u64,
 }
 
-/// Multiplier of [`KeyHasher`]: odd, so multiplying by it is a bijection.
-const KEY_MUL: u64 = 0xf135_7aea_2e62_a9c5;
-
-/// The prediction cache's hasher: each word is folded in as
-/// `h = (h.rotate_left(5) ^ word) · KEY_MUL`. Every step is a bijection of
-/// `h` for a fixed word and of the word for a fixed `h`, so two keys that
-/// differ in one field always hash differently. The derived `Hash` of
-/// [`Key`] writes five words, so hashing a key costs five multiplies.
-/// Deterministic: no per-process seed.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(KEY_MUL);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    /// Also takes the enum discriminant, which `write_isize` forwards.
-    #[inline]
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    /// The product's high bits mix every input bit; the rotation moves
-    /// them down to the low bits a hash table indexes its buckets with.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A shard's memo table, hashed with [`KeyHasher`].
-type ShardMap = HashMap<Key, f64, BuildHasherDefault<KeyHasher>>;
+/// A shard's memo table, hashed with [`KeyHasher`](sturgeon_mlkit::hash::KeyHasher).
+type ShardMap = HashMap<Key, f64, KeyBuildHasher>;
 
 /// Per-thread query counters: `calls` advanced by every counted
 /// prediction query, `hits`/`misses` by every memo-cache lookup. A
@@ -172,7 +129,8 @@ impl std::ops::Add for QueryMeter {
 /// worker counts the rayon sweeps use.
 const SHARDS: usize = 16;
 
-/// Where the shard index sits in a [`KeyHasher`] hash: the four bits
+/// Where the shard index sits in a
+/// [`KeyHasher`](sturgeon_mlkit::hash::KeyHasher) hash: the four bits
 /// under the rotated-in product high bits (`finish` puts the product's
 /// top four bits at 22..26). A shard map indexes buckets with the low
 /// bits and tags them with the top seven, so neither is constant across
@@ -181,7 +139,7 @@ const SHARD_SHIFT: u32 = 22;
 
 /// The shard `key` lives in.
 fn shard_index(key: &Key) -> usize {
-    let hash = BuildHasherDefault::<KeyHasher>::default().hash_one(key);
+    let hash = KeyBuildHasher::default().hash_one(key);
     (hash >> SHARD_SHIFT) as usize & (SHARDS - 1)
 }
 
@@ -361,7 +319,7 @@ mod tests {
     use sturgeon_simnode::{Allocation, NodeSpec};
 
     fn hash(key: &Key) -> u64 {
-        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+        KeyBuildHasher::default().hash_one(key)
     }
 
     #[test]
@@ -543,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn frontier_buckets_nearby_loads_and_counts_reuses() {
+    fn frontier_keeps_one_outcome_per_bracket_including_none() {
         let fc = FrontierCache::default();
         assert!(fc.get(&key((10, 11))).is_none());
         fc.insert(key((10, 11)), Some((seed_cfg(6), 0.7)));

@@ -114,6 +114,17 @@ fn mask_ways(data: &Dataset) -> Result<Dataset, MlError> {
     Dataset::new(x, data.y.clone())
 }
 
+/// One LS-side model query: [`Regressor::predict_drifting`] when the
+/// caller repeats `<cores, freq, ways>` at drifting loads, else
+/// [`Regressor::predict`]. Both return the same bits.
+fn ls_predict(model: &dyn Regressor, x: &[f64], drifting: bool) -> f64 {
+    if drifting {
+        model.predict_drifting(x)
+    } else {
+        model.predict(x)
+    }
+}
+
 /// Which family backs each of the four models, plus the safety margin.
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
@@ -369,7 +380,7 @@ impl PerfPowerPredictor {
         ways: u32,
     ) -> bool {
         slab.feasible(cores, level, ways, || {
-            self.raw_ls_feasible(cores, spec.freq_ghz(level), ways, slab.qps())
+            self.raw_ls_feasible(cores, spec.freq_ghz(level), ways, slab.qps(), false)
         })
     }
 
@@ -386,14 +397,25 @@ impl PerfPowerPredictor {
         ways: u32,
     ) -> f64 {
         slab.ls_power_w(cores, level, ways, || {
-            self.raw_ls_power_w(cores, spec.freq_ghz(level), ways, slab.qps_power())
+            self.raw_ls_power_w(cores, spec.freq_ghz(level), ways, slab.qps_power(), false)
         })
     }
 
     /// The feasibility compute path shared by [`ls_feasible`](Self::ls_feasible)
     /// and slab fills: domain check, guarded load, classifier plus
-    /// latency veto.
-    fn raw_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
+    /// latency veto. With `drifting` the veto goes through
+    /// [`Regressor::predict_drifting`], which returns the same bits. The
+    /// memoized point queries set it: they ask each `<cores, freq, ways>`
+    /// again at many nearby loads. Slab fills do not: each cell is filled
+    /// once, so a candidate set stored for it would almost never be read.
+    fn raw_ls_feasible(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        qps: f64,
+        drifting: bool,
+    ) -> bool {
         if qps > 1.1 * self.max_trained_qps {
             // Never extrapolate a QoS promise beyond the profiled domain.
             return false;
@@ -403,16 +425,23 @@ impl PerfPowerPredictor {
         // Dual check: the classifier answers the paper's yes/no question,
         // and the instance-based latency regressor vetoes feasible islands
         // the tree may hallucinate far from any training sample.
-        self.ls_qos.predict_label(&x) && self.ls_latency.predict(&x) <= self.qos_target_ms
+        self.ls_qos.predict_label(&x)
+            && ls_predict(&*self.ls_latency, &x, drifting) <= self.qos_target_ms
     }
 
     /// The LS-power compute path shared by [`ls_power_w`](Self::ls_power_w)
-    /// and slab fills: clamp and margin.
-    fn raw_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
-        self.ls_power
-            .predict(&feature_row(qps, cores, freq_ghz, ways))
-            .max(0.0)
-            * (1.0 + self.config.power_margin)
+    /// and slab fills: clamp and margin. `drifting` as in
+    /// [`raw_ls_feasible`](Self::raw_ls_feasible).
+    fn raw_ls_power_w(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        qps: f64,
+        drifting: bool,
+    ) -> f64 {
+        let x = feature_row(qps, cores, freq_ghz, ways);
+        ls_predict(&*self.ls_power, &x, drifting).max(0.0) * (1.0 + self.config.power_margin)
     }
 
     /// Does `<cores, freq, ways>` meet the LS QoS target at `qps`?
@@ -428,7 +457,9 @@ impl PerfPowerPredictor {
         self.count();
         self.cache
             .get_or_compute(Family::LsFeasible, cores, freq_ghz, ways, qps, || {
-                f64::from(u8::from(self.raw_ls_feasible(cores, freq_ghz, ways, qps)))
+                f64::from(u8::from(
+                    self.raw_ls_feasible(cores, freq_ghz, ways, qps, true),
+                ))
             })
             != 0.0
     }
@@ -438,7 +469,7 @@ impl PerfPowerPredictor {
         self.count();
         self.cache
             .get_or_compute(Family::LsPower, cores, freq_ghz, ways, qps, || {
-                self.raw_ls_power_w(cores, freq_ghz, ways, qps)
+                self.raw_ls_power_w(cores, freq_ghz, ways, qps, true)
             })
     }
 

@@ -33,17 +33,43 @@
 //! order: a leaf's values of each standardized feature, its targets and
 //! its row ids are each one contiguous run, and the tree holds the only
 //! copy of them. A leaf folds its rows' distances a feature column at a
-//! time, the same left fold per row as a row-at-a-time scan. The `k` nearest are kept sorted in a buffer of `k`
-//! slots that starts filled with sentinels farther than any row, so a
-//! candidate is placed by shifting the worse ones down one slot.
+//! time, the same left fold per row as a row-at-a-time scan. The `k`
+//! nearest are kept sorted in a buffer of `k` slots that starts filled
+//! with sentinels farther than any row, so a candidate is placed by
+//! shifting the worse ones down one slot.
 //!
 //! A query allocates nothing: the standardized query, the traversal stack
 //! and the held neighbours live in per-thread buffers that are reused.
+//!
+//! [`Regressor::predict_drifting`] is a second exact path for callers that
+//! repeat features `1..` at new values of feature 0, as the predictor's
+//! LS queries repeat `<cores, freq, ways>` at a drifting load. It keeps a
+//! candidate set per key: the bits of the standardized features `1..` and
+//! the bracket between the two training values of feature 0 around the
+//! query (one value when the query is on it). A key's first query
+//! searches the tree and answers from it. It then takes, over the `k` rows
+//! held, the worst distance anywhere in the bracket (the usual fold with
+//! feature 0's term at the farther bracket end) and collects, with a range
+//! walk of the tree, every row whose best distance in the bracket
+//! (feature 0's term at the nearest bracket point) is ≤ that limit. Later
+//! queries on the key fold the usual distance of those rows only and rank
+//! them by `(dist2, row)`. By the same monotonicity, every row's distance
+//! anywhere in the bracket lies between its two folds, so a row left out
+//! is strictly farther than `k` held rows at every query of the bracket,
+//! and the answer keeps the tree's bits. Queries below the lowest value of
+//! feature 0, above the highest, with a feature that is not finite or with
+//! more than four features search the tree. The sets store `u16` leaf
+//! positions in one arena behind a read-write lock, keyed with
+//! [`KeyHasher`](crate::hash::KeyHasher); a clone or a refit starts with
+//! none.
 
+use crate::hash::KeyBuildHasher;
 use crate::model::{check_binary_targets, Classifier, Dataset, MlError, Regressor};
 use crate::preprocess::Standardizer;
 use std::cell::RefCell;
-use std::sync::LazyLock;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 /// Most training rows in one KD-tree leaf. A leaf's distances are summed
 /// a feature column at a time, so a wider leaf costs little more to scan
@@ -57,7 +83,9 @@ const LEAF: usize = 32;
 #[derive(Debug, Clone, Copy)]
 struct Neighbor {
     dist2: f64,
-    row: usize,
+    row: u32,
+    /// The row's position in the tree's leaf order.
+    pos: u32,
     y: f64,
 }
 
@@ -66,13 +94,14 @@ impl Neighbor {
     /// even one at an infinite distance.
     const SENTINEL: Self = Self {
         dist2: f64::INFINITY,
-        row: usize::MAX,
+        row: u32::MAX,
+        pos: u32::MAX,
         y: 0.0,
     };
 
     /// True when `(dist2, row)` ranks strictly before `self`.
     #[inline]
-    fn after(&self, dist2: f64, row: usize) -> bool {
+    fn after(&self, dist2: f64, row: u32) -> bool {
         dist2 < self.dist2 || (dist2 == self.dist2 && row < self.row)
     }
 }
@@ -110,11 +139,13 @@ impl NearestK {
         &self.slots[..self.len]
     }
 
-    /// Offers one row whose distance passed the caller's
-    /// `dist2 <= bound` reject. It gets in when it ranks before the worst
-    /// slot; the row tie-break only decides an exact distance tie.
+    /// Offers the row at leaf position `pos`, whose distance passed the
+    /// caller's `dist2 <= bound` reject. It gets in when it ranks before
+    /// the worst slot; the row tie-break only decides an exact distance
+    /// tie.
     #[inline]
-    fn offer(&mut self, dist2: f64, row: usize, y: f64) {
+    fn offer(&mut self, dist2: f64, tree: &KdTree, pos: usize) {
+        let row = tree.rows[pos];
         let mut at = self.slots.len() - 1;
         if !self.slots[at].after(dist2, row) {
             return;
@@ -123,7 +154,12 @@ impl NearestK {
             self.slots[at] = self.slots[at - 1];
             at -= 1;
         }
-        self.slots[at] = Neighbor { dist2, row, y };
+        self.slots[at] = Neighbor {
+            dist2,
+            row,
+            pos: pos as u32,
+            y: tree.y[pos],
+        };
         self.len = (self.len + 1).min(self.slots.len());
         self.bound = self.slots[self.slots.len() - 1].dist2;
     }
@@ -162,7 +198,10 @@ struct KdTree {
     /// Targets in leaf order.
     y: Vec<f64>,
     /// Each leaf-order row's index in the training set.
-    rows: Vec<usize>,
+    rows: Vec<u32>,
+    /// The distinct values of standardized feature 0, ascending: the
+    /// ends of the brackets drifting queries are keyed by.
+    levels: Vec<f64>,
 }
 
 impl KdTree {
@@ -179,6 +218,7 @@ impl KdTree {
             x: Vec::new(),
             y: Vec::new(),
             rows: Vec::new(),
+            levels: Vec::new(),
         };
         tree.grow(&x, &mut order, 0);
         let mut permuted = vec![0.0; n];
@@ -188,7 +228,11 @@ impl KdTree {
             }
             column.copy_from_slice(&permuted);
         }
-        (tree.x, tree.y, tree.rows) = (x, y, order);
+        tree.levels = x[..n].to_vec();
+        tree.levels.sort_by(f64::total_cmp);
+        tree.levels.dedup();
+        tree.rows = order.into_iter().map(|row| row as u32).collect();
+        (tree.x, tree.y) = (x, y);
         tree
     }
 
@@ -283,9 +327,9 @@ impl KdTree {
                         *d += term(qj, v);
                     }
                 }
-                for (i, &d) in rows.zip(dist.iter()) {
+                for (pos, &d) in rows.zip(dist.iter()) {
                     if d <= near.bound {
-                        near.offer(d, self.rows[i], self.y[i]);
+                        near.offer(d, self, pos);
                     }
                 }
             } else if q[node.dim as usize] < node.split {
@@ -295,6 +339,195 @@ impl KdTree {
             }
         }
     }
+
+    /// The candidate-set key of the standardized query `q`, with the ends
+    /// `(lo, hi)` of its feature-0 bracket: the two adjacent levels around
+    /// `q[0]`, or one level twice when `q[0]` is on it. `None`, so the
+    /// query searches the tree, when `q[0]` lies below the lowest level or
+    /// above the highest, when a feature is not finite, when the model has
+    /// more features than a key holds, or when a leaf position would not
+    /// fit a `u16`.
+    fn set_key(&self, q: &[f64]) -> Option<(SetKey, f64, f64)> {
+        let finite = q.iter().all(|v| v.is_finite());
+        if !finite || q.len() > KEY_FEATURES + 1 || self.y.len() > 1 << 16 {
+            return None;
+        }
+        let i = self.levels.partition_point(|&level| level < q[0]);
+        let hi = *self.levels.get(i)?;
+        let (bracket, lo) = if hi == q[0] {
+            (2 * i, hi)
+        } else {
+            let below = i.checked_sub(1)?;
+            (2 * below + 1, self.levels[below])
+        };
+        let mut rest = [0; KEY_FEATURES];
+        for (word, v) in rest.iter_mut().zip(&q[1..]) {
+            *word = v.to_bits();
+        }
+        let bracket = bracket as u32;
+        Some((SetKey { rest, bracket }, lo, hi))
+    }
+
+    /// The largest distance from the row at leaf position `pos` to a
+    /// query that equals `q` but for feature 0, which may lie anywhere in
+    /// `lo..=hi`: the left fold with feature 0's term at the farther end.
+    fn far_dist2(&self, pos: usize, q: &[f64], lo: f64, hi: f64) -> f64 {
+        let n = self.y.len();
+        let x0 = self.x[pos];
+        let mut d = 0.0;
+        d += term(lo, x0).max(term(hi, x0));
+        for (j, &qj) in q.iter().enumerate().skip(1) {
+            d += term(qj, self.x[j * n + pos]);
+        }
+        d
+    }
+
+    /// A lower bound on the distance from every query of the bracket
+    /// `lo..=hi` (and `q` past feature 0) to every row in `node`'s box:
+    /// [`box_dist2`](Self::box_dist2) with feature 0's term taken across
+    /// the gap between the bracket and the box.
+    fn box_bracket_dist2(&self, node: usize, q: &[f64], lo: f64, hi: f64) -> f64 {
+        let bounds = &self.bounds[2 * node * self.dims..2 * (node + 1) * self.dims];
+        let (pairs, _) = bounds.as_chunks::<2>();
+        let [box_lo, box_hi] = pairs[0];
+        let mut d = 0.0;
+        d += if box_hi < lo {
+            term(lo, box_hi)
+        } else if hi < box_lo {
+            term(hi, box_lo)
+        } else {
+            0.0
+        };
+        for (&qj, &[lo, hi]) in q.iter().zip(pairs).skip(1) {
+            d += term(qj, qj.clamp(lo, hi));
+        }
+        d
+    }
+
+    /// Pushes onto `out` the leaf position of every row whose distance to
+    /// some query of the bracket `lo..=hi` can be ≤ `limit`: its left fold
+    /// with feature 0's term at the bracket point nearest the row is.
+    fn collect(
+        &self,
+        q: &[f64],
+        (lo, hi): (f64, f64),
+        limit: f64,
+        out: &mut Vec<u16>,
+        stack: &mut Vec<u32>,
+    ) {
+        let n = self.y.len();
+        stack.clear();
+        stack.push(0);
+        while let Some(id) = stack.pop() {
+            let id = id as usize;
+            if self.box_bracket_dist2(id, q, lo, hi) > limit {
+                continue;
+            }
+            let node = &self.nodes[id];
+            if node.right == 0 {
+                let rows = node.start as usize..node.end as usize;
+                let mut dist = [0.0; LEAF];
+                let dist = &mut dist[..rows.len()];
+                for (d, &v) in dist.iter_mut().zip(&self.x[rows.clone()]) {
+                    *d += term(v.clamp(lo, hi), v);
+                }
+                for (j, &qj) in q.iter().enumerate().skip(1) {
+                    let column = &self.x[j * n + rows.start..j * n + rows.end];
+                    for (d, &v) in dist.iter_mut().zip(column) {
+                        *d += term(qj, v);
+                    }
+                }
+                for (pos, &d) in rows.zip(dist.iter()) {
+                    if d <= limit {
+                        out.push(pos as u16);
+                    }
+                }
+            } else {
+                stack.extend([node.right, id as u32 + 1]);
+            }
+        }
+    }
+
+    /// Offers `near` the rows at the leaf positions `candidates`, each at
+    /// its usual distance to `q`.
+    fn offer_candidates(&self, q: &[f64], candidates: &[u16], near: &mut NearestK) {
+        let n = self.y.len();
+        for &pos in candidates {
+            let pos = usize::from(pos);
+            let mut d = 0.0;
+            for (j, &qj) in q.iter().enumerate() {
+                d += term(qj, self.x[j * n + pos]);
+            }
+            if d <= near.bound {
+                near.offer(d, self, pos);
+            }
+        }
+    }
+}
+
+/// Most features after feature 0 a candidate-set key holds: the
+/// predictor's feature rows have four features in all.
+const KEY_FEATURES: usize = 3;
+
+/// Bound on stored candidate sets. A caller's lattice of repeated
+/// features stays far below it; a caller whose features never repeat
+/// would otherwise grow the store without limit, so it is emptied and
+/// refilled instead.
+const MAX_SETS: usize = 1 << 16;
+
+/// Which candidate set a drifting query reads: the bits of standardized
+/// features `1..` (zero past the model's last feature) and the index of
+/// the feature-0 bracket, `2i` on level `i` and `2i - 1` between levels
+/// `i - 1` and `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SetKey {
+    rest: [u64; KEY_FEATURES],
+    bracket: u32,
+}
+
+impl Hash for SetKey {
+    /// Four words, so a key costs four multiplies to hash.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.rest {
+            state.write_u64(word);
+        }
+        state.write_u32(self.bracket);
+    }
+}
+
+/// The candidate sets of one fitted tree: every key's leaf positions are
+/// one run of a shared arena.
+#[derive(Debug, Default)]
+struct CandidateSets {
+    /// Each key's run `start..start + len` of `positions`.
+    runs: HashMap<SetKey, (u32, u32), KeyBuildHasher>,
+    positions: Vec<u16>,
+}
+
+impl CandidateSets {
+    /// The candidates stored under `key`.
+    fn get(&self, key: &SetKey) -> Option<&[u16]> {
+        let &(start, len) = self.runs.get(key)?;
+        Some(&self.positions[start as usize..(start + len) as usize])
+    }
+
+    /// Stores `candidates` under `key` unless a racing first query did.
+    /// Every step leaves each stored run inside `positions`, so a guard
+    /// recovered from a writer that panicked still reads valid sets.
+    fn insert(&mut self, key: SetKey, candidates: &[u16]) {
+        if self.runs.contains_key(&key) {
+            return;
+        }
+        if self.runs.len() >= MAX_SETS
+            || self.positions.len() + candidates.len() > u32::MAX as usize
+        {
+            self.runs.clear();
+            self.positions.clear();
+        }
+        let start = self.positions.len() as u32;
+        self.positions.extend_from_slice(candidates);
+        self.runs.insert(key, (start, candidates.len() as u32));
+    }
 }
 
 /// The buffers one query works in, reused across queries on a thread.
@@ -303,6 +536,8 @@ struct Scratch {
     q: Vec<f64>,
     near: NearestK,
     stack: Vec<u32>,
+    /// A bracket's candidates while its first query collects them.
+    candidates: Vec<u16>,
 }
 
 thread_local! {
@@ -320,11 +555,14 @@ struct KnnCore {
     scaler: Option<Standardizer>,
     /// The fitted rows, moved into a tree on the first query after a fit.
     tree: Option<LazyLock<KdTree, TreeBuild>>,
+    /// The drifting queries' candidate sets for this fit's tree.
+    sets: RwLock<CandidateSets>,
 }
 
 impl Clone for KnnCore {
     /// Builds the tree if no query has yet (the unbuilt rows live in the
-    /// build closure, which cannot be cloned).
+    /// build closure, which cannot be cloned). The clone starts with no
+    /// candidate sets.
     fn clone(&self) -> Self {
         let tree = self.tree.as_ref().map(|tree| {
             let tree = KdTree::clone(tree);
@@ -334,6 +572,7 @@ impl Clone for KnnCore {
             k: self.k,
             scaler: self.scaler.clone(),
             tree,
+            sets: RwLock::default(),
         }
     }
 }
@@ -344,6 +583,7 @@ impl KnnCore {
             k,
             scaler: None,
             tree: None,
+            sets: RwLock::default(),
         }
     }
 
@@ -368,12 +608,14 @@ impl KnnCore {
         let y = data.y.clone();
         self.tree = Some(LazyLock::new(Box::new(move || KdTree::build(dims, x, y))));
         self.scaler = Some(scaler);
+        self.sets = RwLock::default();
         Ok(())
     }
 
     /// Aggregates the `k` nearest neighbours of `x`, ascending by
-    /// `(dist2, row)`, with `f`.
-    fn with_nearest<R>(&self, x: &[f64], f: impl FnOnce(&[Neighbor]) -> R) -> R {
+    /// `(dist2, row)`, with `f`. A `drifting` query reads them from its
+    /// bracket's candidate set when it has a key.
+    fn with_nearest<R>(&self, x: &[f64], drifting: bool, f: impl FnOnce(&[Neighbor]) -> R) -> R {
         let (Some(scaler), Some(tree)) = (&self.scaler, &self.tree) else {
             panic!("predict before fit");
         };
@@ -382,9 +624,44 @@ impl KnnCore {
             s.q.clear();
             s.q.extend((0..tree.dims).map(|j| scaler.scale(j, x[j])));
             s.near.reset(self.k);
-            tree.search(&s.q, &mut s.near, &mut s.stack);
+            match drifting.then(|| tree.set_key(&s.q)).flatten() {
+                Some(key) => self.nearest_in_bracket(tree, key, s),
+                None => tree.search(&s.q, &mut s.near, &mut s.stack),
+            }
             f(s.near.held())
         })
+    }
+
+    /// Fills `s.near` for the standardized query `s.q`, whose key and
+    /// bracket ends are `key`, from the key's candidate set. The key's
+    /// first query searches the tree and then stores the set: every row
+    /// that, somewhere in the bracket, could be as near as the farthest
+    /// any held row gets in it.
+    fn nearest_in_bracket(
+        &self,
+        tree: &KdTree,
+        (key, lo, hi): (SetKey, f64, f64),
+        s: &mut Scratch,
+    ) {
+        let sets = self.sets.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(candidates) = sets.get(&key) {
+            tree.offer_candidates(&s.q, candidates, &mut s.near);
+            return;
+        }
+        drop(sets);
+        tree.search(&s.q, &mut s.near, &mut s.stack);
+        let limit = s
+            .near
+            .held()
+            .iter()
+            .map(|nb| tree.far_dist2(nb.pos as usize, &s.q, lo, hi))
+            .fold(0.0, f64::max);
+        s.candidates.clear();
+        tree.collect(&s.q, (lo, hi), limit, &mut s.candidates, &mut s.stack);
+        self.sets
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, &s.candidates);
     }
 }
 
@@ -475,7 +752,13 @@ impl Regressor for KnnRegressor {
     }
 
     fn predict(&self, x: &[f64]) -> f64 {
-        self.core.with_nearest(x, |near| aggregate(near, self.mode))
+        self.core
+            .with_nearest(x, false, |near| aggregate(near, self.mode))
+    }
+
+    fn predict_drifting(&self, x: &[f64]) -> f64 {
+        self.core
+            .with_nearest(x, true, |near| aggregate(near, self.mode))
     }
 }
 
@@ -503,7 +786,7 @@ impl Classifier for KnnClassifier {
 
     fn predict_score(&self, x: &[f64]) -> f64 {
         self.core
-            .with_nearest(x, |near| aggregate(near, Aggregation::Mean))
+            .with_nearest(x, false, |near| aggregate(near, Aggregation::Mean))
     }
 }
 
@@ -651,7 +934,8 @@ mod tests {
             .map(|(row, (features, &y))| {
                 let features = scaler.transformed(features);
                 let dist2 = q.iter().zip(&features).map(|(a, b)| (a - b).powi(2)).sum();
-                Neighbor { dist2, row, y }
+                let (row, pos) = (row as u32, 0);
+                Neighbor { dist2, row, pos, y }
             })
             .collect();
         all.sort_by(|a, b| a.dist2.total_cmp(&b.dist2).then(a.row.cmp(&b.row)));
@@ -777,6 +1061,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Query sequences that keep features `1..` and move feature 0: within
+    /// one bracket, across brackets, exactly on a level, below the lowest
+    /// level and above the highest, then back into the first bracket.
+    /// Half the patterns sit on a training row's features `1..`, half off.
+    fn drifting_queries(rng: &mut StdRng, data: &Dataset) -> Vec<Vec<f64>> {
+        let mut levels: Vec<f64> = data.x.iter().map(|row| row[0]).collect();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let (low, high) = (levels[0], levels[levels.len() - 1]);
+        let mut queries = Vec::new();
+        for row in data.x.iter().take(8) {
+            let mut rest = row[1..].to_vec();
+            if rng.gen_range(0..2) == 0 {
+                for v in &mut rest {
+                    *v += rng.gen_range(-1.5..1.5);
+                }
+            }
+            let i = rng.gen_range(0..levels.len());
+            let next = levels[(i + 1).min(levels.len() - 1)];
+            let mut loads: Vec<f64> = (0..4)
+                .map(|_| levels[i] + rng.gen_range(0.0..1.0) * (next - levels[i]))
+                .collect();
+            loads.extend((0..4).map(|_| rng.gen_range(low..=high)));
+            loads.extend([levels[i], low, high]);
+            loads.extend([
+                low - rng.gen_range(0.1..3.0),
+                high + rng.gen_range(0.1..3.0),
+            ]);
+            loads.extend(loads[..4].to_vec());
+            for load in loads {
+                let mut q = vec![load];
+                q.extend(&rest);
+                queries.push(q);
+            }
+        }
+        queries
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn drifting_predict_is_bit_identical_to_a_sorted_scan(
+            seed in 0u64..u64::MAX,
+            rows in prop_oneof![1usize..LEAF, Just(LEAF), LEAF + 1..8 * LEAF],
+            dims in 1usize..6,
+            flat in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = tie_dataset(&mut rng, rows, dims, flat);
+            let queries = drifting_queries(&mut rng, &data);
+            for k in [1, rng.gen_range(1..=rows), rows] {
+                for mode in [Aggregation::Mean, Aggregation::Weighted, Aggregation::Peak] {
+                    let mut model = KnnRegressor { core: KnnCore::new(k), mode };
+                    model.fit(&data).unwrap();
+                    for q in &queries {
+                        let want = reference_predict(&data, k, mode, q);
+                        prop_assert_eq!(model.predict_drifting(q).to_bits(), want.to_bits());
+                    }
+                    // Wider rows than a key holds always search the tree.
+                    let sets = model.core.sets.read().unwrap().runs.len();
+                    prop_assert_eq!(sets == 0, dims > KEY_FEATURES + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_drifting_queries_return_identical_bits() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let data = tie_dataset(&mut rng, 600, 4, false);
+        let queries = drifting_queries(&mut rng, &data);
+        let mut serial = KnnRegressor::weighted(5);
+        serial.fit(&data).unwrap();
+        let want: Vec<u64> = queries
+            .iter()
+            .map(|q| serial.predict(q).to_bits())
+            .collect();
+        for _ in 0..8 {
+            // A fresh fit, so the threads race to build the tree and every
+            // key's candidate set.
+            let mut shared = KnnRegressor::weighted(5);
+            shared.fit(&data).unwrap();
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                let runs: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            queries
+                                .iter()
+                                .map(|q| shared.predict_drifting(q).to_bits())
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for run in runs {
+                    assert_eq!(run.join().unwrap(), want);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn clones_and_refits_never_serve_a_stale_set() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let first = tie_dataset(&mut rng, 150, 4, false);
+        // The same features `1..` and feature-0 values, dealt to other
+        // rows: the second fit's keys equal the first's, but its tree
+        // holds different rows at each leaf position.
+        let mut x = first.x.clone();
+        for (i, row) in x.iter_mut().enumerate() {
+            row[0] = first.x[(i + 37) % first.len()][0];
+        }
+        let y = (0..x.len()).map(|i| (i % 17) as f64).collect();
+        let second = Dataset::new(x, y).unwrap();
+        let queries = drifting_queries(&mut rng, &first);
+        let check = |model: &KnnRegressor, data: &Dataset| {
+            for q in &queries {
+                let want = reference_predict(data, 4, Aggregation::Weighted, q);
+                assert_eq!(model.predict_drifting(q).to_bits(), want.to_bits());
+            }
+        };
+        let mut model = KnnRegressor::weighted(4);
+        model.fit(&first).unwrap();
+        check(&model, &first);
+        let mut clone = model.clone();
+        assert!(clone.core.sets.read().unwrap().runs.is_empty());
+        check(&clone, &first);
+        // Each refit answers from its own rows, not from sets stored for
+        // the first fit, and leaves the other copy's sets alone.
+        clone.fit(&second).unwrap();
+        check(&clone, &second);
+        check(&model, &first);
+        model.fit(&second).unwrap();
+        check(&model, &second);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`svm::SvmClassifier`] / [`svm::SvmRegressor`] — linear SVM via SGD
 //!
 //! Beyond the paper's families, [`mf`] adds the matrix factorization
-//! behind cold-start co-runner scoring.
+//! behind cold-start co-runner scoring, and [`hash`] the deterministic
+//! key hasher of the memo tables.
 //!
 //! All models implement the common [`model::Regressor`] or
 //! [`model::Classifier`] traits so the predictor can swap families per
@@ -30,8 +31,11 @@
 //! passes are fast enough for training. The exception is KNN prediction,
 //! which the controller calls hundreds of times per decision: it walks a
 //! KD-tree that skips only rows provably farther than the current `k`
-//! nearest, so it returns the same bits as a full scan in about 1–2 µs
-//! per query (the paper reports 0.04 ms per prediction).
+//! nearest, so it returns the same bits as a full scan in about 0.3–1.3 µs
+//! per query (the paper reports 0.04 ms per prediction). Callers that ask
+//! the same features `1..` at a drifting feature 0 use
+//! [`Regressor::predict_drifting`], which ranks only a stored candidate
+//! set per load bracket, again bit for bit.
 //!
 //! ```
 //! use sturgeon_mlkit::{Dataset, KnnRegressor, Regressor, r2_score};
@@ -47,6 +51,7 @@
 //! assert!(r2_score(&data.y, &pred) > 0.99);
 //! ```
 
+pub mod hash;
 pub mod knn;
 pub mod lasso;
 pub mod linear;

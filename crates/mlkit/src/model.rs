@@ -112,6 +112,15 @@ pub trait Regressor {
     /// Predicts the target for one feature row.
     fn predict(&self, x: &[f64]) -> f64;
 
+    /// Predicts what [`predict`](Self::predict) does, bit for bit, for a
+    /// caller that asks the same features `1..` again at new values of
+    /// feature 0 (a load drifting between profiled levels). KNN answers
+    /// such repeats from a candidate set it keeps per pattern (see
+    /// [`knn`](crate::knn)); every other family just predicts.
+    fn predict_drifting(&self, x: &[f64]) -> f64 {
+        self.predict(x)
+    }
+
     /// Convenience batch prediction.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|r| self.predict(r)).collect()

@@ -3,8 +3,9 @@
 //! search built on top of the trained predictor.
 
 use sturgeon::predictor::evaluation::{lasso_select_features, score_families};
+use sturgeon::predictor::{make_classifier, make_regressor, QOS_LOAD_MARGIN};
 use sturgeon::prelude::*;
-use sturgeon::profiler::ProfilerConfig;
+use sturgeon::profiler::{feature_row, ProfilerConfig};
 
 fn profiler() -> ProfilerConfig {
     ProfilerConfig {
@@ -226,6 +227,104 @@ fn cache_preserves_search_results_exactly() {
         assert_eq!(full_raw.stats.candidates, serial.stats.candidates);
     }
     predictor.set_caching(true);
+}
+
+#[test]
+fn drifting_load_queries_equal_the_plain_model_path() {
+    // `ls_feasible` and `ls_power_w` ask their KNN models through
+    // `Regressor::predict_drifting`, which answers repeats of one
+    // `<cores, freq, ways>` from a candidate set per load bracket. A
+    // load sweep through every bracket, on every profiled level, below
+    // the lowest and above the highest must return the bits of plain
+    // `predict` calls on independently trained models, with the memo
+    // off and on; slab cells, which call plain `predict`, must agree
+    // at their centres too.
+    let setup = ExperimentSetup::new(
+        ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace),
+        21,
+    );
+    let config = PredictorConfig::default();
+    let datasets = setup.profile(profiler()).expect("profiling succeeds");
+    let predictor = setup
+        .train_predictor(profiler(), config)
+        .expect("training succeeds");
+    let mut qos = make_classifier(config.ls_qos);
+    qos.fit(&datasets.ls_qos).expect("fit succeeds");
+    let mut latency = make_regressor(config.ls_latency);
+    latency.fit(&datasets.ls_latency).expect("fit succeeds");
+    let mut power = make_regressor(config.ls_power);
+    power.fit(&datasets.ls_power).expect("fit succeeds");
+    let max_qps = datasets.ls_qos.x.iter().map(|r| r[0]).fold(0.0, f64::max);
+    let raw_feasible = |c: u32, ghz: f64, w: u32, qps: f64| {
+        let guarded = (qps * (1.0 + QOS_LOAD_MARGIN)).min(max_qps);
+        let x = feature_row(guarded, c, ghz, w);
+        qps <= 1.1 * max_qps
+            && qos.predict_label(&x)
+            && latency.predict(&x) <= setup.qos_target_ms()
+    };
+    let raw_power = |c: u32, ghz: f64, w: u32, qps: f64| {
+        power.predict(&feature_row(qps, c, ghz, w)).max(0.0) * (1.0 + config.power_margin)
+    };
+
+    let mut levels: Vec<f64> = datasets.ls_power.x.iter().map(|r| r[0]).collect();
+    levels.sort_by(f64::total_cmp);
+    levels.dedup();
+    // A slow drift from zero to past the domain check, then every level
+    // exactly, as an LS-power load and as a guarded feasibility load.
+    let mut loads: Vec<f64> = (0..400)
+        .map(|i| f64::from(i) * 1.2 * max_qps / 400.0)
+        .collect();
+    loads.extend(
+        levels
+            .iter()
+            .flat_map(|&l| [l, l / (1.0 + QOS_LOAD_MARGIN)]),
+    );
+    let spec = setup.spec().clone();
+    let cells: Vec<(u32, usize, u32)> = [1, 3, 6, 10, 15, spec.total_cores]
+        .into_iter()
+        .flat_map(|c| [0, 4, spec.max_freq_level()].map(|f| (c, f)))
+        .flat_map(|(c, f)| [1, 5, 12, spec.total_llc_ways].map(|w| (c, f, w)))
+        .collect();
+    let mut feasible = 0;
+    for caching in [false, true] {
+        predictor.set_caching(caching);
+        for &qps in &loads {
+            for &(c, f, w) in &cells {
+                let ghz = spec.freq_ghz(f);
+                let want = raw_feasible(c, ghz, w, qps);
+                feasible += usize::from(want);
+                assert_eq!(
+                    predictor.ls_feasible(c, ghz, w, qps),
+                    want,
+                    "feasibility at {qps} qps, cell ({c}, {f}, {w}), caching {caching}"
+                );
+                assert_eq!(
+                    predictor.ls_power_w(c, ghz, w, qps).to_bits(),
+                    raw_power(c, ghz, w, qps).to_bits(),
+                    "LS power at {qps} qps, cell ({c}, {f}, {w}), caching {caching}"
+                );
+            }
+        }
+    }
+    assert!(feasible > 0, "the sweep must reach feasible cells");
+
+    let slabs = predictor.ls_slabs(&spec, 0.08);
+    for bucket in 0..=slabs.max_bucket() {
+        let slab = predictor.ls_slab(&spec, &slabs, bucket);
+        for &(c, f, w) in &cells {
+            let ghz = spec.freq_ghz(f);
+            assert_eq!(
+                predictor.slab_feasible(&spec, &slab, c, f, w),
+                predictor.ls_feasible(c, ghz, w, slab.qps()),
+                "slab feasibility at bucket {bucket}, cell ({c}, {f}, {w})"
+            );
+            assert_eq!(
+                predictor.slab_ls_power_w(&spec, &slab, c, f, w).to_bits(),
+                predictor.ls_power_w(c, ghz, w, slab.qps_power()).to_bits(),
+                "slab LS power at bucket {bucket}, cell ({c}, {f}, {w})"
+            );
+        }
+    }
 }
 
 #[test]
